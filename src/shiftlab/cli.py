@@ -30,8 +30,6 @@ def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> Non
     p.add_argument("--config", required=config_required, help="experiment config file")
     p.add_argument("--out", default=None, help="output directory override")
     p.add_argument("--seed", type=int, default=None, help="master seed override")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallelism hint; never affects results")
 
 
 def _load(args) -> ExperimentConfig:

@@ -1,10 +1,12 @@
-"""Experiment configuration: one INI-style file determines every output byte.
+"""Experiment configuration: one INI-style file determines every output.
 
 Sections: ``[shift]`` (data-generating parameters, keys named after the
 ShiftSpec fields), ``[grid]`` (hyperparameter grid), ``[analysis]`` (probit
 clamp, spline lambda, agreement pair sampling), ``[output]`` (directory), and
 optionally ``[series]`` (knob sweeps).  Hyperparameter seeds are derived from
 the master seed, so overriding ``--seed`` reseeds the whole pipeline.
+Outputs are byte-identical across reruns on one machine and BLAS kernel;
+another kernel may round the training reductions differently.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import ShiftSpec, format_sig, parse_spec_items
+from .datagen import ShiftSpec, parse_spec_items
 from .errors import ConfigError, InvalidSpecError
 from .trainer import FULL_BATCH, HyperParams, default_grid
 
@@ -105,6 +107,20 @@ def _parser() -> configparser.ConfigParser:
     return parser
 
 
+def _read_section(parser: configparser.ConfigParser, name: str, path: Path,
+                  readers: dict) -> dict:
+    """Parse every key of section ``name`` with its reader, if the section exists."""
+    kwargs = {}
+    for key, raw in (parser[name].items() if name in parser else ()):
+        if key not in readers:
+            raise ConfigError(f"unknown [{name}] key {key!r} in {path}")
+        try:
+            kwargs[key] = readers[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad [{name}] value for {key!r}: {exc}") from exc
+    return kwargs
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
@@ -122,62 +138,22 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except (InvalidSpecError, ValueError) as exc:
         raise ConfigError(f"bad [shift] section in {path}: {exc}") from exc
 
-    grid_kwargs = {}
-    if "grid" in parser:
-        sec = parser["grid"]
-        readers = {
-            "learning_rates": ("learning_rates", _floats),
-            "l2s": ("l2s", _floats),
-            "batch_sizes": ("batch_sizes", _batches),
-            "snapshot_epochs": ("snapshot_epochs", _ints),
-            "n_seeds": ("n_seeds", int),
-        }
-        for key, raw in sec.items():
-            if key not in readers:
-                raise ConfigError(f"unknown [grid] key {key!r} in {path}")
-            name, fn = readers[key]
-            try:
-                grid_kwargs[name] = fn(raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad [grid] value for {key!r}: {exc}") from exc
-    grid = GridSpec(**grid_kwargs)
-
-    an_kwargs = {}
-    if "analysis" in parser:
-        sec = parser["analysis"]
-        for key, raw in sec.items():
-            if key == "probit_eps":
-                an_kwargs["probit_eps"] = float(raw)
-            elif key == "spline_lambda":
-                an_kwargs["spline_lambda"] = raw if raw == "gcv" else float(raw)
-            elif key == "n_pairs":
-                an_kwargs["n_pairs"] = int(raw)
-            elif key == "pair_seed":
-                an_kwargs["pair_seed"] = int(raw)
-            elif key == "margin":
-                an_kwargs["margin"] = float(raw)
-            else:
-                raise ConfigError(f"unknown [analysis] key {key!r} in {path}")
-    analysis = AnalysisOptions(**an_kwargs)
-
-    out_dir = Path("out")
-    if "output" in parser:
-        for key, raw in parser["output"].items():
-            if key != "dir":
-                raise ConfigError(f"unknown [output] key {key!r} in {path}")
-            out_dir = Path(raw)
-
+    grid = GridSpec(**_read_section(parser, "grid", path, {
+        "learning_rates": _floats, "l2s": _floats, "batch_sizes": _batches,
+        "snapshot_epochs": _ints, "n_seeds": int}))
+    analysis = AnalysisOptions(**_read_section(parser, "analysis", path, {
+        "probit_eps": float, "n_pairs": int, "pair_seed": int, "margin": float,
+        "spline_lambda": lambda raw: raw if raw == "gcv" else float(raw)}))
+    out_dir = _read_section(parser, "output", path, {"dir": Path}).get("dir", Path("out"))
     series = None
     if "series" in parser:
-        sec = dict(parser["series"])
-        knob = sec.pop("knob", "sdr")
-        values = _floats(sec.pop("values", ""))
-        if sec:
-            raise ConfigError(f"unknown [series] keys {sorted(sec)} in {path}")
-        series = SeriesSpec(knob=knob, values=values)
+        series = SeriesSpec(**_read_section(parser, "series", path,
+                                            {"knob": str, "values": _floats}))
 
     try:
         grid_hp = grid.build(spec.master_seed)
+        if not grid_hp:
+            raise InvalidSpecError("the hyperparameter grid is empty")
         for hp in grid_hp[:1]:
             hp.validate()
     except InvalidSpecError as exc:
@@ -185,6 +161,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     return ExperimentConfig(shift=spec, grid=grid, analysis=analysis,
                             out_dir=out_dir, series=series)
+
+
+def _num(value: float) -> str:
+    # repr is the shortest string that parses back to the same double.
+    return repr(float(value))
 
 
 def write_config(config: ExperimentConfig, path: str | Path) -> None:
@@ -197,26 +178,26 @@ def write_config(config: ExperimentConfig, path: str | Path) -> None:
     for name in ("sigma_core", "sigma_spu", "p_maj", "pi1", "pi0", "p_y1"):
         value = getattr(spec, name)
         if value is not None:
-            lines.append(f"{name}={format_sig(value)}")
+            lines.append(f"{name}={_num(value)}")
     for name in ("r_tr", "r_ts"):
         value = getattr(spec, name)
         if value is not None:
-            lines.append(f"{name}={','.join(format_sig(v) for v in value)}")
+            lines.append(f"{name}={','.join(_num(v) for v in value)}")
 
     g = config.grid
     lines += ["", "[grid]",
-              f"learning_rates={','.join(format_sig(v) for v in g.learning_rates)}",
-              f"l2s={','.join(format_sig(v) for v in g.l2s)}",
+              f"learning_rates={','.join(_num(v) for v in g.learning_rates)}",
+              f"l2s={','.join(_num(v) for v in g.l2s)}",
               f"batch_sizes={','.join(str(b) for b in g.batch_sizes)}",
               f"snapshot_epochs={','.join(str(e) for e in g.snapshot_epochs)}",
               f"n_seeds={g.n_seeds}"]
 
     a = config.analysis
     lines += ["", "[analysis]",
-              f"probit_eps={format_sig(a.probit_eps)}",
-              f"spline_lambda={a.spline_lambda if a.spline_lambda == 'gcv' else format_sig(a.spline_lambda)}",
+              f"probit_eps={_num(a.probit_eps)}",
+              f"spline_lambda={a.spline_lambda if a.spline_lambda == 'gcv' else _num(a.spline_lambda)}",
               f"n_pairs={a.n_pairs}",
-              f"margin={format_sig(a.margin)}"]
+              f"margin={_num(a.margin)}"]
     if a.pair_seed is not None:
         lines.append(f"pair_seed={a.pair_seed}")
 
@@ -224,5 +205,5 @@ def write_config(config: ExperimentConfig, path: str | Path) -> None:
 
     if config.series is not None:
         lines += ["", "[series]", f"knob={config.series.knob}",
-                  f"values={','.join(format_sig(v) for v in config.series.values)}"]
+                  f"values={','.join(_num(v) for v in config.series.values)}"]
     Path(path).write_text("\n".join(lines) + "\n")

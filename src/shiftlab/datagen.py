@@ -30,7 +30,7 @@ deterministic and order-independent.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -229,9 +229,6 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
-
-    def group_indices(self, g: int) -> np.ndarray:
-        return np.flatnonzero(self.groups == g)
 
 
 def generate(spec: ShiftSpec, split: str = "train") -> Dataset:
@@ -468,7 +465,3 @@ def read_spec_file(path: str | Path) -> ShiftSpec:
             raise InvalidSpecError(f"{path}:{lineno}: expected key=value, got {line!r}")
         items[m.group(1)] = m.group(2)
     return parse_spec_items(items)
-
-
-def with_master_seed(spec: ShiftSpec, master_seed: int) -> ShiftSpec:
-    return replace(spec, master_seed=master_seed)

@@ -114,65 +114,84 @@ def gradient_lipschitz_bound(dataset: Dataset, l2: float = 0.0) -> float:
     return float(row_sq) / 4.0 + l2
 
 
-def train(dataset: Dataset, hp: HyperParams,
-          model_prefix: str | None = None) -> list[ModelRecord]:
+def train(dataset: Dataset, hp: HyperParams) -> list[ModelRecord]:
     """Gradient descent with per-snapshot records; deterministic per (dataset, hp).
 
     Gradients are accumulated in row order (full batch) or in the order of the
     per-epoch permutation derived from (hp.seed, epoch), so reruns and
-    truncated reruns reproduce snapshots exactly.
+    truncated reruns on one machine and BLAS kernel reproduce snapshots
+    exactly.  This is the one-column case of the stacked kernel that
+    ``sweep`` uses; a cell trained there agrees with this to about 1 ulp per
+    step, because BLAS reductions over several columns may round differently.
     """
     hp.validate()
-    if model_prefix is None:
-        model_prefix = hp.cell_id()
+    outcome = _descend(dataset, [[hp]])[0]
+    if isinstance(outcome, DivergenceError):
+        raise outcome
+    return outcome
+
+
+def _descend(dataset: Dataset, columns: list[list[HyperParams]]
+             ) -> list[list[ModelRecord] | DivergenceError]:
+    """Train columns that share one batch order as one (d x C) weight matrix.
+
+    Each step is one GEMM instead of C matrix-vector products.  The cells of
+    column j share its lr and l2, and entry j of the result is their snapshot
+    records, or the DivergenceError that dropped the column from the matrix
+    (a non-finite iterate or snapshot loss) and left it no records.
+    """
     if dataset.split != "train":
         raise InvalidSpecError(f"training requires the train split, got {dataset.split!r}")
-
+    hp = columns[0][0]
     X = dataset.features
-    y = dataset.labels.astype(np.float64)
+    y = dataset.labels.astype(np.float64)[:, None]
     n, d = X.shape
-    w = np.zeros(d)
-    b = 0.0
-    lr = hp.learning_rate
-    snapshots = set(hp.snapshot_epochs)
-    records = []
+    alive = np.arange(len(columns))
+    W = np.zeros((d, len(columns)))
+    b = np.zeros(len(columns))
+    lr = np.array([cells[0].learning_rate for cells in columns])
+    l2 = np.array([cells[0].l2 for cells in columns])
+    outcomes: list[list[ModelRecord] | DivergenceError] = [[] for _ in columns]
 
     for epoch in range(1, hp.snapshot_epochs[-1] + 1):
         if hp.batch_size == FULL_BATCH:
-            batches = [slice(0, n)]
-            Xe, ye = X, y
+            Xe, ye, step = X, y, n
         else:
             perm_rng = np.random.default_rng(derive_stream(hp.seed, epoch))
             order = perm_rng.permutation(n)
-            Xe, ye = X[order], y[order]
-            step = int(hp.batch_size)
-            batches = [slice(i, min(i + step, n)) for i in range(0, n, step)]
-        # Unstable settings legitimately blow the iterates up to inf; that
-        # path is reported as DivergenceError, so overflow warnings are noise.
-        with np.errstate(over="ignore"):
-            for sl in batches:
-                margins = ye[sl] * (Xe[sl] @ w + b)
+            Xe, ye, step = X[order], y[order], int(hp.batch_size)
+        # Unstable settings legitimately blow the iterates up to inf and nan;
+        # that path is reported as DivergenceError, so the warnings are noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, step):
+                Xb, yb = Xe[start:start + step], ye[start:start + step]
+                margins = yb * (Xb @ W + b)
                 # d/df log(1+e^{-f}) = -sigmoid(-f), computed overflow-free
-                sig = np.empty_like(margins)
-                pos = margins >= 0
-                sig[pos] = np.exp(-margins[pos]) / (1.0 + np.exp(-margins[pos]))
-                sig[~pos] = 1.0 / (1.0 + np.exp(margins[~pos]))
-                coef = ye[sl] * sig
-                m = sl.stop - sl.start
-                grad_w = -(Xe[sl].T @ coef) / m + hp.l2 * w
-                grad_b = -float(np.sum(coef)) / m
-                w -= lr * grad_w
-                b -= lr * grad_b
-        if not (np.all(np.isfinite(w)) and np.isfinite(b)):
-            raise DivergenceError(epoch)
-        if epoch in snapshots:
-            loss = mean_logistic_loss(w, b, dataset, hp.l2)
-            if not np.isfinite(loss):
-                raise DivergenceError(epoch)
-            records.append(ModelRecord(
-                model_id=f"{model_prefix}e{epoch:04d}", weights=w.copy(), bias=b,
-                epoch=epoch, train_loss=loss, hyperparams=hp))
-    return records
+                e = np.exp(-np.abs(margins))
+                coef = yb * (np.where(margins >= 0, e, 1.0) / (1.0 + e))
+                m = len(Xb)
+                W -= lr * (-(Xb.T @ coef) / m + l2 * W)
+                b -= lr * (-coef.sum(axis=0) / m)
+        finite = np.all(np.isfinite(W), axis=0) & np.isfinite(b)
+        if epoch in hp.snapshot_epochs:
+            for k in np.flatnonzero(finite):
+                w, bias = W[:, k].copy(), float(b[k])
+                loss = mean_logistic_loss(w, bias, dataset, float(l2[k]))
+                if not np.isfinite(loss):
+                    finite[k] = False
+                    continue
+                outcomes[alive[k]].extend(ModelRecord(
+                    model_id=f"{cell.cell_id()}e{epoch:04d}", weights=w, bias=bias,
+                    epoch=epoch, train_loss=loss, hyperparams=cell)
+                    for cell in columns[alive[k]])
+        if not finite.all():
+            for j in alive[~finite]:
+                outcomes[j] = DivergenceError(epoch)
+            alive, W, b = alive[finite], W[:, finite], b[finite]
+            lr, l2 = lr[finite], l2[finite]
+            if not alive.size:
+                break
+    return outcomes
 
 
 @dataclass
@@ -184,22 +203,35 @@ class SweepResult:
 def sweep(dataset: Dataset, grid: list[HyperParams]) -> SweepResult:
     """Train every grid cell; cell failures are recorded, not fatal.
 
-    Output order is by model_id, so any permutation of the same grid yields
-    the same record list.
+    Cells that share a batch order (batch size, snapshot epochs and, for
+    SGD, seed) train as one stack with columns sorted by cell ID, so any
+    permutation of a grid yields the same bytes.  Full-batch descent ignores
+    the seed: each (lr, l2) trajectory is trained once and recorded under
+    every seed's model ID.  Records are sorted by model_id; failures keep grid order.
     """
     if not grid:
         raise InvalidSpecError("hyperparameter grid must be non-empty")
     ids = [hp.cell_id() for hp in grid]
     if len(set(ids)) != len(ids):
         raise InvalidSpecError("grid contains duplicate hyperparameter cells")
+    groups: dict[tuple, dict[tuple[float, float], list[HyperParams]]] = {}
+    for hp in sorted(grid, key=HyperParams.cell_id):
+        hp.validate()
+        seed = None if hp.batch_size == FULL_BATCH else hp.seed
+        key = (hp.batch_size, seed, hp.snapshot_epochs)
+        groups.setdefault(key, {}).setdefault((hp.learning_rate, hp.l2), []).append(hp)
+
     records: list[ModelRecord] = []
-    failures: list[tuple[str, HyperParams, str]] = []
-    for cell, hp in zip(ids, grid):
-        try:
-            records.extend(train(dataset, hp))
-        except DivergenceError as exc:
-            failures.append((cell, hp, str(exc)))
+    failed: dict[str, str] = {}
+    for group in groups.values():
+        columns = list(group.values())
+        for outcome, cells in zip(_descend(dataset, columns), columns):
+            if isinstance(outcome, DivergenceError):
+                failed.update((hp.cell_id(), str(outcome)) for hp in cells)
+            else:
+                records.extend(outcome)
     records.sort(key=lambda r: r.model_id)
+    failures = [(cell, hp, failed[cell]) for cell, hp in zip(ids, grid) if cell in failed]
     return SweepResult(records=records, failures=failures)
 
 
@@ -245,10 +277,6 @@ def oracle_classifier(spec: ShiftSpec, mode: str = "core-only") -> ModelRecord:
 # Model store
 # ---------------------------------------------------------------------------
 
-def _batch_str(bs: int | str) -> str:
-    return bs if bs == FULL_BATCH else str(int(bs))
-
-
 def write_model_store(records: list[ModelRecord], models_path: str | Path,
                       weights_path: str | Path) -> None:
     with open(models_path, "w", newline="") as fh:
@@ -258,7 +286,7 @@ def write_model_store(records: list[ModelRecord], models_path: str | Path,
             hp = r.hyperparams
             writer.writerow([
                 r.model_id, format_sig(hp.learning_rate), format_sig(hp.l2),
-                _batch_str(hp.batch_size), r.epoch, hp.seed, format_sig(r.train_loss)])
+                hp.batch_size, r.epoch, hp.seed, format_sig(r.train_loss)])
     with open(weights_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         d = records[0].weights.shape[0] if records else 0

@@ -92,6 +92,13 @@ def test_exit_code_1_config(tmp_path):
     assert main(["sweep", "--config", str(bad)]) == 1
 
 
+def test_empty_grid_is_config_error(tmp_path, capsys):
+    cfg, out_dir = write_config(tmp_path, TINY_SHIFT.replace("n_seeds=2", "n_seeds=0"))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_exit_code_2_generation(tmp_path):
     # degenerate population reaches the generation layer through `theory`
     assert main(["theory", "--pi1", "1.0", "--pi0", "1.0",

@@ -68,6 +68,19 @@ def test_config_round_trip(tmp_path):
         == path2.read_text().replace(str(tmp_path / "o"), "X")
 
 
+def test_default_grid_round_trips_exactly(tmp_path):
+    # The default learning rates are log-spaced doubles with 17 significant
+    # digits; fewer printed digits would load back a different sweep.
+    spec = ShiftSpec(d_core=100, d_spu=10, sigma_core=10.0, sigma_spu=1.0,
+                     n_train=3000, p_maj=0.9, master_seed=2)
+    cfg = ExperimentConfig(shift=spec, out_dir=tmp_path / "o")
+    path = tmp_path / "cfg.ini"
+    write_config(cfg, path)
+    back = load_config(path)
+    assert back.grid.learning_rates == GridSpec().learning_rates
+    assert back == cfg
+
+
 def test_missing_file_is_config_error():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/config.ini")
@@ -91,6 +104,17 @@ def test_bad_shift_values(tmp_path):
 def test_unknown_keys_rejected(tmp_path):
     path = tmp_path / "c.ini"
     path.write_text(GOOD_CONFIG + "\n[grid]\nbogus=1\n")
+    with pytest.raises(ConfigError):
+        load_config(path)
+
+
+@pytest.mark.parametrize("section", [
+    "[analysis]\nprobit_eps=abc", "[analysis]\nbogus=1", "[grid]\nn_seeds=two",
+    "[series]\nvalues=0.1,x", "[series]\nbogus=1", "[output]\nbogus=x",
+])
+def test_bad_section_values_are_config_errors(tmp_path, section):
+    path = tmp_path / "c.ini"
+    path.write_text(GOOD_CONFIG.split("[grid]")[0] + section + "\n")
     with pytest.raises(ConfigError):
         load_config(path)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shiftlab.datagen import ShiftSpec, generate
-from shiftlab.errors import InvalidSpecError
+from shiftlab.errors import DivergenceError, InvalidSpecError
 from shiftlab.gauss import normal_cdf
 from shiftlab.trainer import (FULL_BATCH, HyperParams, default_grid,
                               gradient_lipschitz_bound, mean_logistic_loss,
@@ -243,3 +243,74 @@ def test_model_store_round_trip(tmp_path, train_set):
     write_model_store(back, mp2, wp2)
     assert mp.read_bytes() == mp2.read_bytes()
     assert wp.read_bytes() == wp2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Stacked sweep kernel
+# ---------------------------------------------------------------------------
+
+STABLE_LR = 0.0178  # above this, SGD cells are chaotic: 1-ulp changes grow
+
+
+def assert_records_close(a, b, rtol=1e-12):
+    assert a.model_id == b.model_id and a.epoch == b.epoch
+    scale = max(float(np.max(np.abs(b.weights))), abs(b.bias))
+    assert np.max(np.abs(a.weights - b.weights)) <= rtol * scale
+    assert abs(a.bias - b.bias) <= rtol * scale
+    assert a.train_loss == pytest.approx(b.train_loss, rel=rtol, abs=0)
+
+
+def test_sweep_stable_cells_match_single_column_train(train_set):
+    grid = default_grid(master_seed=4, n_seeds=2, learning_rates=(1e-3, 1e-2, 1e-1),
+                        l2s=(0.0, 1e-2), batch_sizes=(FULL_BATCH, 16),
+                        snapshot_epochs=(1, 3, 6))
+    result = sweep(train_set, grid)
+    assert not result.failures
+    by_id = {r.model_id: r for r in result.records}
+    checked = 0
+    for hp in grid:
+        if hp.learning_rate > STABLE_LR:
+            continue
+        for direct in train(train_set, hp):
+            assert_records_close(by_id[direct.model_id], direct)
+            checked += 1
+    assert checked == 2 * 2 * 2 * 2 * 3
+
+
+def test_diverging_column_dropped_without_disturbing_its_group(train_set):
+    def cell(lr, l2):
+        return HyperParams(learning_rate=lr, l2=l2, batch_size=16, max_epochs=10,
+                           snapshot_epochs=(1, 2, 10), seed=5)
+
+    stable = [cell(lr, l2) for lr in (1e-3, 2e-2) for l2 in (0.0, 1e-3)]
+    # lr * l2 >> 2: the ridge term expands the iterate geometrically.  Its
+    # cell ID sorts between the stable ones, so a middle column is dropped.
+    bad = cell(0.01, 1e5)
+    with pytest.raises(DivergenceError) as raised:
+        train(train_set, bad)
+    # The iterate overflows in epoch 5, after two snapshots were taken.
+    assert raised.value.epoch == 5
+
+    with_bad = sweep(train_set, stable[:2] + [bad] + stable[2:])
+    without = sweep(train_set, stable)
+    assert with_bad.failures == [(bad.cell_id(), bad, str(raised.value))]
+    assert not any(r.model_id.startswith(bad.cell_id()) for r in with_bad.records)
+    assert len(with_bad.records) == len(without.records) == 4 * 3
+    for ra, rb in zip(with_bad.records, without.records):
+        assert_records_close(ra, rb)
+
+
+def test_full_batch_snapshots_identical_across_seeds(train_set):
+    grid = default_grid(master_seed=8, n_seeds=3, learning_rates=(1e-3, 1e-2),
+                        l2s=(0.0, 1e-2), batch_sizes=(FULL_BATCH,),
+                        snapshot_epochs=(1, 4))
+    by_traj: dict = {}
+    for r in sweep(train_set, grid).records:
+        hp = r.hyperparams
+        by_traj.setdefault((hp.learning_rate, hp.l2, r.epoch), []).append(r)
+    assert len(by_traj) == 2 * 2 * 2
+    for copies in by_traj.values():
+        assert len({r.hyperparams.seed for r in copies}) == 3
+        for r in copies[1:]:
+            assert r.weights.tobytes() == copies[0].weights.tobytes()
+            assert r.bias == copies[0].bias and r.train_loss == copies[0].train_loss
