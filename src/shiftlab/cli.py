@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, evaluator, harness, svg, theory
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config, parse_floats
 from .errors import (AnalysisError, ConfigError, DegeneratePopulationError,
                      DimensionMismatchError, DivergenceError, EmptyGroupError,
                      InfeasibleMarginalsError, InvalidSpecError, MissingInputsError)
@@ -119,7 +119,8 @@ def _cmd_analyze(args) -> int:
     report = analysis.fit_curves(points, probit_eps=config.analysis.probit_eps,
                                  spline_lambda=config.analysis.spline_lambda)
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    analysis.write_report(report, config.out_dir / "report.json")
+    harness._atomic(config.out_dir / "report.json",
+                    lambda p: analysis.write_report(report, p))
     print(config.out_dir / "report.json")
     return 0
 
@@ -127,8 +128,12 @@ def _cmd_analyze(args) -> int:
 def _cmd_series(args) -> int:
     config = _load(args)
     knob = args.knob or (config.series.knob if config.series else None)
-    values = ([float(v) for v in args.values.split(",")] if args.values
-              else list(config.series.values) if config.series else None)
+    values = list(config.series.values) if config.series else None
+    if args.values:
+        try:
+            values = list(parse_floats(args.values))
+        except ValueError as exc:
+            raise ConfigError(f"bad --values {args.values!r}: {exc}") from exc
     if not knob or not values:
         raise ConfigError("series needs --knob/--values or a [series] config section")
     summary = harness.run_spurious_series(config, knob, values)
@@ -156,13 +161,15 @@ def _cmd_theory(args) -> int:
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
-        theory.write_traversal_csv(points, out_dir / "roc_traversal.csv")
+        harness._atomic(out_dir / "roc_traversal.csv",
+                        lambda p: theory.write_traversal_csv(points, p))
         print(out_dir / "roc_traversal.csv")
     else:
-        analysis.dump_json({"points": [vars(p) | {} for p in points]},
-                           out_dir / "roc_traversal.json")
+        harness._atomic(out_dir / "roc_traversal.json", lambda p: analysis.dump_json(
+            {"points": [vars(pt) | {} for pt in points]}, p))
         print(out_dir / "roc_traversal.json")
-    analysis.dump_json(summary, out_dir / "theory_summary.json")
+    harness._atomic(out_dir / "theory_summary.json",
+                    lambda p: analysis.dump_json(summary, p))
     print(out_dir / "theory_summary.json")
     print(f"closed-form gap {summary['closed_form_gap']:.6f}, "
           f"MC {summary['mc_gap']:.6f} +/- {summary['mc_se']:.6f} "
@@ -175,10 +182,10 @@ def _cmd_plot(args) -> int:
     results = Path(args.results) if args.results else config.out_dir / "results.csv"
     if not results.exists():
         raise MissingInputsError(f"{results} not found; run the sweep first")
-    points = _results_points(config, results)
+    points = [tuple(p) for p in _results_points(config, results).tolist()]
     config.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.out_dir / "moon.svg"
-    svg.emit_plot([tuple(p) for p in points.tolist()], None, None, out_path)
+    harness._atomic(out_path, lambda p: svg.emit_plot(points, None, None, p))
     print(out_path)
     return 0
 

@@ -57,6 +57,16 @@ class AnalysisOptions:
     pair_seed: int | None = None
     margin: float = 0.02
 
+    def validate(self) -> None:
+        """Range-check the options the analysis stage reads after training."""
+        if not 0.0 < self.probit_eps < 0.5:
+            raise ConfigError(f"[analysis] probit_eps must be in (0, 0.5), got {self.probit_eps}")
+        if self.spline_lambda != "gcv" and not self.spline_lambda > 0.0:
+            raise ConfigError("[analysis] spline_lambda must be 'gcv' or > 0, "
+                              f"got {self.spline_lambda}")
+        if self.n_pairs < 1:
+            raise ConfigError(f"[analysis] n_pairs must be at least 1, got {self.n_pairs}")
+
 
 @dataclass(frozen=True)
 class SeriesSpec:
@@ -82,7 +92,8 @@ class ExperimentConfig:
         return cfg
 
 
-def _floats(raw: str) -> tuple[float, ...]:
+def parse_floats(raw: str) -> tuple[float, ...]:
+    """Comma-separated floats, as in ``[grid]`` lists and ``[series] values``."""
     return tuple(float(v) for v in raw.split(",") if v.strip())
 
 
@@ -139,16 +150,17 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"bad [shift] section in {path}: {exc}") from exc
 
     grid = GridSpec(**_read_section(parser, "grid", path, {
-        "learning_rates": _floats, "l2s": _floats, "batch_sizes": _batches,
+        "learning_rates": parse_floats, "l2s": parse_floats, "batch_sizes": _batches,
         "snapshot_epochs": _ints, "n_seeds": int}))
     analysis = AnalysisOptions(**_read_section(parser, "analysis", path, {
         "probit_eps": float, "n_pairs": int, "pair_seed": int, "margin": float,
         "spline_lambda": lambda raw: raw if raw == "gcv" else float(raw)}))
+    analysis.validate()
     out_dir = _read_section(parser, "output", path, {"dir": Path}).get("dir", Path("out"))
     series = None
     if "series" in parser:
         series = SeriesSpec(**_read_section(parser, "series", path,
-                                            {"knob": str, "values": _floats}))
+                                            {"knob": str, "values": parse_floats}))
 
     try:
         grid_hp = grid.build(spec.master_seed)

@@ -382,35 +382,60 @@ def format_sig(x: float, digits: int = 12) -> str:
     return format(float(x), f".{digits}g")
 
 
+# Rows formatted per write: bounds the transient text and Python floats.
+_CSV_CHUNK_ROWS = 1024
+
+
 def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
-    """CSV with header ``y,z,x0,...``; features at 9 significant digits."""
-    path = Path(path)
-    header = "y,z," + ",".join(f"x{j}" for j in range(dataset.n_features))
-    lines = [header]
-    for i in range(dataset.n_rows):
-        feats = ",".join(format_sig(v, 9) for v in dataset.features[i])
-        lines.append(f"{int(dataset.labels[i])},{int(dataset.groups[i])},{feats}")
-    path.write_text("\n".join(lines) + "\n")
+    """CSV with header ``y,z,x0,...``; each row is ``y,z`` then the features.
+
+    Features are written at ``%.9g`` (the C routine behind ``format(v, ".9g")``),
+    ``_CSV_CHUNK_ROWS`` rows per formatting call.  The text round-trips exactly:
+    ``read_dataset_csv`` returns the doubles the text denotes, and writing
+    those again gives the same bytes.
+    """
+    d = dataset.n_features
+    row_fmt = "%d,%d," + ",".join(["%.9g"] * d) + "\n"
+    with open(path, "w") as fh:
+        fh.write("y,z," + ",".join(f"x{j}" for j in range(d)) + "\n")
+        for start in range(0, dataset.n_rows, _CSV_CHUNK_ROWS):
+            sl = slice(start, start + _CSV_CHUNK_ROWS)
+            block = np.column_stack((dataset.labels[sl], dataset.groups[sl],
+                                     dataset.features[sl]))
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_dataset_csv(path: str | Path, split: str = "train") -> Dataset:
-    lines = Path(path).read_text().splitlines()
-    header = lines[0].split(",")
-    if header[:2] != ["y", "z"]:
-        raise InvalidSpecError(f"unexpected dataset header in {path}")
-    d = len(header) - 2
-    n = len(lines) - 1
-    features = np.empty((n, d))
-    labels = np.empty(n, dtype=np.int64)
-    groups = np.empty(n, dtype=np.int64)
-    for i, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        labels[i] = int(parts[0])
-        groups[i] = int(parts[1])
-        features[i] = [float(v) for v in parts[2:]]
+    """Parse a ``write_dataset_csv`` file back into a Dataset.
+
+    Each feature is the double its ``%.9g`` text denotes, so the round trip is
+    exact.  A bad header, a ragged row, a non-numeric field or a non-integer
+    label or group raises InvalidSpecError naming ``path``.
+    """
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        if header[:2] != ["y", "z"]:
+            raise InvalidSpecError(f"unexpected dataset header in {path}")
+        d = len(header) - 2
+        body_start = fh.tell()
+        empty = not fh.readline()
+        fh.seek(body_start)
+        try:
+            body = (np.empty((0, d + 2)) if empty
+                    else np.loadtxt(fh, delimiter=",", comments=None, ndmin=2))
+        except ValueError as exc:
+            raise InvalidSpecError(f"malformed dataset CSV {path}: {exc}") from exc
+    if body.shape[1] != d + 2:
+        raise InvalidSpecError(f"malformed dataset CSV {path}: rows have "
+                               f"{body.shape[1]} fields, the header names {d + 2}")
+    labels = body[:, 0].astype(np.int64)
+    groups = body[:, 1].astype(np.int64)
+    if not (np.array_equal(labels, body[:, 0]) and np.array_equal(groups, body[:, 1])):
+        raise InvalidSpecError(f"malformed dataset CSV {path}: non-integer label or group")
+    n = body.shape[0]
     k = int(groups.max()) + 1 if n else 2
-    return Dataset(features=features, labels=labels, groups=groups, split=split,
-                   k_groups=max(k, 2))
+    return Dataset(features=body[:, 2:].copy(), labels=labels, groups=groups,
+                   split=split, k_groups=max(k, 2))
 
 
 _SPEC_INT_FIELDS = {"d_core", "d_spu", "n_train", "n_id_test", "n_ood_test",

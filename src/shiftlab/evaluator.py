@@ -206,7 +206,7 @@ def read_results_csv(path: str | Path) -> list[dict[str, str]]:
 
 def predictions_bits(preds: np.ndarray) -> str:
     """'1' for +1 and '0' for -1, one character per test row."""
-    return "".join("1" if v == 1 else "0" for v in preds)
+    return np.where(preds == 1, 49, 48).astype(np.uint8).tobytes().decode("ascii")
 
 
 def bits_to_predictions(bits: str) -> np.ndarray:

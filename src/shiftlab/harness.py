@@ -82,6 +82,7 @@ def run_sweep_pipeline(config: ExperimentConfig, write_files: bool = True) -> Sw
     """Generate data, train the grid, evaluate, fit curves, emit artifacts."""
     spec = config.shift
     spec.validate()
+    config.analysis.validate()
     out_dir = config.out_dir
 
     train_set = datagen.generate(spec, "train")
@@ -94,13 +95,21 @@ def run_sweep_pipeline(config: ExperimentConfig, write_files: bool = True) -> Sw
     if not result.records:
         raise trainer.DivergenceError(0, "every grid cell diverged")
 
+    # Full-batch copies of one snapshot share a weights array (and its bias),
+    # so each distinct snapshot is predicted and encoded once; its labels are
+    # kept as int8, one byte per pool row.
     evals = []
     pred_rows = []
+    seen: dict[tuple[int, float], tuple[np.ndarray, str]] = {}
     for record in result.records:
-        preds = record.predict(ood_pool.features)
+        key = (id(record.weights), record.bias)
+        if key not in seen:
+            preds = record.predict(ood_pool.features)
+            seen[key] = preds.astype(np.int8), evaluator.predictions_bits(preds)
+        preds, bits = seen[key]
         evals.append(evaluator.evaluate_predictions(
             record.model_id, preds, ood_pool, r_tr, r_ts, epoch=record.epoch))
-        pred_rows.append((record.model_id, evaluator.predictions_bits(preds)))
+        pred_rows.append((record.model_id, bits))
 
     points = _moon_points(spec, evals)
     report = analysis.fit_curves(points, probit_eps=config.analysis.probit_eps,

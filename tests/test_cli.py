@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from shiftlab import analysis, svg, theory
 from shiftlab.cli import main
 
 TINY_SHIFT = """\
@@ -97,6 +100,71 @@ def test_empty_grid_is_config_error(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg)]) == 1
     assert "config error" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_series_bad_values_is_config_error(tmp_path, capsys):
+    cfg, out_dir = write_config(tmp_path)
+    assert main(["series", "--config", str(cfg), "--knob", "sdr",
+                 "--values", "0.1,x"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("line", [
+    "probit_eps=0.7", "probit_eps=0", "probit_eps=0.5", "probit_eps=-1e-3",
+    "probit_eps=nan", "spline_lambda=0", "spline_lambda=-2", "spline_lambda=nan",
+    "n_pairs=0", "n_pairs=-3",
+])
+def test_bad_analysis_range_fails_before_any_output(tmp_path, capsys, line):
+    cfg, out_dir = write_config(tmp_path, TINY_SHIFT.replace("n_pairs=40", line))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def _write_half_then_fail(*args):
+    with open(args[-1], "w") as fh:  # every patched writer takes the path last
+        fh.write("partial")
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("command,patch,outputs", [
+    (["analyze"], (analysis, "write_report"), ["report.json"]),
+    (["plot"], (svg, "emit_plot"), ["moon.svg"]),
+    (["theory", "--mc-samples", "10000"], (theory, "write_traversal_csv"),
+     ["roc_traversal.csv", "theory_summary.json"]),
+    (["theory", "--mc-samples", "10000", "--format", "json"], (analysis, "dump_json"),
+     ["roc_traversal.json", "theory_summary.json"]),
+])
+def test_failed_writer_leaves_no_partial_file(tmp_path, monkeypatch, command, patch,
+                                              outputs):
+    cfg, out_dir = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    for name in ("report.json", "moon.svg"):
+        (out_dir / name).unlink()
+    monkeypatch.setattr(*patch, _write_half_then_fail)
+    args = command + (["--out", str(out_dir)] if command[0] == "theory"
+                      else ["--config", str(cfg)])
+    assert main(args) == 5
+    for name in outputs:
+        assert not (out_dir / name).exists(), name
+    assert list(out_dir.glob("*.tmp")) == []
+
+
+def test_agreement_on_corrupted_pool_is_generation_error(tmp_path, capsys):
+    cfg, out_dir = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    pool = out_dir / "ood_test.csv"
+    lines = pool.read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0]  # a ragged row
+    pool.write_text("\n".join(lines) + "\n")
+    assert main(["agreement", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "ood_test.csv" in err and "Traceback" not in err
+    lines[5] = lines[5] + ",oops"  # a non-numeric field
+    pool.write_text("\n".join(lines) + "\n")
+    assert main(["agreement", "--config", str(cfg)]) == 2
 
 
 def test_exit_code_2_generation(tmp_path):

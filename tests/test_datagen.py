@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shiftlab.datagen import (ShiftSpec, generate,
+from shiftlab import datagen
+from shiftlab.datagen import (Dataset, ShiftSpec, generate,
                               mixture_table, read_dataset_csv, read_spec_file,
                               spec_from_table, write_dataset_csv, write_spec_file)
 from shiftlab.errors import (DegenerateDimensionError, InfeasibleMarginalsError,
@@ -310,6 +311,92 @@ def test_dataset_csv_header_and_precision(tmp_path):
     assert first[0] in ("-1", "1")
     assert all(len(v.replace("-", "").replace(".", "").replace("e", "").replace("+", "")) <= 10
                for v in first[2:])
+
+
+def _reference_csv(ds) -> str:
+    """The dataset CSV built one value at a time with ``format(v, ".9g")``."""
+    lines = ["y,z," + ",".join(f"x{j}" for j in range(ds.n_features))]
+    for y, z, row in zip(ds.labels, ds.groups, ds.features):
+        lines.append(f"{int(y)},{int(z)}," + ",".join(format(float(v), ".9g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_features(text: str) -> np.ndarray:
+    rows = [[float(v) for v in line.split(",")[2:]] for line in text.splitlines()[1:]]
+    return np.array(rows, dtype=float)
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e21, -1e21, 1e-5,
+               123456789.5, 0.1234567895, 9.9999999995, 1.00000000049999,
+               -999999999.6, 1e300, np.pi, -np.e]
+
+
+def _dataset(features, k_groups=3) -> Dataset:
+    n = features.shape[0]
+    return Dataset(features=features, labels=np.where(np.arange(n) % 2 == 0, 1, -1),
+                   groups=np.arange(n, dtype=np.int64) % k_groups, split="ood_test",
+                   k_groups=k_groups)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 2 * datagen._CSV_CHUNK_ROWS + 5])
+def test_dataset_csv_matches_per_value_format(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    feats = rng.normal(scale=10.0, size=(n_rows, len(EDGE_VALUES)))
+    if n_rows:
+        feats[0] = EDGE_VALUES
+        feats[-1, ::3] = np.inf
+    ds = _dataset(feats)
+    path = tmp_path / "d.csv"
+    write_dataset_csv(ds, path)
+    assert path.read_text() == _reference_csv(ds)
+
+
+def test_dataset_csv_round_trip_is_exact(tmp_path):
+    rng = np.random.default_rng(0)
+    feats = rng.normal(scale=10.0, size=(datagen._CSV_CHUNK_ROWS + 3, len(EDGE_VALUES)))
+    feats[1] = EDGE_VALUES
+    ds = _dataset(feats)
+    path = tmp_path / "d.csv"
+    write_dataset_csv(ds, path)
+    back = read_dataset_csv(path, split="ood_test")
+    expected = _reference_features(path.read_text())
+    assert back.features.tobytes() == expected.tobytes()
+    assert back.features.shape == ds.features.shape
+    assert np.array_equal(back.labels, ds.labels)
+    assert np.array_equal(back.groups, ds.groups)
+    assert back.k_groups == ds.k_groups and back.split == "ood_test"
+    again = tmp_path / "e.csv"
+    write_dataset_csv(back, again)
+    assert read_dataset_csv(again).features.tobytes() == back.features.tobytes()
+
+
+@pytest.mark.parametrize("n_rows", [0, 1])
+def test_dataset_csv_round_trip_tiny(tmp_path, n_rows):
+    ds = _dataset(np.full((n_rows, 3), 0.25), k_groups=2)
+    path = tmp_path / "d.csv"
+    write_dataset_csv(ds, path)
+    back = read_dataset_csv(path)
+    assert back.features.shape == (n_rows, 3)
+    assert np.array_equal(back.features, ds.features)
+    assert np.array_equal(back.labels, ds.labels)
+    assert np.array_equal(back.groups, ds.groups)
+    assert back.k_groups == 2
+
+
+@pytest.mark.parametrize("body", [
+    "1,0,0.5,0.25\n-1,1,0.5\n",          # ragged row
+    "1,0,0.5,abc\n",                     # non-numeric field
+    "1,0,0.5,0.25,0.125\n",              # more fields than the header
+    "1.5,0,0.5,0.25\n",                  # non-integer label
+])
+def test_malformed_dataset_csv_names_path(tmp_path, body):
+    path = tmp_path / "bad.csv"
+    path.write_text("y,z,x0,x1\n" + body)
+    with pytest.raises(InvalidSpecError, match="bad.csv"):
+        read_dataset_csv(path)
+    path.write_text("")
+    with pytest.raises(InvalidSpecError, match="bad.csv"):
+        read_dataset_csv(path)
 
 
 def test_spec_file_round_trip(tmp_path):

@@ -254,6 +254,13 @@ def test_predictions_bits_round_trip():
     assert np.array_equal(bits_to_predictions(bits), preds)
 
 
+def test_predictions_bits_matches_per_value_join():
+    preds = np.random.default_rng(3).choice([-1, 1], size=10_007).astype(np.int64)
+    bits = predictions_bits(preds)
+    assert bits == "".join("1" if v == 1 else "0" for v in preds)
+    assert predictions_bits(preds[:0]) == ""
+
+
 def test_results_csv_round_trip(tmp_path):
     spec = ShiftSpec(d_core=5, d_spu=2, sigma_core=2.0, sigma_spu=1.0,
                      n_train=200, p_maj=0.8, n_ood_test=500, master_seed=3)

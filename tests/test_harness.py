@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from shiftlab import evaluator, trainer
 from shiftlab.analysis import load_json
 from shiftlab.config import AnalysisOptions, ExperimentConfig, GridSpec
-from shiftlab.datagen import ShiftSpec, read_dataset_csv
+from shiftlab.datagen import ShiftSpec, generate, read_dataset_csv
 from shiftlab.errors import ConfigError, MissingInputsError
 from shiftlab.harness import (SWEEP_ARTIFACTS, moon_axis_groups, overlay_cells,
                               run_agreement_pipeline, run_gen_data,
@@ -68,6 +69,37 @@ def test_results_row_order_matches_model_ids(sweep_out):
     ids = [line.split(",")[0] for line in lines]
     assert ids == sorted(ids)
     assert ids == [r.model_id for r in out.records]
+
+
+def test_sweep_predicts_each_distinct_snapshot_once(tmp_path, monkeypatch):
+    config = tiny_config(tmp_path)
+    calls = []
+    predict = trainer.ModelRecord.predict
+
+    def counted(self, features):
+        calls.append(id(self.weights))
+        return predict(self, features)
+
+    monkeypatch.setattr(trainer.ModelRecord, "predict", counted)
+    out = run_sweep_pipeline(config)
+    distinct = {id(r.weights) for r in out.records}
+    # two seeds of the full-batch cells share one weights array per snapshot
+    assert len(distinct) < len(out.records)
+    assert sorted(calls) == sorted(distinct)
+
+    monkeypatch.setattr(trainer.ModelRecord, "predict", predict)
+    pool = generate(config.shift, "ood_test")
+    r_tr, r_ts = config.shift.train_weights(), config.shift.ood_weights()
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    evaluator.write_results_csv(
+        [(r, evaluator.evaluate(r, pool, r_tr, r_ts)) for r in out.records],
+        ref / "results.csv")
+    evaluator.write_preds_csv(
+        [(r.model_id, evaluator.predictions_bits(r.predict(pool.features)))
+         for r in out.records], ref / "preds.csv")
+    for name in ("results.csv", "preds.csv"):
+        assert (config.out_dir / name).read_bytes() == (ref / name).read_bytes(), name
 
 
 def test_gen_data_writes_three_splits_and_spec(tmp_path):
