@@ -225,6 +225,21 @@ def read_preds_csv(path: str | Path) -> dict[str, str]:
         return {row["model_id"]: row["bits"] for row in csv.DictReader(fh)}
 
 
+def read_preds_matrix(path: str | Path, model_ids: list[str], n_rows: int) -> np.ndarray:
+    """``(models x rows)`` predictions, True for +1; InvalidSpecError on a missing
+    model, a bit-string not ``n_rows`` long, or a character other than 0/1."""
+    bits = read_preds_csv(path)
+    for mid in model_ids:
+        got = len(bits[mid] or "") if mid in bits else "no"
+        if got != n_rows:
+            raise InvalidSpecError(f"{path}: model {mid!r} has {got} predictions, expected {n_rows}")
+    codes = np.frombuffer("".join(bits[mid] for mid in model_ids).encode("ascii", "replace"),
+                          dtype=np.uint8).reshape(len(model_ids), n_rows)
+    if not np.all((codes == ord("0")) | (codes == ord("1"))):
+        raise InvalidSpecError(f"{path}: predictions must be 0/1 characters")
+    return codes == ord("1")
+
+
 def write_agreement_csv(records: list[AgreementRecord], path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -1,5 +1,7 @@
-"""Standard normal CDF and quantile, implemented without libm special
-functions so results are identical across platforms.
+"""Standard normal CDF and quantile from arithmetic and libm's ``exp`` alone, so
+results are identical on one machine.  The array CDF calls libm's ``exp`` per
+element (numpy's SIMD ``np.exp`` can differ in the last bit), so it equals the
+scalar CDF bit for bit.
 
 The CDF uses the Zelen & Severo rational approximation (Abramowitz & Stegun
 26.2.17), whose absolute error is below 7.5e-8.  The quantile is a bisection
@@ -41,7 +43,8 @@ def normal_cdf_array(x: np.ndarray) -> np.ndarray:
     ax = np.abs(x)
     t = 1.0 / (1.0 + _P * ax)
     poly = t * (_B1 + t * (_B2 + t * (_B3 + t * (_B4 + t * _B5))))
-    upper = 1.0 - _INV_SQRT_2PI * np.exp(-0.5 * ax * ax) * poly
+    e = np.fromiter(map(math.exp, (-0.5 * ax * ax).ravel().tolist()), np.float64, x.size)
+    upper = 1.0 - _INV_SQRT_2PI * e.reshape(x.shape) * poly
     return np.where(x >= 0.0, upper, 1.0 - upper)
 
 

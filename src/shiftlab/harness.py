@@ -216,26 +216,16 @@ def run_spurious_series(config: ExperimentConfig, knob: str,
 # Agreement pipeline
 # ---------------------------------------------------------------------------
 
-def _decode_pair(index: int, n: int) -> tuple[int, int]:
-    """Map a flat index in [0, n(n-1)/2) to an unordered (i < j) pair."""
-    i = 0
-    remaining = index
-    row = n - 1
-    while remaining >= row:
-        remaining -= row
-        i += 1
-        row -= 1
-    return i, i + 1 + remaining
-
-
 def sample_pairs(n_models: int, n_pairs: int, seed: int) -> list[tuple[int, int]]:
-    total = n_models * (n_models - 1) // 2
+    """Unordered (i < j) model pairs, drawn without replacement by flat index
+    into the row-major list of all pairs."""
+    first, second = np.triu_indices(n_models, 1)
     rng = np.random.default_rng(seed)
-    if n_pairs >= total:
-        picks = np.arange(total)
+    if n_pairs >= first.size:
+        picks = np.arange(first.size)
     else:
-        picks = np.sort(rng.choice(total, size=n_pairs, replace=False))
-    return [_decode_pair(int(k), n_models) for k in picks]
+        picks = np.sort(rng.choice(first.size, size=n_pairs, replace=False))
+    return list(zip(first[picks].tolist(), second[picks].tolist()))
 
 
 @dataclass
@@ -288,30 +278,29 @@ def run_agreement_pipeline(config: ExperimentConfig, n_pairs: int | None = None,
         if not (out_dir / name).exists():
             raise MissingInputsError(f"{name} not found in {out_dir}; run the sweep first")
 
-    rows = evaluator.read_results_csv(out_dir / "results.csv")
-    preds_map = evaluator.read_preds_csv(out_dir / "preds.csv")
+    model_ids = [r["model_id"] for r in evaluator.read_results_csv(out_dir / "results.csv")]
     pool = datagen.read_dataset_csv(out_dir / "ood_test.csv", split="ood_test")
-
-    model_ids = [r["model_id"] for r in rows]
-    preds = {mid: evaluator.bits_to_predictions(preds_map[mid]) for mid in model_ids}
+    ones = evaluator.read_preds_matrix(out_dir / "preds.csv", model_ids, pool.n_rows)
     masks, w_id, w_ood = overlay_cells(config.shift, pool)
 
-    def reweight(values: np.ndarray) -> tuple[float, float]:
-        cell_means = [float(np.mean(values[m])) for m in masks]
-        return (sum(w * v for w, v in zip(w_id, cell_means)),
-                sum(w * v for w, v in zip(w_ood, cell_means)))
+    def reweight(values: np.ndarray) -> np.ndarray:
+        """ID and OOD reweighted cell means of each row of a bool matrix."""
+        means = [np.count_nonzero(values & m, axis=1) / np.count_nonzero(m) for m in masks]
+        return np.stack([sum(w * v for w, v in zip(w_id, means)),
+                         sum(w * v for w, v in zip(w_ood, means))], axis=1)
 
-    acc_points = np.array([reweight(preds[mid] == pool.labels) for mid in model_ids])
+    acc_points = reweight(ones == (pool.labels == 1))
 
+    # Pairs are compared 64 at a time, so one chunk's matches stay small.
     pairs = sample_pairs(len(model_ids), n_pairs, pair_seed)
-    agr_points = np.empty((len(pairs), 2))
-    agreement_records = []
-    for row_i, (i, j) in enumerate(pairs):
-        match = preds[model_ids[i]] == preds[model_ids[j]]
-        agr_points[row_i] = reweight(match)
-        agreement_records.append(evaluator.AgreementRecord(
-            model_a=model_ids[i], model_b=model_ids[j],
-            agreement=float(np.mean(match))))
+    agr_points, agreement = np.empty((len(pairs), 2)), np.empty(len(pairs))
+    for start in range(0, len(pairs), 64):
+        first, second = np.array(pairs[start:start + 64]).T
+        match = ones[first] == ones[second]
+        agr_points[start:start + 64] = reweight(match)
+        agreement[start:start + 64] = np.count_nonzero(match, axis=1) / pool.n_rows
+    agreement_records = [evaluator.AgreementRecord(model_ids[i], model_ids[j], a)
+                         for (i, j), a in zip(pairs, agreement.tolist())]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic(out_dir / "agreement.csv",

@@ -32,7 +32,7 @@ import numpy as np
 
 from .datagen import format_sig
 from .errors import DegeneratePopulationError, EmptyGroupError, InvalidSpecError
-from .gauss import normal_cdf, normal_quantile
+from .gauss import normal_cdf, normal_cdf_array, normal_quantile
 
 _GRID_CLIP = (0.001, 0.999)
 
@@ -128,26 +128,31 @@ def monte_carlo_gap(pop: PopulationSpec, score: ScoreModel, threshold: float,
     score.validate()
     if n_samples < 10_000:
         raise InvalidSpecError("n_samples must be at least 10^4")
+    # Four draws in a fixed order (Z, Y, X | Y=1, X | Y=0) into one buffer; the
+    # bool selects use & and |, as np.where is slow on a random mask.
     rng = np.random.default_rng(seed)
-    z = rng.random(n_samples) < pop.p_z1
-    p_y1_z = np.where(z, pop.p_y1_given_z(1), pop.p_y1_given_z(0))
-    y = rng.random(n_samples) < p_y1_z
-    x = np.where(y, score.mu1 + score.s1 * rng.standard_normal(n_samples),
-                 score.mu0 + score.s0 * rng.standard_normal(n_samples))
-    pred = x > threshold
-    correct = pred == y
+    u = rng.random(n_samples)
+    z = u < pop.p_z1
+    rng.random(out=u)
+    y = (z & (u < pop.p_y1_given_z(1))) | (~z & (u < pop.p_y1_given_z(0)))
+    rng.standard_normal(out=u)
+    u *= score.s1
+    u += score.mu1
+    above1 = u > threshold
+    rng.standard_normal(out=u)
+    u *= score.s0
+    u += score.mu0
+    correct = ((y & above1) | (~y & (u > threshold))) == y
 
     accs, ses = [], []
-    for zv in (1, 0):
-        idx = z if zv == 1 else ~z
-        n_z = int(np.sum(idx))
+    for zv, idx in ((1, z), (0, ~z)):
+        n_z = np.count_nonzero(idx)
         if n_z == 0:
             raise EmptyGroupError(f"no Monte Carlo samples landed in Z={zv}")
-        acc = float(np.mean(correct[idx]))
+        acc = float(np.count_nonzero(correct & idx) / n_z)
         accs.append(acc)
         ses.append(acc * (1.0 - acc) / n_z)
-    gap = abs(accs[0] - accs[1])
-    return gap, float(np.sqrt(ses[0] + ses[1]))
+    return abs(accs[0] - accs[1]), float(np.sqrt(ses[0] + ses[1]))
 
 
 @dataclass(frozen=True)
@@ -158,26 +163,6 @@ class RocPoint:
     maj_acc: float
     min_acc: float
     gap: float
-
-
-def _mixture_quantile(pop: PopulationSpec, score: ScoreModel, q: float) -> float:
-    """Inverse CDF of the mixed score distribution, by bisection."""
-    lo = min(score.mu0 - 10 * score.s0, score.mu1 - 10 * score.s1)
-    hi = max(score.mu0 + 10 * score.s0, score.mu1 + 10 * score.s1)
-
-    def cdf(t: float) -> float:
-        return ((1.0 - pop.p_y1) * normal_cdf((t - score.mu0) / score.s0)
-                + pop.p_y1 * normal_cdf((t - score.mu1) / score.s1))
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if cdf(mid) < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def roc_traverse(pop: PopulationSpec, score: ScoreModel,
@@ -194,17 +179,28 @@ def roc_traverse(pop: PopulationSpec, score: ScoreModel,
     score.validate()
     if n_thresholds < 3:
         raise InvalidSpecError("need at least 3 thresholds")
+    # One bisection on the mixed score CDF for every quantile at once; an
+    # element freezes once its midpoint no longer splits its bracket.
     qs = np.linspace(_GRID_CLIP[0], _GRID_CLIP[1], n_thresholds)
-    points = []
-    for q in qs:
-        t = _mixture_quantile(pop, score, float(q))
-        tpr = score.tpr(t)
-        tnr = score.tnr(t)
-        maj = subpop_accuracy(pop, tpr, tnr, 1)
-        mnr = subpop_accuracy(pop, tpr, tnr, 0)
-        points.append(RocPoint(threshold=t, tnr=tnr, tpr=tpr, maj_acc=maj,
-                               min_acc=mnr, gap=abs(maj - mnr)))
-    return points
+    lo = np.full(qs.shape, min(score.mu0 - 10 * score.s0, score.mu1 - 10 * score.s1))
+    hi = np.full(qs.shape, max(score.mu0 + 10 * score.s0, score.mu1 + 10 * score.s1))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        live = np.flatnonzero((mid != lo) & (mid != hi))
+        if live.size == 0:
+            break
+        t = mid[live]
+        below = ((1.0 - pop.p_y1) * normal_cdf_array((t - score.mu0) / score.s0)
+                 + pop.p_y1 * normal_cdf_array((t - score.mu1) / score.s1)) < qs[live]
+        lo[live[below]] = t[below]
+        hi[live[~below]] = t[~below]
+    t = 0.5 * (lo + hi)
+    tpr = 1.0 - normal_cdf_array((t - score.mu1) / score.s1)
+    tnr = normal_cdf_array((t - score.mu0) / score.s0)
+    maj = subpop_accuracy(pop, tpr, tnr, 1)
+    mnr = subpop_accuracy(pop, tpr, tnr, 0)
+    return [RocPoint(*row) for row in zip(t.tolist(), tnr.tolist(), tpr.tolist(), maj.tolist(),
+                                          mnr.tolist(), np.abs(maj - mnr).tolist())]
 
 
 def moon_arm(points: list[RocPoint]) -> list[RocPoint]:
@@ -224,10 +220,7 @@ def write_traversal_csv(points: list[RocPoint], path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["threshold", "tnr", "tpr", "maj_acc", "min_acc", "gap"])
-        for p in points:
-            writer.writerow([format_sig(p.threshold), format_sig(p.tnr),
-                             format_sig(p.tpr), format_sig(p.maj_acc),
-                             format_sig(p.min_acc), format_sig(p.gap)])
+        writer.writerows([format_sig(v) for v in vars(p).values()] for p in points)
 
 
 def gap_summary(pop: PopulationSpec, score: ScoreModel, threshold: float,

@@ -167,6 +167,43 @@ def test_agreement_on_corrupted_pool_is_generation_error(tmp_path, capsys):
     assert main(["agreement", "--config", str(cfg)]) == 2
 
 
+def _short_bits(row):
+    return row[:-1]
+
+
+def _bad_char(row):
+    return row[:-1] + "x"
+
+
+def _dropped(row):
+    return None
+
+
+@pytest.mark.parametrize("fault", [_short_bits, _bad_char, _dropped])
+def test_agreement_on_corrupted_preds_is_generation_error(tmp_path, capsys, fault):
+    cfg, out_dir = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    preds = out_dir / "preds.csv"
+    lines = preds.read_text().splitlines()
+    lines[3] = fault(lines[3])
+    preds.write_text("\n".join(line for line in lines if line is not None) + "\n")
+    capsys.readouterr()
+    assert main(["agreement", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "preds.csv" in err and "Traceback" not in err
+    assert not (out_dir / "agreement.csv").exists()
+
+
+def test_theory_rerun_gives_identical_bytes(tmp_path):
+    args = ["theory", "--p-y1", "0.4", "--pi1", "0.8", "--pi0", "0.25", "--s1", "1.7",
+            "--threshold", "0.2", "--n-thresholds", "301", "--mc-samples", "20000",
+            "--seed", "11"]
+    for run in ("a", "b"):
+        assert main(args + ["--out", str(tmp_path / run)]) == 0
+    for name in ("roc_traversal.csv", "theory_summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_exit_code_2_generation(tmp_path):
     # degenerate population reaches the generation layer through `theory`
     assert main(["theory", "--pi1", "1.0", "--pi0", "1.0",

@@ -62,3 +62,22 @@ def test_quantile_rejects_boundary():
     for p in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             normal_quantile(p)
+
+
+def test_cdf_array_equals_scalar_bitwise():
+    # The array form takes its exponential from libm, as the scalar form does,
+    # so the two agree in every bit, not just to within rounding.
+    rng = np.random.default_rng(2024)
+    magnitudes = 10.0 ** rng.uniform(-320, 2, 20_000)
+    xs = np.concatenate([
+        rng.normal(0.0, 3.0, 60_000),
+        rng.uniform(-40.0, 40.0, 30_000),
+        magnitudes * rng.choice([-1.0, 1.0], magnitudes.size),
+        [0.0, -0.0, 40.0, -40.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+         -2.2250738585072014e-308, 1e-310, -1e-310],
+    ])
+    expected = np.array([normal_cdf(x) for x in xs.tolist()])
+    got = normal_cdf_array(xs)
+    assert got.dtype == np.float64 and got.shape == xs.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(normal_cdf_array(xs.reshape(-1, 10)), got.reshape(-1, 10))

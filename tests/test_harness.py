@@ -240,3 +240,52 @@ def test_sample_pairs_properties():
     # requesting at least the total enumerates every pair
     all_pairs = sample_pairs(5, 100, seed=0)
     assert len(all_pairs) == 10
+
+
+def _reference_pair(index, n):
+    """Flat index in [0, n(n-1)/2) to the (i < j) pair, one row at a time."""
+    i, row = 0, n - 1
+    while index >= row:
+        index -= row
+        i += 1
+        row -= 1
+    return i, i + 1 + index
+
+
+def test_sample_pairs_match_flat_index_reference():
+    for n_models, n_pairs, seed in ((2, 1, 0), (7, 21, 1), (36, 150, 9), (211, 500, 3)):
+        total = n_models * (n_models - 1) // 2
+        rng = np.random.default_rng(seed)
+        picks = (np.arange(total) if n_pairs >= total else
+                 np.sort(rng.choice(total, size=n_pairs, replace=False)))
+        expected = [_reference_pair(int(k), n_models) for k in picks]
+        assert sample_pairs(n_models, n_pairs, seed) == expected
+    assert sample_pairs(1, 5, 0) == []
+
+
+def test_agreement_matches_per_pair_reference(sweep_out, tmp_path):
+    # 150 pairs span two full chunks of 64 and a partial one.
+    config, _ = sweep_out
+    out = run_agreement_pipeline(config, n_pairs=150, pair_seed=17)
+    d = config.out_dir
+    ids = [r["model_id"] for r in evaluator.read_results_csv(d / "results.csv")]
+    bits = evaluator.read_preds_csv(d / "preds.csv")
+    preds = {mid: evaluator.bits_to_predictions(bits[mid]) for mid in ids}
+    pool = read_dataset_csv(d / "ood_test.csv", split="ood_test")
+    masks, w_id, w_ood = overlay_cells(config.shift, pool)
+
+    def reweight(values):
+        means = [float(np.mean(values[m])) for m in masks]
+        return (sum(w * v for w, v in zip(w_id, means)),
+                sum(w * v for w, v in zip(w_ood, means)))
+
+    acc = np.array([reweight(preds[mid] == pool.labels) for mid in ids])
+    records, agr = [], []
+    for i, j in sample_pairs(len(ids), 150, 17):
+        match = preds[ids[i]] == preds[ids[j]]
+        agr.append(reweight(match))
+        records.append(evaluator.AgreementRecord(ids[i], ids[j], float(np.mean(match))))
+    assert np.array_equal(out.accuracy_points, acc)
+    assert np.array_equal(out.agreement_points, np.array(agr))
+    evaluator.write_agreement_csv(records, tmp_path / "reference.csv")
+    assert (d / "agreement.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from shiftlab.analysis import fit_curves
-from shiftlab.errors import DegeneratePopulationError, InvalidSpecError
+from shiftlab.errors import DegeneratePopulationError, EmptyGroupError, InvalidSpecError
+from shiftlab.gauss import normal_cdf
 from shiftlab.theory import (PopulationSpec, ScoreModel, accuracy_gap,
                              gap_summary, monte_carlo_gap, moon_arm,
                              roc_traverse, subpop_accuracy, write_traversal_csv)
@@ -199,3 +200,89 @@ def test_traversal_csv_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "threshold,tnr,tpr,maj_acc,min_acc,gap"
     assert len(lines) == 12
+
+
+# ---------------------------------------------------------------------------
+# Bit-for-bit agreement with the scalar reference implementations
+# ---------------------------------------------------------------------------
+
+def _reference_mixture_quantile(pop, score, q):
+    """One threshold at a time, by scalar bisection on the mixed score CDF."""
+    lo = min(score.mu0 - 10 * score.s0, score.mu1 - 10 * score.s1)
+    hi = max(score.mu0 + 10 * score.s0, score.mu1 + 10 * score.s1)
+
+    def cdf(t):
+        return ((1.0 - pop.p_y1) * normal_cdf((t - score.mu0) / score.s0)
+                + pop.p_y1 * normal_cdf((t - score.mu1) / score.s1))
+
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if cdf(mid) < q:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _reference_roc_traverse(pop, score, n_thresholds):
+    rows = []
+    for q in np.linspace(0.001, 0.999, n_thresholds):
+        t = _reference_mixture_quantile(pop, score, float(q))
+        tpr = score.tpr(t)
+        tnr = score.tnr(t)
+        maj = subpop_accuracy(pop, tpr, tnr, 1)
+        mnr = subpop_accuracy(pop, tpr, tnr, 0)
+        rows.append((t, tnr, tpr, maj, mnr, abs(maj - mnr)))
+    return rows
+
+
+def _reference_monte_carlo_gap(pop, score, threshold, n_samples, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.random(n_samples) < pop.p_z1
+    p_y1_z = np.where(z, pop.p_y1_given_z(1), pop.p_y1_given_z(0))
+    y = rng.random(n_samples) < p_y1_z
+    x = np.where(y, score.mu1 + score.s1 * rng.standard_normal(n_samples),
+                 score.mu0 + score.s0 * rng.standard_normal(n_samples))
+    correct = (x > threshold) == y
+    accs, ses = [], []
+    for idx in (z, ~z):
+        n_z = int(np.sum(idx))
+        acc = float(np.mean(correct[idx]))
+        accs.append(acc)
+        ses.append(acc * (1.0 - acc) / n_z)
+    return abs(accs[0] - accs[1]), float(np.sqrt(ses[0] + ses[1]))
+
+
+BITWISE_CASES = [
+    (EXAMPLE_POP, ScoreModel()),
+    (PopulationSpec(p_y1=0.3, pi1=0.85, pi0=0.1), ScoreModel(mu0=-0.4, mu1=1.9, s0=0.6, s1=2.3)),
+    (PopulationSpec(p_y1=0.72, pi1=0.2, pi0=0.65), ScoreModel(mu0=0.3, mu1=0.5, s0=1.8, s1=0.35)),
+    (PopulationSpec(p_y1=0.5, pi1=0.6, pi0=0.6), ScoreModel(mu0=-2.0, mu1=2.0, s0=1.0, s1=3.0)),
+]
+
+
+@pytest.mark.parametrize("n_thresholds", [3, 11, 101, 1001])
+@pytest.mark.parametrize("case", range(len(BITWISE_CASES)))
+def test_roc_traverse_equals_scalar_reference(case, n_thresholds):
+    pop, score = BITWISE_CASES[case]
+    points = roc_traverse(pop, score, n_thresholds=n_thresholds)
+    rows = [(p.threshold, p.tnr, p.tpr, p.maj_acc, p.min_acc, p.gap) for p in points]
+    assert rows == _reference_roc_traverse(pop, score, n_thresholds)
+    assert all(type(v) is float for row in rows for v in row)
+
+
+@pytest.mark.parametrize("seed", [0, 987654321])
+@pytest.mark.parametrize("case", range(len(BITWISE_CASES)))
+def test_monte_carlo_gap_equals_reference(case, seed):
+    pop, score = BITWISE_CASES[case]
+    got = monte_carlo_gap(pop, score, 0.15, 50_000, seed=seed)
+    assert got == _reference_monte_carlo_gap(pop, score, 0.15, 50_000, seed)
+    assert all(type(v) is float for v in got)
+
+
+def test_monte_carlo_gap_empty_group():
+    pop = PopulationSpec(p_y1=0.5, pi1=1e-12, pi0=1e-12)
+    with pytest.raises(EmptyGroupError, match="Z=1"):
+        monte_carlo_gap(pop, ScoreModel(), 0.0, 10_000)
