@@ -85,12 +85,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _results_points(config: ExperimentConfig, results_path: Path) -> np.ndarray:
-    rows = evaluator.read_results_csv(results_path)
+    columns = tuple(f"group_acc_{g}" for g in harness.moon_axis_groups(config.shift))
+    rows = evaluator.read_results_csv(results_path, columns)
     if not rows:
         raise AnalysisError(f"{results_path} has no rows")
-    maj_g, min_g = harness.moon_axis_groups(config.shift)
-    return np.array([[float(r[f"group_acc_{maj_g}"]), float(r[f"group_acc_{min_g}"])]
-                     for r in rows])
+    try:
+        return np.array([[float(r[c]) for c in columns] for r in rows])
+    except (TypeError, ValueError) as exc:  # TypeError: a short row's None
+        raise InvalidSpecError(f"{results_path}: bad accuracy value: {exc}") from exc
 
 
 def _cmd_gen_data(args) -> int:

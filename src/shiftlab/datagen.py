@@ -382,27 +382,94 @@ def format_sig(x: float, digits: int = 12) -> str:
     return format(float(x), f".{digits}g")
 
 
-# Rows formatted per write: bounds the transient text and Python floats.
-_CSV_CHUNK_ROWS = 1024
+# Rows formatted per write: bounds the per-chunk index array (16 intp per value).
+_CSV_CHUNK_ROWS = 256
+
+# "%.9g" of a nonzero value lays out its 9-digit mantissa by (sign, exponent,
+# significant digits).  Each layout is read off "%.9g" of the digits 123456789:
+# digit k there is byte k of "ddd\0ddd\0ddd\0", any other byte a _G9_CONST one.
+_G9_CONST = "\0\1,.-e+0123456789\0\0\0"
+_G9_POW10 = np.array([float(10 ** k) for k in range(23)])  # exact doubles
+_G9_TRIPLES = np.frombuffer("".join(f"{i:03d}\0" for i in range(1000)).encode(), np.uint32)
+_G9_TRAILING = sum(np.arange(1000) % 10 ** k == 0 for k in (1, 2, 3))  # zeros ending "ddd"
+_G9_AT = {c: 12 + i for i, c in enumerate(_G9_CONST)}
+_G9_DIGIT_AT = _G9_AT | {str(k + 1): k // 3 * 4 + k % 3 for k in range(9)}
+
+
+def _g9_layout(text: str) -> list[int]:
+    mantissa, e, exponent = text.partition("e")
+    constants = e + exponent + "\0" * (15 - len(text)) + ","
+    return [_G9_DIGIT_AT[c] for c in mantissa] + [_G9_AT[c] for c in constants]
+
+
+# Rows: (sign, x in [-14, 17], digits 1..9), then from _G9_ZERO on "0", "-0"
+# and the "\1" placeholder of a value that "%.9g" prints itself.
+_G9_ZERO = 2 * 32 * 9
+_G9_LAYOUTS = np.frombuffer(b"".join(
+    [bytes(_g9_layout("%.9g" % float(f"{sign}{'123456789'[:s]}e{x - s + 1}")))
+     for sign in ("", "-") for x in range(-14, 18) for s in range(1, 10)]
+    + [bytes(_g9_layout(t)) for t in ("0", "-0", "\1")]), np.uint8).reshape(-1, 16)
+
+
+def _g9_fields(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's "%.9g" text, NUL-padded to 15 bytes and a comma, and the
+    indexes of the values left to "%.9g" (their field is the "\\1" placeholder).
+
+    ``q = |v| * 10**(8 - x)`` takes one rounding by an exact power of ten, so
+    it is within 2**-24 of the exact product: in [1e8, 1e9) with a fraction
+    more than 2**-20 from one half, ``rint(q)`` is the mantissa "%.9g" rounds
+    to.  A wrong ``x`` from ``log10`` puts ``q`` out of that range.
+    """
+    a = np.abs(v)
+    ok = (a >= 1e-14) & (a < 1e17)  # false for nan and inf
+    a[~ok] = 1.0
+    x = np.floor(np.log10(a)).astype(np.intp).clip(-14, 16)
+    q = a * _G9_POW10[np.clip(8 - x, 0, 22)]
+    big = np.flatnonzero(x > 8)
+    q[big] = a[big] / _G9_POW10[x[big] - 8]
+    ok &= (q >= 1e8) & (q < 1e9) & (np.abs(q - np.floor(q) - 0.5) > 2.0 ** -20)
+    m = np.where(ok, np.rint(q), 1e8).astype(np.intp)
+    carry = m == 1_000_000_000
+    m[carry] = 100_000_000
+    x += carry
+    groups = [m // 1_000_000, m // 1000 % 1000, m % 1000]
+    src = np.tile(np.frombuffer(b"\0" * 12 + _G9_CONST.encode(), np.uint32), (len(v), 1))
+    for j, g in enumerate(groups):
+        src[:, j] = _G9_TRIPLES.take(g)
+    tz = _G9_TRAILING.take(groups[2])
+    low0 = np.flatnonzero(groups[2] == 0)  # few values but integral ones
+    mid, top = groups[1][low0], groups[0][low0]
+    tz[low0] += _G9_TRAILING.take(mid) + (mid == 0) * _G9_TRAILING.take(top)
+    key = (np.signbit(v) * 32 + x + 14) * 9 + 8 - tz
+    key[~ok] = np.where(v[~ok] == 0, _G9_ZERO + np.signbit(v[~ok]), _G9_ZERO + 2)
+    index = _G9_LAYOUTS.take(key, axis=0) + np.arange(0, 32 * len(v), 32)[:, None]
+    return src.view(np.uint8).ravel().take(index), np.flatnonzero(key == _G9_ZERO + 2)
 
 
 def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
     """CSV with header ``y,z,x0,...``; each row is ``y,z`` then the features.
 
-    Features are written at ``%.9g`` (the C routine behind ``format(v, ".9g")``),
-    ``_CSV_CHUNK_ROWS`` rows per formatting call.  The text round-trips exactly:
-    ``read_dataset_csv`` returns the doubles the text denotes, and writing
-    those again gives the same bytes.
+    Every field is ``"%.9g" % v`` (labels and groups print as ``%d`` would),
+    ``_CSV_CHUNK_ROWS`` rows at a time.  ``_g9_fields`` lays out zeros and each
+    value whose rounding it can prove: finite, in [1e-14, 1e17), no near-tie
+    in the 9th digit.  The rest (ties, nan, inf, subnormals) go through
+    ``"%.9g" % v`` itself, so the bytes equal ``%``'s.  The text round-trips
+    exactly: ``read_dataset_csv`` returns the doubles it denotes.
     """
     d = dataset.n_features
-    row_fmt = "%d,%d," + ",".join(["%.9g"] * d) + "\n"
-    with open(path, "w") as fh:
-        fh.write("y,z," + ",".join(f"x{j}" for j in range(d)) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(("y,z," + ",".join(f"x{j}" for j in range(d)) + "\n").encode())
         for start in range(0, dataset.n_rows, _CSV_CHUNK_ROWS):
             sl = slice(start, start + _CSV_CHUNK_ROWS)
-            block = np.column_stack((dataset.labels[sl], dataset.groups[sl],
-                                     dataset.features[sl]))
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+            values = np.column_stack((dataset.labels[sl], dataset.groups[sl],
+                                      dataset.features[sl])).ravel()
+            fields, fallback = _g9_fields(values)
+            fields.reshape(-1, (d + 2) * 16)[:, -1] = ord("\n")
+            text = fields[fields != 0].tobytes()
+            if fallback.size:
+                exact = [("%.9g" % v).encode() for v in values[fallback].tolist()]
+                text = b"".join(p + s for p, s in zip(text.split(b"\1"), exact + [b""]))
+            fh.write(text)
 
 
 def read_dataset_csv(path: str | Path, split: str = "train") -> Dataset:

@@ -199,9 +199,15 @@ def write_results_csv(records: list[tuple[ModelRecord, EvalRecord]],
                 + [format_sig(ev.id_acc), format_sig(ev.ood_acc)])
 
 
-def read_results_csv(path: str | Path) -> list[dict[str, str]]:
+def read_results_csv(path: str | Path, columns: tuple[str, ...] = ()) -> list[dict[str, str]]:
+    """Rows of a results.csv; InvalidSpecError naming ``path`` if its header
+    lacks one of ``columns``."""
     with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise InvalidSpecError(f"{path} has no {missing[0]!r} column")
+        return list(reader)
 
 
 def predictions_bits(preds: np.ndarray) -> str:
@@ -214,10 +220,14 @@ def bits_to_predictions(bits: str) -> np.ndarray:
 
 
 def write_preds_csv(rows: list[tuple[str, str]], path: str | Path) -> None:
+    """``model_id,bits`` lines, as ``csv.writer`` would write them, in one
+    write; a model ID that it would quote (one holding ``,``, ``"``, CR or LF)
+    raises InvalidSpecError instead."""
+    for mid, _ in rows:
+        if any(c in mid for c in ',"\r\n'):
+            raise InvalidSpecError(f"model ID {mid!r} cannot be written to {path} unquoted")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model_id", "bits"])
-        writer.writerows(rows)
+        fh.write("".join(f"{mid},{bits}\n" for mid, bits in [("model_id", "bits"), *rows]))
 
 
 def read_preds_csv(path: str | Path) -> dict[str, str]:

@@ -278,7 +278,8 @@ def run_agreement_pipeline(config: ExperimentConfig, n_pairs: int | None = None,
         if not (out_dir / name).exists():
             raise MissingInputsError(f"{name} not found in {out_dir}; run the sweep first")
 
-    model_ids = [r["model_id"] for r in evaluator.read_results_csv(out_dir / "results.csv")]
+    results = evaluator.read_results_csv(out_dir / "results.csv", ("model_id",))
+    model_ids = [r["model_id"] for r in results]
     pool = datagen.read_dataset_csv(out_dir / "ood_test.csv", split="ood_test")
     ones = evaluator.read_preds_matrix(out_dir / "preds.csv", model_ids, pool.n_rows)
     masks, w_id, w_ood = overlay_cells(config.shift, pool)

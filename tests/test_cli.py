@@ -194,6 +194,44 @@ def test_agreement_on_corrupted_preds_is_generation_error(tmp_path, capsys, faul
     assert not (out_dir / "agreement.csv").exists()
 
 
+def _renamed(column):
+    def fault(header, row):
+        return header.replace(column, column + "_x"), row
+    return fault
+
+
+def _non_numeric(header, row):
+    fields = row.split(",")
+    fields[header.split(",").index("group_acc_0")] = "n/a"
+    return header, ",".join(fields)
+
+
+def _short_row(header, row):
+    return header, ",".join(row.split(",")[:6])  # no accuracy fields
+
+
+@pytest.mark.parametrize("command,fault", [
+    ("agreement", _renamed("model_id")),
+    ("analyze", _renamed("group_acc_0")),
+    ("plot", _renamed("group_acc_0")),
+    ("analyze", _non_numeric),
+    ("plot", _non_numeric),
+    ("analyze", _short_row),
+], ids=["agreement-no-model_id", "analyze-no-group_acc_0", "plot-no-group_acc_0",
+        "analyze-non-numeric", "plot-non-numeric", "analyze-short-row"])
+def test_malformed_results_csv_is_generation_error(tmp_path, capsys, command, fault):
+    cfg, out_dir = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    results = out_dir / "results.csv"
+    header, first, *rest = results.read_text().splitlines()
+    header, first = fault(header, first)
+    results.write_text("\n".join([header, first, *rest]) + "\n")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "results.csv" in err and "Traceback" not in err
+
+
 def test_theory_rerun_gives_identical_bytes(tmp_path):
     args = ["theory", "--p-y1", "0.4", "--pi1", "0.8", "--pi0", "0.25", "--s1", "1.7",
             "--threshold", "0.2", "--n-thresholds", "301", "--mc-samples", "20000",

@@ -1,8 +1,12 @@
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from shiftlab import datagen
 from shiftlab.datagen import (Dataset, ShiftSpec, generate,
@@ -368,6 +372,109 @@ def test_dataset_csv_round_trip_is_exact(tmp_path):
     again = tmp_path / "e.csv"
     write_dataset_csv(back, again)
     assert read_dataset_csv(again).features.tobytes() == back.features.tobytes()
+
+
+def _assert_writer_matches_format(path, features):
+    """Write ``features`` and compare the file with the per-value
+    ``format(v, ".9g")`` reference, naming the first line that differs."""
+    ds = _dataset(features)
+    write_dataset_csv(ds, path)
+    got, want = path.read_text().split("\n"), _reference_csv(ds).split("\n")
+    diff = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+    assert diff is None and len(got) == len(want), diff is not None and (got[diff], want[diff])
+
+
+def _assert_values_match_format(tmp_path, values, n_cols=10):
+    """As above for ``values`` padded with 0.5 to whole rows."""
+    values = np.asarray(values, dtype=float)
+    feats = np.concatenate([values, np.full(-values.size % n_cols, 0.5)]).reshape(-1, n_cols)
+    _assert_writer_matches_format(tmp_path / "adv.csv", feats)
+
+
+def _ulp_neighbours(x, steps=2):
+    out = [x]
+    for direction in (np.inf, -np.inf):
+        y = x
+        for _ in range(steps):
+            y = np.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+def test_writer_exact_at_powers_of_ten(tmp_path):
+    values = [v for e in range(-15, 18) for sign in (1.0, -1.0)
+              for v in _ulp_neighbours(sign * float(f"1e{e}"))]
+    _assert_values_match_format(tmp_path, values)
+
+
+def test_writer_exact_at_carries_and_ties(tmp_path):
+    carries = [v for e in range(-14, 17) for sign in (1.0, -1.0)
+               for v in _ulp_neighbours(sign * float(f"9.999999995e{e}"), 3)]
+    # Ties in the 9th digit that a double holds exactly, then decimal ones
+    # that no double hits exactly.
+    ties = [100000000.5, 123456789.5, -999999998.5, 999999999.5,
+            1.0000000005, 1.234567895, -9.876543215]
+    _assert_values_match_format(tmp_path, carries + ties
+                                + [np.nextafter(t, d) for t in ties for d in (0, np.inf)])
+
+
+def test_writer_exact_at_format_boundaries(tmp_path):
+    # 1e-4 and 1e9 switch between fixed and exponent notation; 1e-5 is the
+    # first exponent below the switch.
+    edges = [1e-4, 1e-5, 1e9, 9.9999999995e-5, 9.99999999e-5, 9.9999999995e-6,
+             999999999.4, 999999999.6, 999999999.0, 1e9 - 0.5]
+    values = [v for e in edges for sign in (1.0, -1.0) for v in _ulp_neighbours(sign * e, 3)]
+    _assert_values_match_format(tmp_path, values)
+
+
+def test_writer_exact_outside_the_fast_range(tmp_path):
+    values = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072009e-308,
+              1e-310, np.inf, -np.inf, np.nan, -np.nan, 1e-14, 9.9999999e-15, 1e-300,
+              -1.23456789e-100, 1.7976931348623157e308]
+    values += [sign * float(f"{m}e{e}") for e in range(16, 22) for m in (1, 1.5, 9.87654321)
+               for sign in (1.0, -1.0)]
+    _assert_values_match_format(tmp_path, values)
+
+
+def test_writer_exact_on_random_draws(tmp_path):
+    rng = np.random.default_rng(20230502)
+    normal = rng.normal(scale=10.0, size=500_000)
+    log_uniform = np.exp(rng.uniform(np.log(1e-16), np.log(1e19), 500_000))
+    log_uniform *= rng.choice([-1.0, 1.0], size=log_uniform.size)
+    _assert_values_match_format(tmp_path, np.concatenate([normal, log_uniform]), n_cols=125)
+    # The fast path carries the draws: only 9th-digit near-ties fall back.
+    assert datagen._g9_fields(normal)[1].size < 1e-5 * normal.size
+
+
+def _is_ninth_digit_near_tie(v: float) -> bool:
+    """True when the exact ``|v| * 10**(8 - x)`` is within 2**-20 + 2**-24
+    (the fast path's window plus its rounding) of a half-integer."""
+    q = abs(Fraction(v)) * Fraction(10) ** (8 - Decimal(v).adjusted())
+    return abs(q - int(q) - Fraction(1, 2)) <= Fraction(1, 2 ** 20) + Fraction(1, 2 ** 24)
+
+
+@pytest.mark.parametrize("split", ["train", "ood_test"])
+def test_fast_path_carries_generated_data(split):
+    # The acceptance BASE_SHIFT (tests/test_acceptance.py).
+    spec = majority_spec(master_seed=2)
+    ds = generate(spec, split)
+    fallback = []
+    for start in range(0, ds.n_rows, datagen._CSV_CHUNK_ROWS):
+        sl = slice(start, start + datagen._CSV_CHUNK_ROWS)
+        values = np.column_stack((ds.labels[sl], ds.groups[sl], ds.features[sl])).ravel()
+        fallback += values[datagen._g9_fields(values)[1]].tolist()
+    # Every value the kernel leaves to "%.9g" is a true near-tie in its 9th
+    # digit (about one value in 2**19 is), never a range or log10 miss.
+    assert all(_is_ninth_digit_near_tie(v) for v in fallback)
+    assert len(fallback) <= 1e-5 * ds.features.size
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                  elements=st.one_of(st.floats(allow_subnormal=True),
+                                     st.floats(1e-14, 1e17), st.floats(-1e17, -1e-14))))
+def test_writer_matches_format_property(tmp_path_factory, feats):
+    _assert_writer_matches_format(tmp_path_factory.mktemp("prop") / "d.csv", feats)
 
 
 @pytest.mark.parametrize("n_rows", [0, 1])

@@ -1,3 +1,4 @@
+import csv
 from fractions import Fraction
 
 import numpy as np
@@ -289,3 +290,25 @@ def test_preds_csv_round_trip(tmp_path):
     path = tmp_path / "preds.csv"
     write_preds_csv(rows, path)
     assert read_preds_csv(path) == dict(rows)
+
+
+def test_preds_csv_matches_csv_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    rows = [(f"c{i:03d}_lr0.01 x'y;{i}", predictions_bits(rng.choice([-1, 1], size=n)))
+            for i, n in enumerate((0, 1, 7, 2500))]
+    path = tmp_path / "preds.csv"
+    write_preds_csv(rows, path)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["model_id", "bits"])
+        writer.writerows(rows)
+    assert path.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("model_id", ["a,b", 'say "x"', "a\rb", "a\nb"])
+def test_preds_csv_rejects_ids_csv_would_quote(tmp_path, model_id):
+    path = tmp_path / "preds.csv"
+    with pytest.raises(InvalidSpecError, match="preds.csv"):
+        write_preds_csv([("ok", "01"), (model_id, "10")], path)
+    assert not path.exists()
