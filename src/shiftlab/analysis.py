@@ -22,10 +22,15 @@ import numpy as np
 
 from .datagen import format_sig
 from .errors import AnalysisError
-from .gauss import normal_quantile
+from .gauss import normal_quantile, normal_quantile_array
 
 PROBIT_EPS_DEFAULT = 1e-3
 GCV_GRID = tuple(np.logspace(-6.0, 3.0, 25))
+
+
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps < 0.5:
+        raise AnalysisError(f"probit eps must be in (0, 0.5), got {eps}")
 
 
 def probit(p: float, eps: float = PROBIT_EPS_DEFAULT) -> float:
@@ -34,15 +39,15 @@ def probit(p: float, eps: float = PROBIT_EPS_DEFAULT) -> float:
     Accuracies of 0 or 1 would map to infinity; clamping keeps finite test
     sets finite.  probit(1-p) == -probit(p) holds exactly.
     """
-    if not 0.0 < eps < 0.5:
-        raise AnalysisError(f"probit eps must be in (0, 0.5), got {eps}")
+    _check_eps(eps)
     return normal_quantile(min(max(p, eps), 1.0 - eps))
 
 
 def _probit_clamped(values: np.ndarray, eps: float) -> tuple[np.ndarray, int]:
+    """``probit`` of every value, bit for bit, and the number clamped."""
+    _check_eps(eps)
     clamped = int(np.sum((values < eps) | (values > 1.0 - eps)))
-    out = np.array([probit(float(v), eps) for v in values])
-    return out, clamped
+    return normal_quantile_array(np.clip(values, eps, 1.0 - eps)), clamped
 
 
 def _r2(y: np.ndarray, fitted: np.ndarray) -> float:

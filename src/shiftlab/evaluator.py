@@ -9,6 +9,12 @@ accuracies:
 
 so the two views differ only through the mixture weights, never through
 sampling noise.
+
+A sweep's snapshots are scored together: each chunk of at most 16 distinct
+weight vectors is one pool GEMM, thresholded into a ``(rows x chunk)`` bool
+block whose per-(group, label) counts give every column's record.  A GEMM may
+round a decision value differently from one model's GEMV, so, as for
+training, prediction bytes are promised per machine and BLAS kernel.
 """
 
 from __future__ import annotations
@@ -60,40 +66,106 @@ def _check_weights(weights: tuple[float, ...], k: int, name: str) -> None:
         raise InvalidSpecError(f"{name} must sum to 1")
 
 
-def evaluate_predictions(model_id: str, preds: np.ndarray, test: Dataset,
-                         r_tr: tuple[float, ...], r_ts: tuple[float, ...],
-                         epoch: int = 0) -> EvalRecord:
-    """Score fixed predictions (labels in {-1,+1}) against the test pool."""
+# Distinct snapshots per pool GEMM: bounds the decision block at 16 doubles a row.
+_CHUNK = 16
+
+
+def _group_cells(test: Dataset, r_tr: tuple[float, ...], r_ts: tuple[float, ...]
+                 ) -> tuple[list[np.ndarray], list[int], list[int]]:
+    """The (positive, negative) row masks of each group in group order, the row
+    count per group and the row count per mask; InvalidSpecError on bad mixture
+    weights, EmptyGroupError on a group with no rows."""
     k = test.k_groups
     _check_weights(r_tr, k, "r_tr")
     _check_weights(r_ts, k, "r_ts")
-
-    n_pos, n_neg, c_pos, c_neg = [], [], [], []
-    group_acc, tpr, tnr = [], [], []
-    correct = preds == test.labels
+    sizes, cells = [], []
     for g in range(k):
         idx = test.groups == g
-        n_g = int(np.sum(idx))
+        n_g = int(np.count_nonzero(idx))
         if n_g == 0:
             raise EmptyGroupError(f"group {g} has no rows in the test pool")
-        pos = idx & (test.labels == 1)
-        neg = idx & (test.labels == -1)
-        np_g, nn_g = int(np.sum(pos)), int(np.sum(neg))
-        cp_g, cn_g = int(np.sum(correct[pos])), int(np.sum(correct[neg]))
-        n_pos.append(np_g)
-        n_neg.append(nn_g)
-        c_pos.append(cp_g)
-        c_neg.append(cn_g)
-        group_acc.append((cp_g + cn_g) / n_g)
-        tpr.append(cp_g / np_g if np_g else float("nan"))
-        tnr.append(cn_g / nn_g if nn_g else float("nan"))
+        sizes.append(n_g)
+        cells += [idx & (test.labels == 1), idx & (test.labels == -1)]
+    return cells, sizes, [int(np.count_nonzero(cell)) for cell in cells]
 
+
+def _column_counts(correct: np.ndarray, cells: list[np.ndarray]) -> list[tuple[int, ...]]:
+    """Correct rows of each cell, per column of a ``(rows x columns)`` bool block."""
+    return list(zip(*(np.count_nonzero(correct & cell[:, None], axis=0).tolist()
+                      for cell in cells)))
+
+
+def _record(model_id: str, epoch: int, correct: tuple[int, ...], sizes: list[int],
+            totals: list[int], r_tr: tuple[float, ...], r_ts: tuple[float, ...]
+            ) -> EvalRecord:
+    """One EvalRecord from integer counts; ``correct`` and ``totals`` hold
+    (positive, negative) pairs per group."""
+    n_pos, n_neg = totals[0::2], totals[1::2]
+    c_pos, c_neg = correct[0::2], correct[1::2]
+    group_acc = [(cp + cn) / n for cp, cn, n in zip(c_pos, c_neg, sizes)]
+    tpr = [cp / n if n else float("nan") for cp, n in zip(c_pos, n_pos)]
+    tnr = [cn / n if n else float("nan") for cn, n in zip(c_neg, n_neg)]
     id_acc = float(sum(w * a for w, a in zip(r_tr, group_acc)))
     ood_acc = float(sum(w * a for w, a in zip(r_ts, group_acc)))
     return EvalRecord(model_id=model_id, group_acc=tuple(group_acc), tpr=tuple(tpr),
                       tnr=tuple(tnr), id_acc=id_acc, ood_acc=ood_acc,
                       n_pos=tuple(n_pos), n_neg=tuple(n_neg),
                       correct_pos=tuple(c_pos), correct_neg=tuple(c_neg), epoch=epoch)
+
+
+def evaluate_predictions(model_id: str, preds: np.ndarray, test: Dataset,
+                         r_tr: tuple[float, ...], r_ts: tuple[float, ...],
+                         epoch: int = 0) -> EvalRecord:
+    """Score fixed predictions (labels in {-1,+1}) against the test pool."""
+    cells, sizes, totals = _group_cells(test, r_tr, r_ts)
+    correct = _column_counts((preds == test.labels)[:, None], cells)[0]
+    return _record(model_id, epoch, correct, sizes, totals, r_tr, r_ts)
+
+
+def _predict_chunk(features: np.ndarray, chunk: list[ModelRecord]) -> np.ndarray:
+    """``(rows x len(chunk))`` bool block, True where w . x + b >= 0: one GEMM."""
+    weights = np.stack([r.weights for r in chunk], axis=1)
+    return features @ weights + np.array([r.bias for r in chunk]) >= 0.0
+
+
+def evaluate_snapshots(records: list[ModelRecord], test: Dataset,
+                       r_tr: tuple[float, ...], r_ts: tuple[float, ...]
+                       ) -> tuple[list[EvalRecord], list[tuple[str, str]]]:
+    """Score every record against the test pool: its EvalRecord and its
+    ``(model_id, predictions_bits)`` row, in record order.
+
+    Records sharing one weights array and bias (full-batch copies across
+    seeds) are predicted once.  The distinct snapshots are predicted
+    ``_CHUNK`` at a time, one pool GEMM per chunk.
+    """
+    cells, sizes, totals = _group_cells(test, r_tr, r_ts)
+    column: dict[tuple[int, float], int] = {}
+    distinct: list[ModelRecord] = []
+    for r in records:
+        key = (id(r.weights), r.bias)
+        if key not in column:
+            if r.weights.shape[0] != test.features.shape[1]:
+                raise DimensionMismatchError(
+                    f"model {r.model_id} has {r.weights.shape[0]} weights, "
+                    f"data has {test.features.shape[1]} features")
+            column[key] = len(distinct)
+            distinct.append(r)
+
+    positive = test.labels == 1
+    counts: list[tuple[int, ...]] = []
+    bits: list[str] = []
+    for start in range(0, len(distinct), _CHUNK):
+        ones = _predict_chunk(test.features, distinct[start:start + _CHUNK])
+        counts += _column_counts(ones == positive[:, None], cells)
+        codes = ones.T.astype(np.uint8, order="C") + ord("0")
+        bits += [row.tobytes().decode("ascii") for row in codes]
+
+    evals, pred_rows = [], []
+    for r in records:
+        j = column[(id(r.weights), r.bias)]
+        evals.append(_record(r.model_id, r.epoch, counts[j], sizes, totals, r_tr, r_ts))
+        pred_rows.append((r.model_id, bits[j]))
+    return evals, pred_rows
 
 
 def evaluate(model: ModelRecord, test: Dataset, r_tr: tuple[float, ...],

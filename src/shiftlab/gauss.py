@@ -1,7 +1,8 @@
 """Standard normal CDF and quantile from arithmetic and libm's ``exp`` alone, so
 results are identical on one machine.  The array CDF calls libm's ``exp`` per
 element (numpy's SIMD ``np.exp`` can differ in the last bit), so it equals the
-scalar CDF bit for bit.
+scalar CDF bit for bit, and the array quantile, which bisects with it, equals
+the scalar quantile bit for bit.
 
 The CDF uses the Zelen & Severo rational approximation (Abramowitz & Stegun
 26.2.17), whose absolute error is below 7.5e-8.  The quantile is a bisection
@@ -71,3 +72,26 @@ def normal_quantile(p: float) -> float:
     if p > 0.5:
         return _quantile_upper(p)
     return -_quantile_upper(1.0 - p)
+
+
+def normal_quantile_array(p: np.ndarray) -> np.ndarray:
+    """``normal_quantile`` of each element of a 1-D array, all in (0, 1): one
+    bisection over the array, in which an element freezes once its midpoint
+    no longer splits its bracket."""
+    p = np.asarray(p, dtype=np.float64)
+    if not np.all((p > 0.0) & (p < 1.0)):
+        raise ValueError("quantile requires every p in (0, 1)")
+    upper = p > 0.5
+    q = np.where(upper, p, 1.0 - p)
+    lo, hi = np.zeros(p.size), np.full(p.size, 13.0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        live = np.flatnonzero((mid != lo) & (mid != hi))
+        if live.size == 0:
+            break
+        m = mid[live]
+        below = normal_cdf_array(m) < q[live]
+        lo[live[below]] = m[below]
+        hi[live[~below]] = m[~below]
+    x = 0.5 * (lo + hi)
+    return np.where(p == 0.5, 0.0, np.where(upper, x, -x))

@@ -95,21 +95,7 @@ def run_sweep_pipeline(config: ExperimentConfig, write_files: bool = True) -> Sw
     if not result.records:
         raise trainer.DivergenceError(0, "every grid cell diverged")
 
-    # Full-batch copies of one snapshot share a weights array (and its bias),
-    # so each distinct snapshot is predicted and encoded once; its labels are
-    # kept as int8, one byte per pool row.
-    evals = []
-    pred_rows = []
-    seen: dict[tuple[int, float], tuple[np.ndarray, str]] = {}
-    for record in result.records:
-        key = (id(record.weights), record.bias)
-        if key not in seen:
-            preds = record.predict(ood_pool.features)
-            seen[key] = preds.astype(np.int8), evaluator.predictions_bits(preds)
-        preds, bits = seen[key]
-        evals.append(evaluator.evaluate_predictions(
-            record.model_id, preds, ood_pool, r_tr, r_ts, epoch=record.epoch))
-        pred_rows.append((record.model_id, bits))
+    evals, pred_rows = evaluator.evaluate_snapshots(result.records, ood_pool, r_tr, r_ts)
 
     points = _moon_points(spec, evals)
     report = analysis.fit_curves(points, probit_eps=config.analysis.probit_eps,
@@ -137,6 +123,9 @@ def run_sweep_pipeline(config: ExperimentConfig, write_files: bool = True) -> Sw
                 lines.append(f"{cell},{format_sig(hp.learning_rate)},{format_sig(hp.l2)},"
                              f"{hp.batch_size},{hp.seed},{msg}")
             _atomic_text(out_dir / "failures.csv", "\n".join(lines) + "\n")
+        else:
+            # A previous run's failures.csv names cells this run did not fail.
+            (out_dir / "failures.csv").unlink(missing_ok=True)
 
     return SweepOutputs(config=config, records=result.records, evals=evals,
                         report=report, points=points, out_dir=out_dir)

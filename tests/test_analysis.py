@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import make_smoothing_spline
 
-from shiftlab.analysis import (CurveReport, SmoothingSpline,
+from shiftlab.analysis import (CurveReport, SmoothingSpline, _probit_clamped,
                                compare_nonlinearity, dump_json, fit_curves,
                                load_json, probit, smooth_spline, write_report)
 from shiftlab.errors import AnalysisError
@@ -42,6 +42,20 @@ def test_probit_monotone():
 def test_probit_rejects_bad_eps():
     with pytest.raises(AnalysisError):
         probit(0.5, eps=0.6)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.25])
+def test_probit_clamped_array_equals_scalar(eps):
+    edges = [0.0, 1.0, 0.5, eps, 1.0 - eps, np.nextafter(eps, 0), np.nextafter(eps, 1),
+             np.nextafter(1.0 - eps, 0), np.nextafter(1.0 - eps, 1),
+             np.nextafter(0.5, 0), np.nextafter(0.5, 1), 0.5 - 1e-12, 0.5 + 1e-12]
+    values = np.concatenate([edges, np.random.default_rng(6).random(10_000)])
+    got, clamped = _probit_clamped(values, eps)
+    ref = np.array([probit(float(v), eps) for v in values])
+    assert got.tobytes() == ref.tobytes()
+    assert clamped == int(np.sum((values < eps) | (values > 1.0 - eps)))
+    with pytest.raises(AnalysisError):
+        _probit_clamped(values, 0.6)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,19 @@ def test_sweep_and_plot_and_analyze(tmp_path, capsys):
     assert (out_dir / "report.json").exists()
 
 
+def test_clean_sweep_removes_stale_failures_csv(tmp_path):
+    # The ridge term multiplies the weights by about -lr * l2 <= -1e197 a step,
+    # so every l2=1e200 cell overflows to inf in its first epochs.
+    failing = TINY_SHIFT.replace("l2s=0\n", "l2s=0,1e200\n")
+    cfg, out_dir = write_config(tmp_path, failing)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert "1e+200" in (out_dir / "failures.csv").read_text()
+    cfg, _ = write_config(tmp_path, TINY_SHIFT, out=out_dir)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert not (out_dir / "failures.csv").exists()
+    assert (out_dir / "results.csv").exists()
+
+
 def test_gen_data(tmp_path):
     cfg, out_dir = write_config(tmp_path)
     assert main(["gen-data", "--config", str(cfg)]) == 0

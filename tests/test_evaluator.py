@@ -8,7 +8,8 @@ from shiftlab.datagen import Dataset, ShiftSpec, generate
 from shiftlab.errors import DimensionMismatchError, EmptyGroupError, InvalidSpecError
 from shiftlab.evaluator import (agreement, agreement_by_group,
                                 bits_to_predictions, evaluate,
-                                evaluate_predictions, model_mixture,
+                                evaluate_predictions, evaluate_snapshots,
+                                model_mixture,
                                 predictions_bits, read_preds_csv,
                                 read_results_csv, write_preds_csv,
                                 write_results_csv)
@@ -92,6 +93,90 @@ def test_weights_validated():
     pool = make_pool([1, -1, 1, -1], [0, 0, 1, 1])
     with pytest.raises(InvalidSpecError):
         evaluate_predictions("m", np.ones(4, dtype=np.int64), pool, (0.5, 0.4), (0.5, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# Snapshot matrix evaluation
+# ---------------------------------------------------------------------------
+
+def integer_pool(k, n=400, d=6, seed=0):
+    """Small-integer features, so every decision value is exact in GEMM and GEMV
+    alike and ties at 0 occur; the last group has no positive rows."""
+    rng = np.random.default_rng(seed)
+    groups = np.arange(n) % k
+    labels = rng.choice([-1, 1], size=n)
+    labels[groups == k - 1] = -1
+    return Dataset(features=rng.integers(-2, 3, size=(n, d)).astype(float),
+                   labels=labels, groups=groups, split="ood_test", k_groups=k)
+
+
+def integer_snapshots(n_distinct, d=6, seed=1):
+    """``n_distinct`` weights/bias pairs; every other one is shared by two
+    records, as full-batch copies across seeds are, and every third array
+    is reused once more under another bias, which makes a distinct snapshot."""
+    rng = np.random.default_rng(seed)
+    records, distinct = [], 0
+    while distinct < n_distinct:
+        w = rng.integers(-3, 4, size=d).astype(float)
+        biases = [float(rng.integers(-1, 2))]
+        if distinct % 3 == 2 and distinct + 1 < n_distinct:
+            biases.append(biases[0] + 0.5)
+        for bias in biases:
+            for copy in range(1 + distinct % 2):
+                records.append(ModelRecord(model_id=f"m{distinct:03d}c{copy}", weights=w,
+                                           bias=bias, epoch=distinct, train_loss=0.0))
+            distinct += 1
+    return records
+
+
+def assert_matches_per_record(records, pool, r_tr, r_ts):
+    evals, rows = evaluate_snapshots(records, pool, r_tr, r_ts)
+    assert len(evals) == len(rows) == len(records)
+    for r, ev, (model_id, bits) in zip(records, evals, rows):
+        preds = r.predict(pool.features)
+        ref = evaluate_predictions(r.model_id, preds, pool, r_tr, r_ts, epoch=r.epoch)
+        # repr spells every float exactly, and also equates the nan of an
+        # empty cell, which == on two separately made nans does not.
+        assert ev == ref or repr(ev) == repr(ref)
+        assert model_id == r.model_id
+        assert bits.encode() == predictions_bits(preds).encode()
+    return evals
+
+
+@pytest.mark.parametrize("n_distinct", [1, 15, 16, 17, 33])
+@pytest.mark.parametrize("k", [2, 4])
+def test_evaluate_snapshots_equals_per_record_reference(n_distinct, k):
+    pool = integer_pool(k)
+    records = integer_snapshots(n_distinct)
+    assert len({(id(r.weights), r.bias) for r in records}) == n_distinct
+    weights = tuple([1.0 / k] * k)
+    evals = assert_matches_per_record(records, pool, weights, (0.5, 0.5) + (0.0,) * (k - 2))
+    assert all(np.isnan(ev.tpr[k - 1]) for ev in evals)
+
+
+def test_evaluate_snapshots_on_a_trained_sweep(gaussian_pool):
+    spec = ShiftSpec(d_core=2, d_spu=1, sigma_core=1.0, sigma_spu=1.0,
+                     n_train=300, p_maj=0.9, n_ood_test=100, master_seed=4)
+    grid = default_grid(master_seed=4, n_seeds=2, learning_rates=(1e-2, 1e-1),
+                        l2s=(0.0,), snapshot_epochs=(1, 3))
+    records = sweep(generate(spec, "train"), grid).records
+    assert len({id(r.weights) for r in records}) < len(records)
+    assert_matches_per_record(records, gaussian_pool, spec.train_weights(), spec.ood_weights())
+
+
+def test_evaluate_snapshots_errors():
+    pool = integer_pool(2)
+    records = integer_snapshots(3)
+    empty = Dataset(features=pool.features, labels=pool.labels, groups=pool.groups,
+                    split="ood_test", k_groups=3)
+    with pytest.raises(EmptyGroupError):
+        evaluate_snapshots(records, empty, (0.5, 0.25, 0.25), (0.5, 0.25, 0.25))
+    with pytest.raises(DimensionMismatchError):
+        evaluate_snapshots(records + integer_snapshots(1, d=5), pool, (0.5, 0.5), (0.5, 0.5))
+    with pytest.raises(InvalidSpecError):
+        evaluate_snapshots(records, pool, (0.5, 0.4), (0.5, 0.5))
+    with pytest.raises(InvalidSpecError):
+        evaluate_snapshots(records, pool, (1.0,), (0.5, 0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from shiftlab import evaluator, trainer
+from shiftlab import evaluator
 from shiftlab.analysis import load_json
 from shiftlab.config import AnalysisOptions, ExperimentConfig, GridSpec
 from shiftlab.datagen import ShiftSpec, generate, read_dataset_csv
@@ -73,21 +73,22 @@ def test_results_row_order_matches_model_ids(sweep_out):
 
 def test_sweep_predicts_each_distinct_snapshot_once(tmp_path, monkeypatch):
     config = tiny_config(tmp_path)
-    calls = []
-    predict = trainer.ModelRecord.predict
+    columns = []
+    predict_chunk = evaluator._predict_chunk
 
-    def counted(self, features):
-        calls.append(id(self.weights))
-        return predict(self, features)
+    def counted(features, chunk):
+        columns.append([id(r.weights) for r in chunk])
+        return predict_chunk(features, chunk)
 
-    monkeypatch.setattr(trainer.ModelRecord, "predict", counted)
+    monkeypatch.setattr(evaluator, "_predict_chunk", counted)
     out = run_sweep_pipeline(config)
     distinct = {id(r.weights) for r in out.records}
     # two seeds of the full-batch cells share one weights array per snapshot
     assert len(distinct) < len(out.records)
-    assert sorted(calls) == sorted(distinct)
+    # one GEMM column per distinct weights array, at most _CHUNK per GEMM
+    assert sorted(i for chunk in columns for i in chunk) == sorted(distinct)
+    assert all(len(chunk) <= evaluator._CHUNK for chunk in columns)
 
-    monkeypatch.setattr(trainer.ModelRecord, "predict", predict)
     pool = generate(config.shift, "ood_test")
     r_tr, r_ts = config.shift.train_weights(), config.shift.ood_weights()
     ref = tmp_path / "ref"

@@ -1,10 +1,13 @@
+import csv
+
 import numpy as np
 import pytest
 
 from shiftlab.analysis import fit_curves
+from shiftlab.datagen import format_sig
 from shiftlab.errors import DegeneratePopulationError, EmptyGroupError, InvalidSpecError
 from shiftlab.gauss import normal_cdf
-from shiftlab.theory import (PopulationSpec, ScoreModel, accuracy_gap,
+from shiftlab.theory import (PopulationSpec, RocPoint, ScoreModel, accuracy_gap,
                              gap_summary, monte_carlo_gap, moon_arm,
                              roc_traverse, subpop_accuracy, write_traversal_csv)
 
@@ -200,6 +203,20 @@ def test_traversal_csv_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "threshold,tnr,tpr,maj_acc,min_acc,gap"
     assert len(lines) == 12
+
+
+def test_traversal_csv_matches_csv_writer(tmp_path):
+    points = roc_traverse(EXAMPLE_POP, ScoreModel(), n_thresholds=101)
+    points += [RocPoint(float("nan"), float("inf"), -float("inf"), -0.0, 1e-300,
+                        123456789012.345678)]
+    write_traversal_csv(points, tmp_path / "roc.csv")
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["threshold", "tnr", "tpr", "maj_acc", "min_acc", "gap"])
+        writer.writerows([format_sig(v) for v in vars(p).values()] for p in points)
+    assert (tmp_path / "roc.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    write_traversal_csv([], tmp_path / "empty.csv")
+    assert (tmp_path / "empty.csv").read_text() == "threshold,tnr,tpr,maj_acc,min_acc,gap\n"
 
 
 # ---------------------------------------------------------------------------
