@@ -237,6 +237,10 @@ def generate(spec: ShiftSpec, split: str = "train") -> Dataset:
     Rows are laid out group-major (positives before negatives within each
     group); feature noise for row ``i`` comes from its own counter-based
     stream, so the layout and the noise are independent of each other.
+    The feature matrix is allocated once and filled ``_GEN_BLOCK_ROWS`` rows
+    at a time, so memory stays at about the finished dataset plus one block;
+    since every row has its own stream, the bytes do not depend on the block
+    size.
     """
     spec.validate()
     if split not in SPLITS:
@@ -264,13 +268,29 @@ def generate(spec: ShiftSpec, split: str = "train") -> Dataset:
                 attr[sl] = a_values[g]
             pos += block
 
-    streams = row_streams(spec.master_seed, _SPLIT_SCOPE[split], n)
-    noise = stream_normals(streams, spec.d_total)
-    features = np.empty((n, spec.d_total))
-    features[:, : spec.d_core] = labels[:, None] + spec.sigma_core * noise[:, : spec.d_core]
-    features[:, spec.d_core:] = attr[:, None] + spec.sigma_spu * noise[:, spec.d_core:]
+    features = _draw_features(spec, split, labels, attr)
     return Dataset(features=features, labels=labels, groups=groups, split=split,
                    k_groups=spec.k_groups)
+
+
+# Rows drawn per block: bounds generate's temporaries (about five block-sized
+# uint64/float64 arrays) to under 1 MB at 150 features.
+_GEN_BLOCK_ROWS = 128
+
+
+def _draw_features(spec: ShiftSpec, split: str, labels: np.ndarray,
+                   attr: np.ndarray) -> np.ndarray:
+    """Feature rows ``label + sigma_core * noise`` and ``attr + sigma_spu * noise``,
+    drawn ``_GEN_BLOCK_ROWS`` rows at a time straight into the result."""
+    dc = spec.d_core
+    streams = row_streams(spec.master_seed, _SPLIT_SCOPE[split], labels.shape[0])
+    features = np.empty((labels.shape[0], spec.d_total))
+    for start in range(0, labels.shape[0], _GEN_BLOCK_ROWS):
+        sl = slice(start, start + _GEN_BLOCK_ROWS)
+        noise = stream_normals(streams[sl], spec.d_total)
+        features[sl, :dc] = labels[sl, None] + spec.sigma_core * noise[:, :dc]
+        features[sl, dc:] = attr[sl, None] + spec.sigma_spu * noise[:, dc:]
+    return features
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +496,10 @@ def read_dataset_csv(path: str | Path, split: str = "train") -> Dataset:
     """Parse a ``write_dataset_csv`` file back into a Dataset.
 
     Each feature is the double its ``%.9g`` text denotes, so the round trip is
-    exact.  A bad header, a ragged row, a non-numeric field or a non-integer
-    label or group raises InvalidSpecError naming ``path``.
+    exact; the features are a read-only view of the parsed block.  A bad
+    header, a ragged row, a non-numeric field, a non-integer label or group,
+    a label outside {-1, +1} or a negative group raises InvalidSpecError
+    naming ``path``.
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
@@ -499,9 +521,13 @@ def read_dataset_csv(path: str | Path, split: str = "train") -> Dataset:
     groups = body[:, 1].astype(np.int64)
     if not (np.array_equal(labels, body[:, 0]) and np.array_equal(groups, body[:, 1])):
         raise InvalidSpecError(f"malformed dataset CSV {path}: non-integer label or group")
+    if not np.all(np.abs(labels) == 1):
+        raise InvalidSpecError(f"malformed dataset CSV {path}: a label outside {{-1, +1}}")
+    if np.any(groups < 0):
+        raise InvalidSpecError(f"malformed dataset CSV {path}: a negative group")
     n = body.shape[0]
     k = int(groups.max()) + 1 if n else 2
-    return Dataset(features=body[:, 2:].copy(), labels=labels, groups=groups,
+    return Dataset(features=body[:, 2:], labels=labels, groups=groups,
                    split=split, k_groups=max(k, 2))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import analysis, datagen, evaluator, svg, trainer
 from .config import AnalysisOptions, ExperimentConfig
 from .datagen import Dataset, ShiftSpec, format_sig, mixture_table
-from .errors import ConfigError, MissingInputsError
+from .errors import ConfigError, InvalidSpecError, MissingInputsError
 from .rng import derive_stream
 
 SWEEP_ARTIFACTS = ("train.csv", "ood_test.csv", "models.csv", "weights.csv",
@@ -270,6 +270,11 @@ def run_agreement_pipeline(config: ExperimentConfig, n_pairs: int | None = None,
     results = evaluator.read_results_csv(out_dir / "results.csv", ("model_id",))
     model_ids = [r["model_id"] for r in results]
     pool = datagen.read_dataset_csv(out_dir / "ood_test.csv", split="ood_test")
+    expected = [c for cell in config.shift.group_label_counts("ood_test") for c in cell]
+    found = np.bincount(2 * pool.groups + (pool.labels < 0), minlength=len(expected))
+    if found.tolist() != expected:
+        raise InvalidSpecError(f"{out_dir / 'ood_test.csv'}: (positive, negative) rows per "
+                               f"group {found.tolist()} differ from the config's {expected}")
     ones = evaluator.read_preds_matrix(out_dir / "preds.csv", model_ids, pool.n_rows)
     masks, w_id, w_ood = overlay_cells(config.shift, pool)
 

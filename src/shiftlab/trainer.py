@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import Dataset, ShiftSpec, format_sig
+from .datagen import Dataset, ShiftSpec
 from .errors import DimensionMismatchError, DivergenceError, InvalidSpecError
 from .rng import derive_stream
 
@@ -279,21 +279,24 @@ def oracle_classifier(spec: ShiftSpec, mode: str = "core-only") -> ModelRecord:
 
 def write_model_store(records: list[ModelRecord], models_path: str | Path,
                       weights_path: str | Path) -> None:
+    """``models.csv`` (hyperparameters) and ``weights.csv`` (bias, weights),
+    one write each, every float at ``format_sig``'s 12 digits (``%.12g``).
+    A model ID that ``csv.writer`` would quote raises InvalidSpecError."""
+    for r in records:
+        if any(c in r.model_id for c in ',"\r\n'):
+            raise InvalidSpecError(f"model ID {r.model_id!r} cannot be written to "
+                                   f"{models_path} unquoted")
+    models = tuple(v for r in records for v in (
+        r.model_id, r.hyperparams.learning_rate, r.hyperparams.l2, r.hyperparams.batch_size,
+        r.epoch, r.hyperparams.seed, r.train_loss))
     with open(models_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model_id", "lr", "l2", "batch_size", "epoch", "seed", "train_loss"])
-        for r in records:
-            hp = r.hyperparams
-            writer.writerow([
-                r.model_id, format_sig(hp.learning_rate), format_sig(hp.l2),
-                hp.batch_size, r.epoch, hp.seed, format_sig(r.train_loss)])
+        fh.write("model_id,lr,l2,batch_size,epoch,seed,train_loss\n"
+                 + "%s,%.12g,%.12g,%s,%s,%s,%.12g\n" * len(records) % models)
+    d = records[0].weights.shape[0] if records else 0
+    weights = tuple(v for r in records for v in (r.model_id, r.bias, *r.weights.tolist()))
     with open(weights_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        d = records[0].weights.shape[0] if records else 0
-        writer.writerow(["model_id", "b"] + [f"w{j}" for j in range(d)])
-        for r in records:
-            writer.writerow([r.model_id, format_sig(r.bias)]
-                            + [format_sig(v) for v in r.weights])
+        fh.write(",".join(["model_id", "b"] + [f"w{j}" for j in range(d)]) + "\n"
+                 + ("%s" + ",%.12g" * (d + 1) + "\n") * len(records) % weights)
 
 
 def read_model_store(models_path: str | Path, weights_path: str | Path) -> list[ModelRecord]:

@@ -180,6 +180,38 @@ def test_agreement_on_corrupted_pool_is_generation_error(tmp_path, capsys):
     assert main(["agreement", "--config", str(cfg)]) == 2
 
 
+def _with(row, y=None, z=None):
+    """A dataset CSV row with its label and/or group replaced."""
+    old_y, old_z, features = row.split(",", 2)
+    return f"{old_y if y is None else y},{old_z if z is None else z},{features}"
+
+
+def _every_group_one(rows):
+    return [_with(r, z=1) for r in rows]
+
+
+def _label_7_and_group_9(rows):
+    return [_with(rows[0], y=7), *rows[1:-1], _with(rows[-1], z=9)]
+
+
+def _group_9(rows):
+    return [_with(rows[0], z=9), *rows[1:]]
+
+
+@pytest.mark.parametrize("fault", [_every_group_one, _label_7_and_group_9, _group_9])
+def test_agreement_on_pool_off_the_config_counts_is_generation_error(tmp_path, capsys, fault):
+    cfg, out_dir = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    pool = out_dir / "ood_test.csv"
+    header, *rows = pool.read_text().splitlines()
+    pool.write_text("\n".join([header, *fault(rows)]) + "\n")
+    capsys.readouterr()
+    assert main(["agreement", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "ood_test.csv" in err and "Traceback" not in err
+    assert not (out_dir / "agreement.csv").exists()
+
+
 def _short_bits(row):
     return row[:-1]
 

@@ -1,6 +1,7 @@
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -14,6 +15,7 @@ from shiftlab.datagen import (Dataset, ShiftSpec, generate,
                               spec_from_table, write_dataset_csv, write_spec_file)
 from shiftlab.errors import (DegenerateDimensionError, InfeasibleMarginalsError,
                              InvalidSpecError)
+from shiftlab.rng import row_streams, stream_normals
 
 
 def majority_spec(**kw) -> ShiftSpec:
@@ -199,6 +201,61 @@ def test_dataset_arrays_immutable():
     ds = generate(majority_spec(n_train=100), "train")
     with pytest.raises(ValueError):
         ds.features[0, 0] = 5.0
+
+
+def _one_shot_features(spec, split, labels, attr):
+    """Reference: the whole noise matrix in one draw, then both affine blocks."""
+    streams = row_streams(spec.master_seed, datagen._SPLIT_SCOPE[split], labels.shape[0])
+    noise = stream_normals(streams, spec.d_total)
+    features = np.empty((labels.shape[0], spec.d_total))
+    features[:, : spec.d_core] = labels[:, None] + spec.sigma_core * noise[:, : spec.d_core]
+    features[:, spec.d_core:] = attr[:, None] + spec.sigma_spu * noise[:, spec.d_core:]
+    return features
+
+
+def _attributes(spec, ds):
+    if spec.mode == "majority":
+        return np.where(ds.groups == 1, ds.labels, -ds.labels).astype(float)
+    if spec.mode == "attribute":
+        return 2.0 * ds.groups - 1.0
+    return np.array(spec.attribute_values())[ds.groups]
+
+
+_B = datagen._GEN_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 3])
+@pytest.mark.parametrize("d_spu", [3, 4])
+@pytest.mark.parametrize("make", [
+    majority_spec, attribute_spec,
+    lambda **kw: majority_spec(k_groups=3, p_maj=None, r_tr=(0.5, 0.3, 0.2), **kw),
+], ids=["majority", "attribute", "kgroup"])
+def test_blocked_generation_matches_one_shot_draw(n, d_spu, make):
+    spec = make(d_core=5, d_spu=d_spu, n_train=max(n, 1), n_ood_test=max(n, 1))
+    for split in ("train", "ood_test"):
+        if n == 0:  # no valid spec has an empty split: call the block loop itself
+            labels, attr = np.empty(0, np.int64), np.empty(0)
+            got = datagen._draw_features(spec, split, labels, attr)
+        else:
+            ds = generate(spec, split)
+            assert ds.n_rows == n
+            labels, attr, got = ds.labels, _attributes(spec, ds), ds.features
+        want = _one_shot_features(spec, split, labels, attr)
+        assert got.shape == (n, spec.d_total)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_generation_memory_is_the_dataset_plus_one_block():
+    spec = majority_spec(d_core=100, d_spu=50, n_train=5000)
+    generate(spec, "train")
+    tracemalloc.start()
+    try:
+        ds = generate(spec, "train")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.features.shape == (5000, 150)
+    assert peak <= 1.2 * ds.features.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +552,8 @@ def test_dataset_csv_round_trip_tiny(tmp_path, n_rows):
     "1,0,0.5,abc\n",                     # non-numeric field
     "1,0,0.5,0.25,0.125\n",              # more fields than the header
     "1.5,0,0.5,0.25\n",                  # non-integer label
+    "1,0,0.5,0.25\n7,0,0.5,0.25\n",      # label outside {-1, +1}
+    "1,0,0.5,0.25\n-1,-1,0.5,0.25\n",    # negative group
 ])
 def test_malformed_dataset_csv_names_path(tmp_path, body):
     path = tmp_path / "bad.csv"

@@ -1,10 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
 
-from shiftlab.datagen import ShiftSpec, generate
+from shiftlab.datagen import ShiftSpec, format_sig, generate
 from shiftlab.errors import DivergenceError, InvalidSpecError
 from shiftlab.gauss import normal_cdf
-from shiftlab.trainer import (FULL_BATCH, HyperParams, default_grid,
+from shiftlab.trainer import (FULL_BATCH, HyperParams, ModelRecord, default_grid,
                               gradient_lipschitz_bound, mean_logistic_loss,
                               oracle_classifier, read_model_store, sweep, train,
                               write_model_store)
@@ -243,6 +245,51 @@ def test_model_store_round_trip(tmp_path, train_set):
     write_model_store(back, mp2, wp2)
     assert mp.read_bytes() == mp2.read_bytes()
     assert wp.read_bytes() == wp2.read_bytes()
+
+
+def _csv_writer_model_store(records, models_path, weights_path):
+    """Reference: one ``csv.writer`` row per record, every float through format_sig."""
+    with open(models_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["model_id", "lr", "l2", "batch_size", "epoch", "seed", "train_loss"])
+        for r in records:
+            hp = r.hyperparams
+            writer.writerow([r.model_id, format_sig(hp.learning_rate), format_sig(hp.l2),
+                             hp.batch_size, r.epoch, hp.seed, format_sig(r.train_loss)])
+    with open(weights_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        d = records[0].weights.shape[0] if records else 0
+        writer.writerow(["model_id", "b"] + [f"w{j}" for j in range(d)])
+        for r in records:
+            writer.writerow([r.model_id, format_sig(r.bias)] + [format_sig(v) for v in r.weights])
+
+
+@pytest.mark.parametrize("trained", [False, True])
+def test_model_store_bytes_match_csv_writer(tmp_path, train_set, trained):
+    records = []
+    if trained:
+        grid = default_grid(master_seed=5, n_seeds=2, learning_rates=(1e-2, 0.1),
+                            l2s=(0.0, 1e-3), batch_sizes=(FULL_BATCH, 16),
+                            snapshot_epochs=(1, 2))
+        records = sweep(train_set, grid).records
+        edge = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324, 1e16, 123456789012.5])
+        w = np.resize(edge, records[0].weights.shape)
+        records.append(ModelRecord(model_id="edge", weights=w, bias=-0.0, epoch=3,
+                                   train_loss=float("nan"), hyperparams=HyperParams(1e-7, l2=2.5e-9)))
+    write_model_store(records, tmp_path / "m.csv", tmp_path / "w.csv")
+    _csv_writer_model_store(records, tmp_path / "m_ref.csv", tmp_path / "w_ref.csv")
+    assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "m_ref.csv").read_bytes()
+    assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "w_ref.csv").read_bytes()
+
+
+def test_model_store_rejects_ids_csv_would_quote(tmp_path, train_set):
+    record = train(train_set, HyperParams(1e-2, snapshot_epochs=(1,), max_epochs=1))[0]
+    for mid in ("a,b", 'a"b', "a\nb"):
+        bad = ModelRecord(model_id=mid, weights=record.weights, bias=record.bias,
+                          epoch=1, train_loss=record.train_loss,
+                          hyperparams=record.hyperparams)
+        with pytest.raises(InvalidSpecError, match="unquoted"):
+            write_model_store([bad], tmp_path / "m.csv", tmp_path / "w.csv")
 
 
 # ---------------------------------------------------------------------------
