@@ -30,6 +30,7 @@ deterministic and order-independent.
 from __future__ import annotations
 
 import re
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -492,6 +493,32 @@ def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
             fh.write(text)
 
 
+def _header_width(header: str, path: str | Path) -> int:
+    """Feature count named by a dataset CSV header; InvalidSpecError naming
+    ``path`` unless it starts ``y,z``."""
+    fields = header.rstrip("\n").split(",")
+    if fields[:2] != ["y", "z"]:
+        raise InvalidSpecError(f"unexpected dataset header in {path}")
+    return len(fields) - 2
+
+
+def _labels_and_groups(path: str | Path, y: np.ndarray,
+                       z: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Integer labels, groups and group count from parsed ``y``/``z`` columns;
+    InvalidSpecError naming ``path`` on a non-integer value, a label outside
+    {-1, +1} or a negative group."""
+    labels = y.astype(np.int64)
+    groups = z.astype(np.int64)
+    if not (np.array_equal(labels, y) and np.array_equal(groups, z)):
+        raise InvalidSpecError(f"malformed dataset CSV {path}: non-integer label or group")
+    if not np.all(np.abs(labels) == 1):
+        raise InvalidSpecError(f"malformed dataset CSV {path}: a label outside {{-1, +1}}")
+    if np.any(groups < 0):
+        raise InvalidSpecError(f"malformed dataset CSV {path}: a negative group")
+    k = int(groups.max()) + 1 if groups.size else 2
+    return labels, groups, max(k, 2)
+
+
 def read_dataset_csv(path: str | Path, split: str = "train") -> Dataset:
     """Parse a ``write_dataset_csv`` file back into a Dataset.
 
@@ -502,10 +529,7 @@ def read_dataset_csv(path: str | Path, split: str = "train") -> Dataset:
     naming ``path``.
     """
     with open(path) as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if header[:2] != ["y", "z"]:
-            raise InvalidSpecError(f"unexpected dataset header in {path}")
-        d = len(header) - 2
+        d = _header_width(fh.readline(), path)
         body_start = fh.tell()
         empty = not fh.readline()
         fh.seek(body_start)
@@ -517,18 +541,39 @@ def read_dataset_csv(path: str | Path, split: str = "train") -> Dataset:
     if body.shape[1] != d + 2:
         raise InvalidSpecError(f"malformed dataset CSV {path}: rows have "
                                f"{body.shape[1]} fields, the header names {d + 2}")
-    labels = body[:, 0].astype(np.int64)
-    groups = body[:, 1].astype(np.int64)
-    if not (np.array_equal(labels, body[:, 0]) and np.array_equal(groups, body[:, 1])):
-        raise InvalidSpecError(f"malformed dataset CSV {path}: non-integer label or group")
-    if not np.all(np.abs(labels) == 1):
-        raise InvalidSpecError(f"malformed dataset CSV {path}: a label outside {{-1, +1}}")
-    if np.any(groups < 0):
-        raise InvalidSpecError(f"malformed dataset CSV {path}: a negative group")
-    n = body.shape[0]
-    k = int(groups.max()) + 1 if n else 2
+    labels, groups, k = _labels_and_groups(path, body[:, 0], body[:, 1])
     return Dataset(features=body[:, 2:], labels=labels, groups=groups,
-                   split=split, k_groups=max(k, 2))
+                   split=split, k_groups=k)
+
+
+def read_dataset_labels(path: str | Path, split: str = "train") -> tuple[Dataset, int]:
+    """Labels and groups of a ``write_dataset_csv`` file, and the CRC-32
+    (``zlib.crc32``) of all its bytes.
+
+    The file is streamed once, a line at a time; each line updates the CRC
+    and only its ``y`` and ``z`` fields are parsed, so the Dataset has
+    zero-width features.  The header, label and group checks are those of
+    ``read_dataset_csv``; the feature fields are not checked, which is left
+    to the caller's CRC comparison.
+    """
+    ys, zs = [], []
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        crc = zlib.crc32(header)
+        _header_width(header.decode("ascii", "replace"), path)
+        for line in fh:
+            crc = zlib.crc32(line, crc)
+            fields = line.split(b",", 2)
+            ys.append(fields[0])
+            zs.append(fields[1] if len(fields) > 1 else b"")
+    try:
+        y = np.array(ys, dtype=bytes).astype(np.float64)
+        z = np.array(zs, dtype=bytes).astype(np.float64)
+    except ValueError as exc:
+        raise InvalidSpecError(f"malformed dataset CSV {path}: {exc}") from exc
+    labels, groups, k = _labels_and_groups(path, y, z)
+    return Dataset(features=np.empty((labels.size, 0)), labels=labels, groups=groups,
+                   split=split, k_groups=k), crc
 
 
 _SPEC_INT_FIELDS = {"d_core", "d_spu", "n_train", "n_id_test", "n_ood_test",

@@ -292,14 +292,15 @@ def bits_to_predictions(bits: str) -> np.ndarray:
 
 
 def write_preds_csv(rows: list[tuple[str, str]], path: str | Path) -> None:
-    """``model_id,bits`` lines, as ``csv.writer`` would write them, in one
-    write; a model ID that it would quote (one holding ``,``, ``"``, CR or LF)
-    raises InvalidSpecError instead."""
+    """``model_id,bits`` lines, as ``csv.writer`` would write them, one write
+    per row; a model ID that it would quote (one holding ``,``, ``"``, CR or
+    LF) raises InvalidSpecError instead."""
     for mid, _ in rows:
         if any(c in mid for c in ',"\r\n'):
             raise InvalidSpecError(f"model ID {mid!r} cannot be written to {path} unquoted")
     with open(path, "w", newline="") as fh:
-        fh.write("".join(f"{mid},{bits}\n" for mid, bits in [("model_id", "bits"), *rows]))
+        for mid, bits in [("model_id", "bits"), *rows]:
+            fh.write(f"{mid},{bits}\n")
 
 
 def read_preds_csv(path: str | Path) -> dict[str, str]:

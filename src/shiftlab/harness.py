@@ -8,8 +8,10 @@ overwrite each file with identical bytes.
 
 from __future__ import annotations
 
+import json
 import os
 import warnings
+import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from .errors import ConfigError, InvalidSpecError, MissingInputsError
 from .rng import derive_stream
 
 SWEEP_ARTIFACTS = ("train.csv", "ood_test.csv", "models.csv", "weights.csv",
-                   "results.csv", "preds.csv", "report.json", "moon.svg")
+                   "results.csv", "preds.csv", "report.json", "moon.svg", "manifest.json")
 
 
 def _atomic(path: Path, writer) -> None:
@@ -38,6 +40,37 @@ def _atomic(path: Path, writer) -> None:
 
 def _atomic_text(path: Path, text: str) -> None:
     _atomic(path, lambda p: p.write_text(text))
+
+
+def _file_entry(path: Path) -> dict:
+    """Byte size and CRC-32 (``zlib.crc32``) of a file, read 1 MB at a time."""
+    size = crc = 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            size += len(chunk)
+            crc = zlib.crc32(chunk, crc)
+    return {"bytes": size, "crc32": crc}
+
+
+def _write_manifest(out_dir: Path, names: list[str]) -> None:
+    """``manifest.json``: each named file's size and CRC-32, in ``names`` order.
+
+    Written after the files it names, so a run that dies part-way leaves a
+    manifest that no longer matches them.
+    """
+    files = {name: _file_entry(out_dir / name) for name in names}
+    _atomic(out_dir / "manifest.json", lambda p: analysis.dump_json({"files": files}, p))
+
+
+def _manifest_entry(out_dir: Path, name: str) -> tuple[int, int]:
+    """(bytes, crc32) that ``manifest.json`` records for ``name``;
+    InvalidSpecError naming the manifest if it is not JSON or lacks the entry."""
+    path = out_dir / "manifest.json"
+    try:
+        entry = json.loads(path.read_text())["files"][name]
+        return int(entry["bytes"]), int(entry["crc32"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InvalidSpecError(f"{path}: no valid entry for {name} ({exc!r})") from exc
 
 
 def moon_axis_groups(spec: ShiftSpec) -> tuple[int, int]:
@@ -117,15 +150,18 @@ def run_sweep_pipeline(config: ExperimentConfig, write_files: bool = True) -> Sw
         style = svg.PlotStyle(title=f"model sweep ({len(evals)} snapshots)")
         _atomic_text(out_dir / "moon.svg", svg.render_scatter(
             [tuple(p) for p in points.tolist()], overlays, style))
+        written = [name for name in SWEEP_ARTIFACTS if name != "manifest.json"]
         if result.failures:
             lines = ["cell,lr,l2,batch_size,seed,error"]
             for cell, hp, msg in result.failures:
                 lines.append(f"{cell},{format_sig(hp.learning_rate)},{format_sig(hp.l2)},"
                              f"{hp.batch_size},{hp.seed},{msg}")
             _atomic_text(out_dir / "failures.csv", "\n".join(lines) + "\n")
+            written.append("failures.csv")
         else:
             # A previous run's failures.csv names cells this run did not fail.
             (out_dir / "failures.csv").unlink(missing_ok=True)
+        _write_manifest(out_dir, written)
 
     return SweepOutputs(config=config, records=result.records, evals=evals,
                         report=report, points=points, out_dir=out_dir)
@@ -263,17 +299,28 @@ def run_agreement_pipeline(config: ExperimentConfig, n_pairs: int | None = None,
         pair_seed = (opts.pair_seed if opts.pair_seed is not None
                      else derive_stream(config.shift.master_seed, 0x5052))
 
-    for name in ("results.csv", "preds.csv", "ood_test.csv"):
+    for name in ("results.csv", "preds.csv", "ood_test.csv", "manifest.json"):
         if not (out_dir / name).exists():
             raise MissingInputsError(f"{name} not found in {out_dir}; run the sweep first")
 
     results = evaluator.read_results_csv(out_dir / "results.csv", ("model_id",))
     model_ids = [r["model_id"] for r in results]
-    pool = datagen.read_dataset_csv(out_dir / "ood_test.csv", split="ood_test")
+    # preds.csv is row-aligned with the pool the sweep wrote, so the pool must
+    # be that file byte for byte: reordered or edited rows keep the counts.
+    pool_path = out_dir / "ood_test.csv"
+    size, crc = _manifest_entry(out_dir, "ood_test.csv")
+    found_size = pool_path.stat().st_size
+    if found_size != size:
+        raise InvalidSpecError(f"{pool_path}: {found_size} bytes differ from "
+                               f"{size} in the sweep's manifest.json")
+    pool, found_crc = datagen.read_dataset_labels(pool_path, split="ood_test")
+    if found_crc != crc:
+        raise InvalidSpecError(f"{pool_path}: CRC-32 {found_crc:08x} differs from "
+                               f"{crc:08x} in the sweep's manifest.json")
     expected = [c for cell in config.shift.group_label_counts("ood_test") for c in cell]
     found = np.bincount(2 * pool.groups + (pool.labels < 0), minlength=len(expected))
     if found.tolist() != expected:
-        raise InvalidSpecError(f"{out_dir / 'ood_test.csv'}: (positive, negative) rows per "
+        raise InvalidSpecError(f"{pool_path}: (positive, negative) rows per "
                                f"group {found.tolist()} differ from the config's {expected}")
     ones = evaluator.read_preds_matrix(out_dir / "preds.csv", model_ids, pool.n_rows)
     masks, w_id, w_ood = overlay_cells(config.shift, pool)

@@ -38,12 +38,15 @@ def derive_stream(*parts: int) -> int:
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
+    """SplitMix64 finalizer applied in place to a uint64 array; returns ``x``."""
+    t = x >> np.uint64(30)
+    x ^= t
     x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
+    np.right_shift(x, np.uint64(27), out=t)
+    x ^= t
     x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
+    np.right_shift(x, np.uint64(31), out=t)
+    x ^= t
     return x
 
 
@@ -57,7 +60,11 @@ def stream_uniforms(streams: np.ndarray, n_draws: int) -> np.ndarray:
     counters = (np.arange(1, n_draws + 1, dtype=np.uint64)) * _U64_GOLDEN
     raw = _mix64_array(streams[:, None] + counters[None, :])
     # Top 53 bits, shifted into (0, 1] so log() is always finite.
-    return ((raw >> np.uint64(11)).astype(np.float64) + 1.0) * _TWO_NEG53
+    raw >>= np.uint64(11)
+    u = raw.astype(np.float64)
+    u += 1.0
+    u *= _TWO_NEG53
+    return u
 
 
 def stream_normals(streams: np.ndarray, n_draws: int) -> np.ndarray:
@@ -65,17 +72,23 @@ def stream_normals(streams: np.ndarray, n_draws: int) -> np.ndarray:
 
     Consumes ``2*ceil(n_draws/2)`` uniforms per stream; the trailing variate
     of an odd request is discarded, so the first draws are unaffected by how
-    many are requested.
+    many are requested.  ``r = sqrt(-2 log u1)`` is formed in place and ``u``
+    is freed before the cos/sin products.
     """
     n_pairs = (n_draws + 1) // 2
     u = stream_uniforms(streams, 2 * n_pairs)
-    u1 = u[:, 0::2]
-    u2 = u[:, 1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = (2.0 * np.pi) * u2
-    out = np.empty((u.shape[0], 2 * n_pairs))
-    out[:, 0::2] = r * np.cos(theta)
-    out[:, 1::2] = r * np.sin(theta)
+    r = np.log(u[:, 0::2])
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = u[:, 1::2] * (2.0 * np.pi)
+    del u
+    out = np.empty((r.shape[0], 2 * n_pairs))
+    trig = np.cos(theta)
+    trig *= r
+    out[:, 0::2] = trig
+    np.sin(theta, out=trig)
+    trig *= r
+    out[:, 1::2] = trig
     return out[:, :n_draws]
 
 

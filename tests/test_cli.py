@@ -52,10 +52,12 @@ def test_clean_sweep_removes_stale_failures_csv(tmp_path):
     cfg, out_dir = write_config(tmp_path, failing)
     assert main(["sweep", "--config", str(cfg)]) == 0
     assert "1e+200" in (out_dir / "failures.csv").read_text()
+    assert "failures.csv" in json.loads((out_dir / "manifest.json").read_text())["files"]
     cfg, _ = write_config(tmp_path, TINY_SHIFT, out=out_dir)
     assert main(["sweep", "--config", str(cfg)]) == 0
     assert not (out_dir / "failures.csv").exists()
     assert (out_dir / "results.csv").exists()
+    assert "failures.csv" not in json.loads((out_dir / "manifest.json").read_text())["files"]
 
 
 def test_gen_data(tmp_path):
@@ -209,6 +211,54 @@ def test_agreement_on_pool_off_the_config_counts_is_generation_error(tmp_path, c
     assert main(["agreement", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "ood_test.csv" in err and "Traceback" not in err
+    assert not (out_dir / "agreement.csv").exists()
+
+
+def test_agreement_on_reordered_pool_is_generation_error(tmp_path, capsys):
+    # Reversed rows keep every (group, label) count, but preds.csv is aligned
+    # with the rows the sweep wrote.
+    cfg, out_dir = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    pool = out_dir / "ood_test.csv"
+    header, *rows = pool.read_text().splitlines()
+    pool.write_text("\n".join([header, *reversed(rows)]) + "\n")
+    capsys.readouterr()
+    assert main(["agreement", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "ood_test.csv" in err and "Traceback" not in err
+    assert not (out_dir / "agreement.csv").exists()
+
+
+def test_agreement_without_manifest_is_analysis_error(tmp_path, capsys):
+    cfg, out_dir = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    (out_dir / "manifest.json").unlink()
+    capsys.readouterr()
+    assert main(["agreement", "--config", str(cfg)]) == 4
+    assert "manifest.json" in capsys.readouterr().err
+    assert not (out_dir / "agreement.csv").exists()
+
+
+def _not_json(manifest):
+    return manifest[:-3]
+
+
+def _no_pool_entry(manifest):
+    files = json.loads(manifest)["files"]
+    del files["ood_test.csv"]
+    return json.dumps({"files": files})
+
+
+@pytest.mark.parametrize("fault", [_not_json, _no_pool_entry])
+def test_agreement_on_bad_manifest_is_generation_error(tmp_path, capsys, fault):
+    cfg, out_dir = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    manifest = out_dir / "manifest.json"
+    manifest.write_text(fault(manifest.read_text()))
+    capsys.readouterr()
+    assert main(["agreement", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "Traceback" not in err
     assert not (out_dir / "agreement.csv").exists()
 
 

@@ -2,6 +2,7 @@ from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 import tracemalloc
+import zlib
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 
 from shiftlab import datagen
 from shiftlab.datagen import (Dataset, ShiftSpec, generate,
-                              mixture_table, read_dataset_csv, read_spec_file,
+                              mixture_table, read_dataset_csv, read_dataset_labels,
+                              read_spec_file,
                               spec_from_table, write_dataset_csv, write_spec_file)
 from shiftlab.errors import (DegenerateDimensionError, InfeasibleMarginalsError,
                              InvalidSpecError)
@@ -547,22 +549,60 @@ def test_dataset_csv_round_trip_tiny(tmp_path, n_rows):
     assert back.k_groups == 2
 
 
-@pytest.mark.parametrize("body", [
+_FEATURE_FAULTS = [
     "1,0,0.5,0.25\n-1,1,0.5\n",          # ragged row
     "1,0,0.5,abc\n",                     # non-numeric field
     "1,0,0.5,0.25,0.125\n",              # more fields than the header
+]
+_LABEL_GROUP_FAULTS = [
     "1.5,0,0.5,0.25\n",                  # non-integer label
     "1,0,0.5,0.25\n7,0,0.5,0.25\n",      # label outside {-1, +1}
     "1,0,0.5,0.25\n-1,-1,0.5,0.25\n",    # negative group
-])
+]
+
+
+@pytest.mark.parametrize("body", _FEATURE_FAULTS + _LABEL_GROUP_FAULTS)
 def test_malformed_dataset_csv_names_path(tmp_path, body):
+    # read_dataset_labels parses only y and z, so it shares the header, label
+    # and group checks but not those of the feature fields.
+    label_or_group_fault = body in _LABEL_GROUP_FAULTS
     path = tmp_path / "bad.csv"
     path.write_text("y,z,x0,x1\n" + body)
     with pytest.raises(InvalidSpecError, match="bad.csv"):
         read_dataset_csv(path)
-    path.write_text("")
+    if label_or_group_fault:
+        with pytest.raises(InvalidSpecError, match="bad.csv"):
+            read_dataset_labels(path)
+    for header in ("", "x,y,x0,x1\n"):
+        path.write_text(header)
+        for reader in (read_dataset_csv, read_dataset_labels):
+            with pytest.raises(InvalidSpecError, match="bad.csv"):
+                reader(path)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 2 * datagen._CSV_CHUNK_ROWS + 5])
+def test_dataset_labels_match_full_read_and_crc(tmp_path, n_rows):
+    feats = np.random.default_rng(n_rows).normal(scale=10.0, size=(n_rows, 4))
+    path = tmp_path / "d.csv"
+    write_dataset_csv(_dataset(feats), path)
+    full = read_dataset_csv(path, split="ood_test")
+    labels, crc = read_dataset_labels(path, split="ood_test")
+    assert crc == zlib.crc32(path.read_bytes())
+    assert labels.features.shape == (n_rows, 0)
+    assert np.array_equal(labels.labels, full.labels)
+    assert np.array_equal(labels.groups, full.groups)
+    assert (labels.k_groups, labels.split) == (full.k_groups, "ood_test")
+    # zero features: each row is just "y,z"
+    write_dataset_csv(_dataset(np.empty((n_rows, 0))), path)
+    assert np.array_equal(read_dataset_labels(path)[0].groups, full.groups)
+
+
+@pytest.mark.parametrize("body", ["abc,0,0.5\n", "1,,0.5\n", "1\n", "\n"])
+def test_dataset_labels_reject_non_numeric_label_or_group(tmp_path, body):
+    path = tmp_path / "bad.csv"
+    path.write_text("y,z,x0\n1,0,0.5\n" + body)
     with pytest.raises(InvalidSpecError, match="bad.csv"):
-        read_dataset_csv(path)
+        read_dataset_labels(path)
 
 
 def test_spec_file_round_trip(tmp_path):

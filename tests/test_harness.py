@@ -1,4 +1,5 @@
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -53,6 +54,19 @@ def test_pipeline_rerun_byte_identical(sweep_out):
     run_sweep_pipeline(config)
     for name in SWEEP_ARTIFACTS:
         assert (config.out_dir / name).read_bytes() == first[name], name
+
+
+def test_manifest_records_each_artifact_size_and_crc(sweep_out):
+    config, _ = sweep_out
+    manifest = config.out_dir / "manifest.json"
+    files = load_json(manifest)["files"]
+    assert list(files) == [name for name in SWEEP_ARTIFACTS if name != "manifest.json"]
+    for name, entry in files.items():
+        data = (config.out_dir / name).read_bytes()
+        assert entry == {"bytes": len(data), "crc32": zlib.crc32(data)}, name
+    first = manifest.read_bytes()
+    run_sweep_pipeline(config)
+    assert manifest.read_bytes() == first
 
 
 def test_pipeline_report_is_valid_json(sweep_out):
