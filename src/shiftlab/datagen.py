@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 import zlib
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -238,10 +239,21 @@ def generate(spec: ShiftSpec, split: str = "train") -> Dataset:
     Rows are laid out group-major (positives before negatives within each
     group); feature noise for row ``i`` comes from its own counter-based
     stream, so the layout and the noise are independent of each other.
-    The feature matrix is allocated once and filled ``_GEN_BLOCK_ROWS`` rows
-    at a time, so memory stays at about the finished dataset plus one block;
-    since every row has its own stream, the bytes do not depend on the block
-    size.
+    This is the one-block case of ``generate_blocks``: the feature matrix is
+    allocated once and filled ``_GEN_BLOCK_ROWS`` rows at a time, so memory
+    stays at about the finished dataset plus one draw.
+    """
+    return next(generate_blocks(spec, split))
+
+
+def generate_blocks(spec: ShiftSpec, split: str, rows: int | None = None) -> Iterator[Dataset]:
+    """The rows of ``generate(spec, split)`` as consecutive Datasets of at most
+    ``rows`` rows (all rows in one block when None).
+
+    Every block's features are drawn into one buffer, reused from block to
+    block, so a block is valid only until the next one is drawn and memory
+    stays at about one block.  Since every row has its own stream, the bytes
+    do not depend on the block size.
     """
     spec.validate()
     if split not in SPLITS:
@@ -269,29 +281,40 @@ def generate(spec: ShiftSpec, split: str = "train") -> Dataset:
                 attr[sl] = a_values[g]
             pos += block
 
-    features = _draw_features(spec, split, labels, attr)
-    return Dataset(features=features, labels=labels, groups=groups, split=split,
-                   k_groups=spec.k_groups)
+    rows = n if rows is None else rows
+    streams = row_streams(spec.master_seed, _SPLIT_SCOPE[split], n)
+    buffer = np.empty((min(rows, n), spec.d_total))
+    for start in range(0, n, rows):
+        sl = slice(start, start + rows)
+        features = _draw_features(spec, split, labels[sl], attr[sl], streams[sl],
+                                  buffer[:labels[sl].shape[0]])
+        yield Dataset(features=features, labels=labels[sl], groups=groups[sl],
+                      split=split, k_groups=spec.k_groups)
 
 
-# Rows drawn per block: bounds generate's temporaries (about five block-sized
-# uint64/float64 arrays) to under 1 MB at 150 features.
+# Rows per draw inside a block: bounds the draw's temporaries (about five
+# draw-sized uint64/float64 arrays) to under 1 MB at 150 features.
 _GEN_BLOCK_ROWS = 128
 
 
-def _draw_features(spec: ShiftSpec, split: str, labels: np.ndarray,
-                   attr: np.ndarray) -> np.ndarray:
+def _draw_features(spec: ShiftSpec, split: str, labels: np.ndarray, attr: np.ndarray,
+                   streams: np.ndarray | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Feature rows ``label + sigma_core * noise`` and ``attr + sigma_spu * noise``,
-    drawn ``_GEN_BLOCK_ROWS`` rows at a time straight into the result."""
+    drawn ``_GEN_BLOCK_ROWS`` rows at a time straight into ``out`` (a new array
+    when None); ``streams`` are the rows' streams, the first rows of ``split``
+    when None."""
     dc = spec.d_core
-    streams = row_streams(spec.master_seed, _SPLIT_SCOPE[split], labels.shape[0])
-    features = np.empty((labels.shape[0], spec.d_total))
+    if streams is None:
+        streams = row_streams(spec.master_seed, _SPLIT_SCOPE[split], labels.shape[0])
+    if out is None:
+        out = np.empty((labels.shape[0], spec.d_total))
     for start in range(0, labels.shape[0], _GEN_BLOCK_ROWS):
         sl = slice(start, start + _GEN_BLOCK_ROWS)
         noise = stream_normals(streams[sl], spec.d_total)
-        features[sl, :dc] = labels[sl, None] + spec.sigma_core * noise[:, :dc]
-        features[sl, dc:] = attr[sl, None] + spec.sigma_spu * noise[:, dc:]
-    return features
+        out[sl, :dc] = labels[sl, None] + spec.sigma_core * noise[:, :dc]
+        out[sl, dc:] = attr[sl, None] + spec.sigma_spu * noise[:, dc:]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +426,10 @@ def format_sig(x: float, digits: int = 12) -> str:
     return format(float(x), f".{digits}g")
 
 
-# Rows formatted per write: bounds the per-chunk index array (16 intp per value).
-_CSV_CHUNK_ROWS = 256
+# Rows formatted per write: bounds the writer's scratch, allocated once per file
+# and reused (274 bytes a value, 2.7 MB at 152 columns; 128 of them are the
+# index array of 16 intp).  Smaller chunks also stay in cache.
+_CSV_CHUNK_ROWS = 64
 
 # "%.9g" of a nonzero value lays out its 9-digit mantissa by (sign, exponent,
 # significant digits).  Each layout is read off "%.9g" of the digits 123456789:
@@ -432,44 +457,87 @@ _G9_LAYOUTS = np.frombuffer(b"".join(
     + [bytes(_g9_layout(t)) for t in ("0", "-0", "\1")]), np.uint8).reshape(-1, 16)
 
 
-def _g9_fields(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _G9Scratch:
+    """Arrays ``_g9_fields`` works in, for up to ``n`` values; reused from chunk
+    to chunk so a file's write maps its scratch once."""
+
+    def __init__(self, n: int):
+        self.values, self.a, self.t, self.q = (np.empty(n) for _ in range(4))
+        self.ok, self.no = np.empty(n, bool), np.empty(n, bool)
+        self.x, self.m, self.tz, self.g0, self.g1, self.g2 = (
+            np.empty(n, np.intp) for _ in range(6))
+        self.src = np.tile(np.frombuffer(b"\0" * 12 + _G9_CONST.encode(), np.uint32), (n, 1))
+        self.layouts = _G9_LAYOUTS.astype(np.intp)
+        self.index = np.empty((n, 16), np.intp)
+        self.offsets = np.arange(0, 32 * n, 32)[:, None]
+        self.fields = np.empty((n, 16), np.uint8)
+        self.nonzero = np.empty((n, 16), bool)
+
+
+def _g9_fields(v: np.ndarray, s: _G9Scratch | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Each value's "%.9g" text, NUL-padded to 15 bytes and a comma, and the
     indexes of the values left to "%.9g" (their field is the "\\1" placeholder).
 
     ``q = |v| * 10**(8 - x)`` takes one rounding by an exact power of ten, so
     it is within 2**-24 of the exact product: in [1e8, 1e9) with a fraction
     more than 2**-20 from one half, ``rint(q)`` is the mantissa "%.9g" rounds
-    to.  A wrong ``x`` from ``log10`` puts ``q`` out of that range.
+    to.  A wrong ``x`` from ``log10`` puts ``q`` out of that range.  The
+    fields are a view of ``s`` (new scratch when None).
     """
-    a = np.abs(v)
-    ok = (a >= 1e-14) & (a < 1e17)  # false for nan and inf
-    a[~ok] = 1.0
-    x = np.floor(np.log10(a)).astype(np.intp).clip(-14, 16)
-    q = a * _G9_POW10[np.clip(8 - x, 0, 22)]
+    n = len(v)
+    s = _G9Scratch(n) if s is None else s
+    a, t, q, ok, no = s.a[:n], s.t[:n], s.q[:n], s.ok[:n], s.no[:n]
+    x, m, tz, g0, g1, g2 = s.x[:n], s.m[:n], s.tz[:n], s.g0[:n], s.g1[:n], s.g2[:n]
+    np.abs(v, out=a)
+    np.greater_equal(a, 1e-14, out=ok)
+    ok &= np.less(a, 1e17, out=no)  # false for nan and inf
+    a[np.logical_not(ok, out=no)] = 1.0
+    np.floor(np.log10(a, out=t), out=t)
+    np.clip(t, -14, 16, out=x, casting="unsafe")
+    np.take(_G9_POW10, np.clip(np.subtract(8, x, out=m), 0, 22, out=m), out=q, mode="clip")
+    q *= a
     big = np.flatnonzero(x > 8)
     q[big] = a[big] / _G9_POW10[x[big] - 8]
-    ok &= (q >= 1e8) & (q < 1e9) & (np.abs(q - np.floor(q) - 0.5) > 2.0 ** -20)
-    m = np.where(ok, np.rint(q), 1e8).astype(np.intp)
-    carry = m == 1_000_000_000
+    ok &= np.greater_equal(q, 1e8, out=no)
+    ok &= np.less(q, 1e9, out=no)
+    np.subtract(q, np.floor(q, out=t), out=t)
+    t -= 0.5
+    ok &= np.greater(np.abs(t, out=t), 2.0 ** -20, out=no)
+    np.rint(q, out=t)
+    t[np.logical_not(ok, out=no)] = 1e8
+    np.copyto(m, t, casting="unsafe")
+    carry = np.equal(m, 1_000_000_000, out=no)
     m[carry] = 100_000_000
     x += carry
-    groups = [m // 1_000_000, m // 1000 % 1000, m % 1000]
-    src = np.tile(np.frombuffer(b"\0" * 12 + _G9_CONST.encode(), np.uint32), (len(v), 1))
-    for j, g in enumerate(groups):
+    np.floor_divide(m, 1_000_000, out=g0)
+    np.remainder(np.floor_divide(m, 1000, out=g1), 1000, out=g1)
+    np.remainder(m, 1000, out=g2)
+    src = s.src[:n]
+    for j, g in enumerate((g0, g1, g2)):
         src[:, j] = _G9_TRIPLES.take(g)
-    tz = _G9_TRAILING.take(groups[2])
-    low0 = np.flatnonzero(groups[2] == 0)  # few values but integral ones
-    mid, top = groups[1][low0], groups[0][low0]
+    np.take(_G9_TRAILING, g2, out=tz, mode="clip")
+    low0 = np.flatnonzero(g2 == 0)  # few values but integral ones
+    mid, top = g1[low0], g0[low0]
     tz[low0] += _G9_TRAILING.take(mid) + (mid == 0) * _G9_TRAILING.take(top)
-    key = (np.signbit(v) * 32 + x + 14) * 9 + 8 - tz
-    key[~ok] = np.where(v[~ok] == 0, _G9_ZERO + np.signbit(v[~ok]), _G9_ZERO + 2)
-    index = _G9_LAYOUTS.take(key, axis=0) + np.arange(0, 32 * len(v), 32)[:, None]
-    return src.view(np.uint8).ravel().take(index), np.flatnonzero(key == _G9_ZERO + 2)
+    key = np.multiply(np.signbit(v, out=no), 32, out=m)
+    key += x
+    key += 14
+    key *= 9
+    key += 8
+    key -= tz
+    bad = np.flatnonzero(np.logical_not(ok, out=no))
+    key[bad] = np.where(v[bad] == 0, _G9_ZERO + np.signbit(v[bad]), _G9_ZERO + 2)
+    index = np.take(s.layouts, key, axis=0, out=s.index[:n], mode="clip")
+    index += s.offsets[:n]
+    fields = np.take(src.view(np.uint8).ravel(), index, out=s.fields[:n], mode="clip")
+    return fields, np.flatnonzero(key == _G9_ZERO + 2)
 
 
-def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
+def write_dataset_csv(dataset: Dataset | Iterable[Dataset], path: str | Path) -> None:
     """CSV with header ``y,z,x0,...``; each row is ``y,z`` then the features.
 
+    ``dataset`` is one Dataset or consecutive blocks of one, as
+    ``generate_blocks`` yields them; the bytes are the same either way.
     Every field is ``"%.9g" % v`` (labels and groups print as ``%d`` would),
     ``_CSV_CHUNK_ROWS`` rows at a time.  ``_g9_fields`` lays out zeros and each
     value whose rounding it can prove: finite, in [1e-14, 1e17), no near-tie
@@ -477,20 +545,36 @@ def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
     ``"%.9g" % v`` itself, so the bytes equal ``%``'s.  The text round-trips
     exactly: ``read_dataset_csv`` returns the doubles it denotes.
     """
-    d = dataset.n_features
+    blocks = [dataset] if isinstance(dataset, Dataset) else dataset
     with open(path, "wb") as fh:
-        fh.write(("y,z," + ",".join(f"x{j}" for j in range(d)) + "\n").encode())
-        for start in range(0, dataset.n_rows, _CSV_CHUNK_ROWS):
+        for _ in csv_rows(blocks, fh):
+            pass
+
+
+def csv_rows(blocks: Iterable[Dataset], fh) -> Iterator[Dataset]:
+    """Append each block's rows to the binary file ``fh`` as
+    ``write_dataset_csv`` writes them (the header before the first block),
+    then yield the block; one scratch serves every chunk of every block."""
+    s = None
+    for block in blocks:
+        width = block.n_features + 2
+        if s is None:
+            fh.write(("y,z," + ",".join(f"x{j}" for j in range(width - 2)) + "\n").encode())
+            s = _G9Scratch(_CSV_CHUNK_ROWS * width)
+        for start in range(0, block.n_rows, _CSV_CHUNK_ROWS):
             sl = slice(start, start + _CSV_CHUNK_ROWS)
-            values = np.column_stack((dataset.labels[sl], dataset.groups[sl],
-                                      dataset.features[sl])).ravel()
-            fields, fallback = _g9_fields(values)
-            fields.reshape(-1, (d + 2) * 16)[:, -1] = ord("\n")
-            text = fields[fields != 0].tobytes()
+            rows = s.values[:block.labels[sl].shape[0] * width].reshape(-1, width)
+            rows[:, 0], rows[:, 1] = block.labels[sl], block.groups[sl]
+            rows[:, 2:] = block.features[sl]
+            values = rows.ravel()
+            fields, fallback = _g9_fields(values, s)
+            fields.reshape(-1, width * 16)[:, -1] = ord("\n")
+            text = fields[np.not_equal(fields, 0, out=s.nonzero[:values.size])]
             if fallback.size:
                 exact = [("%.9g" % v).encode() for v in values[fallback].tolist()]
-                text = b"".join(p + s for p, s in zip(text.split(b"\1"), exact + [b""]))
+                text = b"".join(p + e for p, e in zip(text.tobytes().split(b"\1"), exact + [b""]))
             fh.write(text)
+        yield block
 
 
 def _header_width(header: str, path: str | Path) -> int:

@@ -10,9 +10,10 @@ accuracies:
 so the two views differ only through the mixture weights, never through
 sampling noise.
 
-A sweep's snapshots are scored together: each chunk of at most 16 distinct
-weight vectors is one pool GEMM, thresholded into a ``(rows x chunk)`` bool
-block whose per-(group, label) counts give every column's record.  A GEMM may
+A sweep's snapshots are scored together, one block of pool rows at a time:
+each chunk of at most 16 distinct weight vectors is one GEMM per block,
+thresholded into a ``(rows x chunk)`` bool block whose per-(group, label)
+counts are added up across blocks into every column's record.  A GEMM may
 round a decision value differently from one model's GEMV, so, as for
 training, prediction bytes are promised per machine and BLAS kernel.
 """
@@ -20,6 +21,8 @@ training, prediction bytes are promised per machine and BLAS kernel.
 from __future__ import annotations
 
 import csv
+import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,32 +73,35 @@ def _check_weights(weights: tuple[float, ...], k: int, name: str) -> None:
 _CHUNK = 16
 
 
-def _group_cells(test: Dataset, r_tr: tuple[float, ...], r_ts: tuple[float, ...]
-                 ) -> tuple[list[np.ndarray], list[int], list[int]]:
+def _group_cells(test: Dataset) -> tuple[list[np.ndarray], list[int], list[int]]:
     """The (positive, negative) row masks of each group in group order, the row
-    count per group and the row count per mask; InvalidSpecError on bad mixture
-    weights, EmptyGroupError on a group with no rows."""
-    k = test.k_groups
-    _check_weights(r_tr, k, "r_tr")
-    _check_weights(r_ts, k, "r_ts")
+    count per group and the row count per mask."""
     sizes, cells = [], []
-    for g in range(k):
+    for g in range(test.k_groups):
         idx = test.groups == g
-        n_g = int(np.count_nonzero(idx))
-        if n_g == 0:
-            raise EmptyGroupError(f"group {g} has no rows in the test pool")
-        sizes.append(n_g)
+        sizes.append(int(np.count_nonzero(idx)))
         cells += [idx & (test.labels == 1), idx & (test.labels == -1)]
     return cells, sizes, [int(np.count_nonzero(cell)) for cell in cells]
 
 
-def _column_counts(correct: np.ndarray, cells: list[np.ndarray]) -> list[tuple[int, ...]]:
-    """Correct rows of each cell, per column of a ``(rows x columns)`` bool block."""
-    return list(zip(*(np.count_nonzero(correct & cell[:, None], axis=0).tolist()
-                      for cell in cells)))
+def _check_pool(sizes: list[int], r_tr: tuple[float, ...], r_ts: tuple[float, ...]) -> None:
+    """InvalidSpecError on bad mixture weights for the pool's groups (``sizes``
+    holds each group's rows), EmptyGroupError on a group with no rows."""
+    _check_weights(r_tr, len(sizes), "r_tr")
+    _check_weights(r_ts, len(sizes), "r_ts")
+    for g, n_g in enumerate(sizes):
+        if n_g == 0:
+            raise EmptyGroupError(f"group {g} has no rows in the test pool")
 
 
-def _record(model_id: str, epoch: int, correct: tuple[int, ...], sizes: list[int],
+def _column_counts(correct: np.ndarray, cells: list[np.ndarray]) -> np.ndarray:
+    """Correct rows of each cell (columns), per column of a ``(rows x columns)``
+    bool block (rows)."""
+    return np.stack([np.count_nonzero(correct & cell[:, None], axis=0) for cell in cells],
+                    axis=1)
+
+
+def _record(model_id: str, epoch: int, correct: list[int], sizes: list[int],
             totals: list[int], r_tr: tuple[float, ...], r_ts: tuple[float, ...]
             ) -> EvalRecord:
     """One EvalRecord from integer counts; ``correct`` and ``totals`` hold
@@ -117,8 +123,9 @@ def evaluate_predictions(model_id: str, preds: np.ndarray, test: Dataset,
                          r_tr: tuple[float, ...], r_ts: tuple[float, ...],
                          epoch: int = 0) -> EvalRecord:
     """Score fixed predictions (labels in {-1,+1}) against the test pool."""
-    cells, sizes, totals = _group_cells(test, r_tr, r_ts)
-    correct = _column_counts((preds == test.labels)[:, None], cells)[0]
+    cells, sizes, totals = _group_cells(test)
+    _check_pool(sizes, r_tr, r_ts)
+    correct = _column_counts((preds == test.labels)[:, None], cells)[0].tolist()
     return _record(model_id, epoch, correct, sizes, totals, r_tr, r_ts)
 
 
@@ -128,42 +135,62 @@ def _predict_chunk(features: np.ndarray, chunk: list[ModelRecord]) -> np.ndarray
     return features @ weights + np.array([r.bias for r in chunk]) >= 0.0
 
 
-def evaluate_snapshots(records: list[ModelRecord], test: Dataset,
+def evaluate_snapshots(records: list[ModelRecord], test: Dataset | Iterable[Dataset],
                        r_tr: tuple[float, ...], r_ts: tuple[float, ...]
                        ) -> tuple[list[EvalRecord], list[tuple[str, str]]]:
     """Score every record against the test pool: its EvalRecord and its
     ``(model_id, predictions_bits)`` row, in record order.
 
-    Records sharing one weights array and bias (full-batch copies across
-    seeds) are predicted once.  The distinct snapshots are predicted
-    ``_CHUNK`` at a time, one pool GEMM per chunk.
+    ``test`` is the pool, or consecutive blocks of it as
+    ``datagen.generate_blocks`` yields them; a whole pool is the one-block
+    case.  Records sharing one weights array and bias (full-batch copies
+    across seeds) are predicted once.  The distinct snapshots are predicted
+    ``_CHUNK`` at a time, one GEMM per chunk and block; only integer
+    (group, label) counts and prediction bits are kept from block to block.
     """
-    cells, sizes, totals = _group_cells(test, r_tr, r_ts)
     column: dict[tuple[int, float], int] = {}
     distinct: list[ModelRecord] = []
     for r in records:
         key = (id(r.weights), r.bias)
         if key not in column:
-            if r.weights.shape[0] != test.features.shape[1]:
-                raise DimensionMismatchError(
-                    f"model {r.model_id} has {r.weights.shape[0]} weights, "
-                    f"data has {test.features.shape[1]} features")
             column[key] = len(distinct)
             distinct.append(r)
+    chunks = [distinct[start:start + _CHUNK] for start in range(0, len(distinct), _CHUNK)]
 
-    positive = test.labels == 1
-    counts: list[tuple[int, ...]] = []
+    sizes = totals = counts = None
+    codes: list[list[np.ndarray]] = [[] for _ in chunks]
+    for block in [test] if isinstance(test, Dataset) else test:
+        cells, block_sizes, block_totals = _group_cells(block)
+        if counts is None:
+            for r in distinct:
+                if r.weights.shape[0] != block.n_features:
+                    raise DimensionMismatchError(
+                        f"model {r.model_id} has {r.weights.shape[0]} weights, "
+                        f"data has {block.n_features} features")
+            sizes, totals = np.zeros(len(block_sizes), np.int64), np.zeros(len(cells), np.int64)
+            counts = np.zeros((len(distinct), len(cells)), np.int64)
+        sizes += block_sizes
+        totals += block_totals
+        positive = block.labels == 1
+        for c, chunk in enumerate(chunks):
+            ones = _predict_chunk(block.features, chunk)
+            counts[c * _CHUNK:c * _CHUNK + len(chunk)] += _column_counts(
+                ones == positive[:, None], cells)
+            codes[c].append(ones.T.astype(np.uint8, order="C") + ord("0"))
+    if counts is None:
+        raise EmptyGroupError("the test pool has no rows")
+    sizes, totals = sizes.tolist(), totals.tolist()
+    _check_pool(sizes, r_tr, r_ts)
+
     bits: list[str] = []
-    for start in range(0, len(distinct), _CHUNK):
-        ones = _predict_chunk(test.features, distinct[start:start + _CHUNK])
-        counts += _column_counts(ones == positive[:, None], cells)
-        codes = ones.T.astype(np.uint8, order="C") + ord("0")
-        bits += [row.tobytes().decode("ascii") for row in codes]
-
+    for parts in codes:
+        bits += [row.tobytes().decode("ascii") for row in np.concatenate(parts, axis=1)]
+        parts.clear()
     evals, pred_rows = [], []
     for r in records:
         j = column[(id(r.weights), r.bias)]
-        evals.append(_record(r.model_id, r.epoch, counts[j], sizes, totals, r_tr, r_ts))
+        evals.append(_record(r.model_id, r.epoch, counts[j].tolist(), sizes, totals,
+                             r_tr, r_ts))
         pred_rows.append((r.model_id, bits[j]))
     return evals, pred_rows
 
@@ -308,19 +335,39 @@ def read_preds_csv(path: str | Path) -> dict[str, str]:
         return {row["model_id"]: row["bits"] for row in csv.DictReader(fh)}
 
 
-def read_preds_matrix(path: str | Path, model_ids: list[str], n_rows: int) -> np.ndarray:
-    """``(models x rows)`` predictions, True for +1; InvalidSpecError on a missing
+def read_preds_matrix(path: str | Path, model_ids: list[str],
+                      n_rows: int) -> tuple[np.ndarray, int]:
+    """``(models x rows)`` predictions, True for +1, and the CRC-32
+    (``zlib.crc32``) of all the file's bytes, from one binary pass that fills
+    a preallocated matrix a line at a time (a model's first row counts).
+    InvalidSpecError on a header other than ``model_id,bits``, a missing
     model, a bit-string not ``n_rows`` long, or a character other than 0/1."""
-    bits = read_preds_csv(path)
-    for mid in model_ids:
-        got = len(bits[mid] or "") if mid in bits else "no"
-        if got != n_rows:
-            raise InvalidSpecError(f"{path}: model {mid!r} has {got} predictions, expected {n_rows}")
-    codes = np.frombuffer("".join(bits[mid] for mid in model_ids).encode("ascii", "replace"),
-                          dtype=np.uint8).reshape(len(model_ids), n_rows)
-    if not np.all((codes == ord("0")) | (codes == ord("1"))):
-        raise InvalidSpecError(f"{path}: predictions must be 0/1 characters")
-    return codes == ord("1")
+    rows: dict[bytes, list[int]] = {}
+    for i, mid in enumerate(model_ids):
+        rows.setdefault(mid.encode(), []).append(i)
+    ones = np.zeros((len(model_ids), n_rows), dtype=bool)
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        crc = zlib.crc32(header)
+        if header != b"model_id,bits\n":
+            raise InvalidSpecError(f"{path}: header is not model_id,bits")
+        for line in fh:
+            crc = zlib.crc32(line, crc)
+            mid, _, bits = line.rstrip(b"\n").partition(b",")
+            targets = rows.pop(mid, None)
+            if targets is None:
+                continue
+            codes = np.frombuffer(bits, dtype=np.uint8)
+            if codes.size != n_rows:
+                raise InvalidSpecError(f"{path}: model {mid.decode()!r} has {codes.size} "
+                                       f"predictions, expected {n_rows}")
+            if np.count_nonzero((codes == ord("0")) | (codes == ord("1"))) != n_rows:
+                raise InvalidSpecError(f"{path}: predictions must be 0/1 characters")
+            ones[targets] = codes == ord("1")
+    if rows:
+        raise InvalidSpecError(f"{path}: model {next(iter(rows)).decode()!r} has no "
+                               f"predictions, expected {n_rows}")
+    return ones, crc
 
 
 def write_agreement_csv(records: list[AgreementRecord], path: str | Path) -> None:

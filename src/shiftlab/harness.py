@@ -1,13 +1,17 @@
 """Experiment pipelines: generate, sweep, evaluate, analyze, render.
 
-All heavy computation happens in memory first; files are then written through
-a temp-name-plus-rename step from a single place, so an interrupted run never
+A sweep trains on the training split in memory, then makes one pass over the
+OOD pool in blocks of ``_BLOCK_ROWS`` rows: each block is drawn, appended to
+``ood_test.csv`` and scored against every snapshot, so the pool's feature
+matrix never exists whole.  Every file is written through a
+temp-name-plus-rename step from a single place, so an interrupted run never
 leaves truncated artifacts behind and reruns with the same configuration
 overwrite each file with identical bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import warnings
@@ -27,12 +31,19 @@ SWEEP_ARTIFACTS = ("train.csv", "ood_test.csv", "models.csv", "weights.csv",
                    "results.csv", "preds.csv", "report.json", "moon.svg", "manifest.json")
 
 
-def _atomic(path: Path, writer) -> None:
-    """Run ``writer(tmp_path)`` and rename the result into place."""
+# Rows per block of a split streamed from generation to its file (and, for
+# the OOD pool, to scoring): 2.4 MB of features at 150 columns.
+_BLOCK_ROWS = 2048
+
+
+def _atomic(path: Path, writer):
+    """Run ``writer(tmp_path)``, rename the result into place and return what
+    ``writer`` returned."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        writer(tmp)
+        result = writer(tmp)
         os.replace(tmp, path)
+        return result
     finally:
         if tmp.exists():
             tmp.unlink()
@@ -60,6 +71,24 @@ def _write_manifest(out_dir: Path, names: list[str]) -> None:
     """
     files = {name: _file_entry(out_dir / name) for name in names}
     _atomic(out_dir / "manifest.json", lambda p: analysis.dump_json({"files": files}, p))
+
+
+def _read_verified(out_dir: Path, name: str, read):
+    """``read(path)``'s value for a sweep file that must match its
+    ``manifest.json`` entry: ``read`` returns the value and the CRC-32 of the
+    bytes it read.  InvalidSpecError naming the file on a size (checked before
+    reading) or CRC mismatch."""
+    path = out_dir / name
+    size, crc = _manifest_entry(out_dir, name)
+    found_size = path.stat().st_size
+    if found_size != size:
+        raise InvalidSpecError(f"{path}: {found_size} bytes differ from "
+                               f"{size} in the sweep's manifest.json")
+    value, found_crc = read(path)
+    if found_crc != crc:
+        raise InvalidSpecError(f"{path}: CRC-32 {found_crc:08x} differs from "
+                               f"{crc:08x} in the sweep's manifest.json")
+    return value
 
 
 def _manifest_entry(out_dir: Path, name: str) -> tuple[int, int]:
@@ -119,25 +148,31 @@ def run_sweep_pipeline(config: ExperimentConfig, write_files: bool = True) -> Sw
     out_dir = config.out_dir
 
     train_set = datagen.generate(spec, "train")
-    ood_pool = datagen.generate(spec, "ood_test")
-    r_tr = spec.train_weights()
-    r_ts = spec.ood_weights()
-
     grid = config.grid.build(spec.master_seed)
     result = trainer.sweep(train_set, grid)
     if not result.records:
         raise trainer.DivergenceError(0, "every grid cell diverged")
 
-    evals, pred_rows = evaluator.evaluate_snapshots(result.records, ood_pool, r_tr, r_ts)
+    def evaluate_and_fit(path: Path | None):
+        """One pass over the OOD pool (draw each block, append it to ``path``
+        when given, score it against every snapshot), then the curve fits: a
+        failed fit renames no ``ood_test.csv`` into place."""
+        blocks = datagen.generate_blocks(spec, "ood_test", _BLOCK_ROWS)
+        with open(path, "wb") if path else contextlib.nullcontext() as fh:
+            evals, pred_rows = evaluator.evaluate_snapshots(
+                result.records, datagen.csv_rows(blocks, fh) if fh else blocks,
+                spec.train_weights(), spec.ood_weights())
+        points = _moon_points(spec, evals)
+        report = analysis.fit_curves(points, probit_eps=config.analysis.probit_eps,
+                                     spline_lambda=config.analysis.spline_lambda)
+        return evals, pred_rows, points, report
 
-    points = _moon_points(spec, evals)
-    report = analysis.fit_curves(points, probit_eps=config.analysis.probit_eps,
-                                 spline_lambda=config.analysis.spline_lambda)
-
-    if write_files:
+    if not write_files:
+        evals, pred_rows, points, report = evaluate_and_fit(None)
+    else:
         out_dir.mkdir(parents=True, exist_ok=True)
+        evals, pred_rows, points, report = _atomic(out_dir / "ood_test.csv", evaluate_and_fit)
         _atomic(out_dir / "train.csv", lambda p: datagen.write_dataset_csv(train_set, p))
-        _atomic(out_dir / "ood_test.csv", lambda p: datagen.write_dataset_csv(ood_pool, p))
         _write_model_store_atomic(result.records, out_dir)
         _atomic(out_dir / "results.csv",
                 lambda p: evaluator.write_results_csv(list(zip(result.records, evals)), p))
@@ -307,22 +342,15 @@ def run_agreement_pipeline(config: ExperimentConfig, n_pairs: int | None = None,
     model_ids = [r["model_id"] for r in results]
     # preds.csv is row-aligned with the pool the sweep wrote, so the pool must
     # be that file byte for byte: reordered or edited rows keep the counts.
-    pool_path = out_dir / "ood_test.csv"
-    size, crc = _manifest_entry(out_dir, "ood_test.csv")
-    found_size = pool_path.stat().st_size
-    if found_size != size:
-        raise InvalidSpecError(f"{pool_path}: {found_size} bytes differ from "
-                               f"{size} in the sweep's manifest.json")
-    pool, found_crc = datagen.read_dataset_labels(pool_path, split="ood_test")
-    if found_crc != crc:
-        raise InvalidSpecError(f"{pool_path}: CRC-32 {found_crc:08x} differs from "
-                               f"{crc:08x} in the sweep's manifest.json")
+    pool = _read_verified(out_dir, "ood_test.csv",
+                          lambda p: datagen.read_dataset_labels(p, split="ood_test"))
     expected = [c for cell in config.shift.group_label_counts("ood_test") for c in cell]
     found = np.bincount(2 * pool.groups + (pool.labels < 0), minlength=len(expected))
     if found.tolist() != expected:
-        raise InvalidSpecError(f"{pool_path}: (positive, negative) rows per "
+        raise InvalidSpecError(f"{out_dir / 'ood_test.csv'}: (positive, negative) rows per "
                                f"group {found.tolist()} differ from the config's {expected}")
-    ones = evaluator.read_preds_matrix(out_dir / "preds.csv", model_ids, pool.n_rows)
+    ones = _read_verified(out_dir, "preds.csv", lambda p: evaluator.read_preds_matrix(
+        p, model_ids, pool.n_rows))
     masks, w_id, w_ood = overlay_cells(config.shift, pool)
 
     def reweight(values: np.ndarray) -> np.ndarray:
@@ -331,9 +359,11 @@ def run_agreement_pipeline(config: ExperimentConfig, n_pairs: int | None = None,
         return np.stack([sum(w * v for w, v in zip(w_id, means)),
                          sum(w * v for w, v in zip(w_ood, means))], axis=1)
 
-    acc_points = reweight(ones == (pool.labels == 1))
-
-    # Pairs are compared 64 at a time, so one chunk's matches stay small.
+    # Models and pairs are compared 64 at a time, so one chunk's matches stay small.
+    positive = pool.labels == 1
+    acc_points = np.empty((len(model_ids), 2))
+    for start in range(0, len(model_ids), 64):
+        acc_points[start:start + 64] = reweight(ones[start:start + 64] == positive)
     pairs = sample_pairs(len(model_ids), n_pairs, pair_seed)
     agr_points, agreement = np.empty((len(pairs), 2)), np.empty(len(pairs))
     for start in range(0, len(pairs), 64):
@@ -421,9 +451,9 @@ def run_gen_data(config: ExperimentConfig) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for split in datagen.SPLITS:
-        ds = datagen.generate(spec, split)
         path = out_dir / f"{split}.csv"
-        _atomic(path, lambda p, d=ds: datagen.write_dataset_csv(d, p))
+        blocks = datagen.generate_blocks(spec, split, _BLOCK_ROWS)
+        _atomic(path, lambda p, b=blocks: datagen.write_dataset_csv(b, p))
         written.append(path)
     spec_path = out_dir / "spec.txt"
     _atomic(spec_path, lambda p: datagen.write_spec_file(spec, p))

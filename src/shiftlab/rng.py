@@ -5,9 +5,9 @@ seed through explicit mixing, so datasets and sweeps are reproducible under
 any evaluation order: draw ``k`` of stream ``s`` is ``mix64(s + (k+1)*GOLDEN)``
 and never depends on other draws.  Gaussian variates use the Box-Muller
 transform on 53-bit uniforms.  Each dataset row has its own stream, so a
-dataset drawn a block of rows at a time (as ``datagen.generate`` does, to
-bound its memory) has the bytes of one draw over every row, whatever the
-block size.
+dataset drawn a block of rows at a time (as ``datagen.generate_blocks``
+does, to bound its memory) has the bytes of one draw over every row,
+whatever the block size.
 """
 
 from __future__ import annotations

@@ -289,6 +289,23 @@ def test_agreement_on_corrupted_preds_is_generation_error(tmp_path, capsys, faul
     assert not (out_dir / "agreement.csv").exists()
 
 
+def test_agreement_on_reversed_bits_is_generation_error(tmp_path, capsys):
+    # Same length and characters: only the manifest's CRC-32 tells it apart.
+    cfg, out_dir = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    preds = out_dir / "preds.csv"
+    lines = preds.read_text().splitlines()
+    model_id, bits = lines[3].split(",")
+    assert bits != bits[::-1]
+    lines[3] = f"{model_id},{bits[::-1]}"
+    preds.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["agreement", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "preds.csv" in err and "CRC-32" in err and "Traceback" not in err
+    assert not (out_dir / "agreement.csv").exists()
+
+
 def _renamed(column):
     def fault(header, row):
         return header.replace(column, column + "_x"), row

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from shiftlab import datagen
-from shiftlab.datagen import (Dataset, ShiftSpec, generate,
+from shiftlab.datagen import (SPLITS, Dataset, ShiftSpec, generate, generate_blocks,
                               mixture_table, read_dataset_csv, read_dataset_labels,
                               read_spec_file,
                               spec_from_table, write_dataset_csv, write_spec_file)
@@ -245,6 +245,28 @@ def test_blocked_generation_matches_one_shot_draw(n, d_spu, make):
         want = _one_shot_features(spec, split, labels, attr)
         assert got.shape == (n, spec.d_total)
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 7, _B, 1000, None])
+def test_generate_blocks_concatenate_to_generate(rows):
+    spec = majority_spec(d_core=5, d_spu=3, n_train=300, n_ood_test=1000, n_id_test=77)
+    for split in SPLITS:
+        whole = generate(spec, split)
+        # each block's features live in a buffer the next block reuses: copy them
+        blocks = [(b.features.copy(), b.labels, b.groups) for b in generate_blocks(spec, split, rows)]
+        step = rows or whole.n_rows
+        assert [len(b[0]) for b in blocks] == [len(whole.labels[i:i + step])
+                                               for i in range(0, whole.n_rows, step)]
+        for got, want in zip(zip(*blocks), (whole.features, whole.labels, whole.groups)):
+            assert np.concatenate(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 7, 2 * datagen._CSV_CHUNK_ROWS + 5])
+def test_dataset_csv_from_blocks_matches_one_dataset(tmp_path, rows):
+    spec = majority_spec(d_core=5, d_spu=3, n_train=300, n_ood_test=1000)
+    write_dataset_csv(generate(spec, "ood_test"), tmp_path / "whole.csv")
+    write_dataset_csv(generate_blocks(spec, "ood_test", rows), tmp_path / "blocks.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 def test_generation_memory_is_the_dataset_plus_one_block():

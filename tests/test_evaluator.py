@@ -1,16 +1,17 @@
 import csv
+import zlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from shiftlab.datagen import Dataset, ShiftSpec, generate
+from shiftlab.datagen import Dataset, ShiftSpec, generate, generate_blocks
 from shiftlab.errors import DimensionMismatchError, EmptyGroupError, InvalidSpecError
 from shiftlab.evaluator import (agreement, agreement_by_group,
                                 bits_to_predictions, evaluate,
                                 evaluate_predictions, evaluate_snapshots,
                                 model_mixture,
-                                predictions_bits, read_preds_csv,
+                                predictions_bits, read_preds_csv, read_preds_matrix,
                                 read_results_csv, write_preds_csv,
                                 write_results_csv)
 from shiftlab.trainer import HyperParams, ModelRecord, default_grid, sweep
@@ -162,6 +163,32 @@ def test_evaluate_snapshots_on_a_trained_sweep(gaussian_pool):
     records = sweep(generate(spec, "train"), grid).records
     assert len({id(r.weights) for r in records}) < len(records)
     assert_matches_per_record(records, gaussian_pool, spec.train_weights(), spec.ood_weights())
+
+
+def test_evaluate_snapshots_over_uneven_blocks_equals_one_block():
+    pool = integer_pool(3)
+    records = integer_snapshots(33)
+    r = (0.5, 0.3, 0.2)
+    edges = [0, 0, 1, 8, 150, 151, pool.n_rows]
+    blocks = (Dataset(features=pool.features[a:b], labels=pool.labels[a:b],
+                      groups=pool.groups[a:b], split="ood_test", k_groups=3)
+              for a, b in zip(edges, edges[1:]))
+    # repr spells every float exactly and equates the nan of an empty cell
+    assert repr(evaluate_snapshots(records, blocks, r, r)) == repr(
+        evaluate_snapshots(records, pool, r, r))
+
+
+@pytest.mark.parametrize("rows", [37, 1000, 5000])
+def test_evaluate_snapshots_over_generated_blocks(rows):
+    spec = ShiftSpec(d_core=5, d_spu=2, sigma_core=2.0, sigma_spu=1.0, n_train=100,
+                     p_maj=0.9, n_ood_test=1000, master_seed=6)
+    rng = np.random.default_rng(2)
+    records = [make_model(rng.normal(size=7), bias=float(rng.normal()), model_id=f"m{i}")
+               for i in range(20)]
+    r_tr, r_ts = spec.train_weights(), spec.ood_weights()
+    want = evaluate_snapshots(records, generate(spec, "ood_test"), r_tr, r_ts)
+    got = evaluate_snapshots(records, generate_blocks(spec, "ood_test", rows), r_tr, r_ts)
+    assert repr(got) == repr(want)
 
 
 def test_evaluate_snapshots_errors():
@@ -389,6 +416,27 @@ def test_preds_csv_matches_csv_writer(tmp_path):
         writer.writerow(["model_id", "bits"])
         writer.writerows(rows)
     assert path.read_bytes() == ref.read_bytes()
+
+
+def test_read_preds_matrix_fills_rows_and_returns_crc(tmp_path):
+    rng = np.random.default_rng(3)
+    rows = [(f"m{i}", predictions_bits(rng.choice([-1, 1], size=50))) for i in range(5)]
+    path = tmp_path / "preds.csv"
+    write_preds_csv(rows, path)
+    ids = ["m3", "m0", "m3"]
+    ones, crc = read_preds_matrix(path, ids, 50)
+    assert crc == zlib.crc32(path.read_bytes())
+    assert np.array_equal(ones, [[c == "1" for c in dict(rows)[m]] for m in ids])
+    with pytest.raises(InvalidSpecError, match="'zz' has no predictions"):
+        read_preds_matrix(path, ["m1", "zz"], 50)
+    with pytest.raises(InvalidSpecError, match="'m1' has 50 predictions, expected 49"):
+        read_preds_matrix(path, ["m1"], 49)
+    path.write_text("model_id,bits\nm0,01x1\n")
+    with pytest.raises(InvalidSpecError, match="0/1 characters"):
+        read_preds_matrix(path, ["m0"], 4)
+    path.write_text("bits,model_id\n0101,m0\n")
+    with pytest.raises(InvalidSpecError, match="header"):
+        read_preds_matrix(path, ["m0"], 4)
 
 
 @pytest.mark.parametrize("model_id", ["a,b", 'say "x"', "a\rb", "a\nb"])

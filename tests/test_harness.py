@@ -1,14 +1,16 @@
 import json
+import tracemalloc
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from shiftlab import evaluator
+from shiftlab import analysis, evaluator, harness
 from shiftlab.analysis import load_json
 from shiftlab.config import AnalysisOptions, ExperimentConfig, GridSpec
-from shiftlab.datagen import ShiftSpec, generate, read_dataset_csv
-from shiftlab.errors import ConfigError, MissingInputsError
+from shiftlab.datagen import ShiftSpec, generate, read_dataset_csv, write_dataset_csv
+from shiftlab.errors import AnalysisError, ConfigError, MissingInputsError
 from shiftlab.harness import (SWEEP_ARTIFACTS, moon_axis_groups, overlay_cells,
                               run_agreement_pipeline, run_gen_data,
                               run_spurious_series, run_sweep_pipeline,
@@ -115,6 +117,59 @@ def test_sweep_predicts_each_distinct_snapshot_once(tmp_path, monkeypatch):
          for r in out.records], ref / "preds.csv")
     for name in ("results.csv", "preds.csv"):
         assert (config.out_dir / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1500, 4096])
+def test_sweep_bytes_do_not_depend_on_pool_block_rows(sweep_out, tmp_path, monkeypatch, rows):
+    config, out = sweep_out
+    monkeypatch.setattr(harness, "_BLOCK_ROWS", rows)
+    blocked = replace(config, out_dir=tmp_path / "blocked")
+    again = run_sweep_pipeline(blocked)
+    for name in SWEEP_ARTIFACTS:
+        assert ((blocked.out_dir / name).read_bytes()
+                == (config.out_dir / name).read_bytes()), name
+    assert list(blocked.out_dir.glob("*.tmp")) == []
+    # write_files=False makes the same pass over the pool with no file
+    unwritten = run_sweep_pipeline(replace(config, out_dir=tmp_path / "none"), write_files=False)
+    assert repr(unwritten.evals) == repr(again.evals) == repr(out.evals)
+    assert not (tmp_path / "none").exists()
+
+
+def test_failed_fit_renames_no_pool_into_place(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AnalysisError("degenerate points")
+
+    monkeypatch.setattr(analysis, "fit_curves", fail)
+    config = tiny_config(tmp_path)
+    with pytest.raises(AnalysisError):
+        run_sweep_pipeline(config)
+    assert list(config.out_dir.iterdir()) == []
+
+
+def test_sweep_memory_does_not_hold_the_pool(tmp_path):
+    """From n_ood_test = N to 4N a resident pool would add 3N * d_total * 8
+    bytes to the sweep's peak; the streamed pass adds less than a quarter."""
+    n = harness._BLOCK_ROWS
+
+    def peak(n_ood_test):
+        config = tiny_config(tmp_path / str(n_ood_test), d_spu=138, n_ood_test=n_ood_test)
+        tracemalloc.start()
+        try:
+            run_sweep_pipeline(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4 * n) - peak(n) < 3 * n * 150 * 8 / 4
+
+
+def test_gen_data_streams_the_bytes_of_whole_splits(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_BLOCK_ROWS", 7)
+    config = tiny_config(tmp_path)
+    for path in run_gen_data(config)[:3]:
+        ref = tmp_path / f"ref_{path.name}"
+        write_dataset_csv(generate(config.shift, path.stem), ref)
+        assert path.read_bytes() == ref.read_bytes(), path.name
 
 
 def test_gen_data_writes_three_splits_and_spec(tmp_path):
