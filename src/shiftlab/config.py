@@ -166,7 +166,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         grid_hp = grid.build(spec.master_seed)
         if not grid_hp:
             raise InvalidSpecError("the hyperparameter grid is empty")
-        for hp in grid_hp[:1]:
+        for hp in grid_hp:
             hp.validate()
     except InvalidSpecError as exc:
         raise ConfigError(f"bad [grid] section in {path}: {exc}") from exc

@@ -249,11 +249,15 @@ def run_spurious_series(config: ExperimentConfig, knob: str,
     if sorted(values) != list(values):
         raise ConfigError("series values must be sorted ascending")
 
-    rows = []
+    # Every value's spec is checked before the first sweep writes anything.
+    sub_cfgs = []
     for value in values:
         sub_spec = _spec_for_knob(config.shift, knob, value)
-        sub_dir = config.out_dir / f"{knob}_{_knob_tag(value)}"
-        sub_cfg = replace(config, shift=sub_spec, out_dir=sub_dir)
+        sub_spec.validate()
+        sub_cfgs.append(replace(config, shift=sub_spec,
+                                out_dir=config.out_dir / f"{knob}_{_knob_tag(value)}"))
+    rows = []
+    for value, sub_cfg in zip(values, sub_cfgs):
         out = run_sweep_pipeline(sub_cfg)
         rows.append({
             "value": value,

@@ -44,10 +44,11 @@ class HyperParams:
         return f"lr{self.learning_rate:.6g}-l2{self.l2:.6g}-b{bs}-s{self.seed:016x}"
 
     def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise InvalidSpecError("learning_rate must be positive")
-        if self.l2 < 0:
-            raise InvalidSpecError("l2 must be non-negative")
+        if not 0 < self.learning_rate < np.inf:
+            raise InvalidSpecError(f"learning_rate must be positive and finite, "
+                                   f"got {self.learning_rate}")
+        if not 0 <= self.l2 < np.inf:
+            raise InvalidSpecError(f"l2 must be non-negative and finite, got {self.l2}")
         if self.batch_size != FULL_BATCH:
             if not isinstance(self.batch_size, int) or self.batch_size <= 0:
                 raise InvalidSpecError(f"batch_size must be 'full' or a positive int")
@@ -120,78 +121,121 @@ def train(dataset: Dataset, hp: HyperParams) -> list[ModelRecord]:
     Gradients are accumulated in row order (full batch) or in the order of the
     per-epoch permutation derived from (hp.seed, epoch), so reruns and
     truncated reruns on one machine and BLAS kernel reproduce snapshots
-    exactly.  This is the one-column case of the stacked kernel that
-    ``sweep`` uses; a cell trained there agrees with this to about 1 ulp per
-    step, because BLAS reductions over several columns may round differently.
+    exactly.  This is the one-seed, one-column case of the stacked kernel
+    that ``sweep`` uses; a cell trained there among other columns agrees with
+    this to about 1 ulp per step, because BLAS reductions over several
+    columns may round differently.  The seed axis changes no bit.
     """
     hp.validate()
-    outcome = _descend(dataset, [[hp]])[0]
+    outcome = _descend(dataset, [[[hp]]])[0][0]
     if isinstance(outcome, DivergenceError):
         raise outcome
     return outcome
 
 
-def _descend(dataset: Dataset, columns: list[list[HyperParams]]
-             ) -> list[list[ModelRecord] | DivergenceError]:
-    """Train columns that share one batch order as one (d x C) weight matrix.
+def _descend(dataset: Dataset, stack: list[list[list[HyperParams]]]
+             ) -> list[list[list[ModelRecord] | DivergenceError]]:
+    """Train S groups of C columns as one seed stack of (d x C) weight matrices.
 
-    Each step is one GEMM instead of C matrix-vector products.  The cells of
-    column j share its lr and l2, and entry j of the result is their snapshot
-    records, or the DivergenceError that dropped the column from the matrix
-    (a non-finite iterate or snapshot loss) and left it no records.
+    Each group shares one batch order (its seed's, or row order for full
+    batch); all share the batch size and snapshot epochs.  A step is one
+    batched matmul, one BLAS GEMM per seed slice, on rows gathered straight
+    from the features into buffers allocated once per stack, so every slice
+    rounds as a lone group would.  The cells of column (s, j) share its lr and
+    l2, and entry [s][j] of the result is their snapshot records, or the
+    DivergenceError (a non-finite iterate or snapshot loss) that froze the
+    column at zero with lr 0 and left it no records; a frozen column changes
+    no bit of any other.
     """
     if dataset.split != "train":
         raise InvalidSpecError(f"training requires the train split, got {dataset.split!r}")
-    hp = columns[0][0]
+    hp = stack[0][0][0]
     X = dataset.features
-    y = dataset.labels.astype(np.float64)[:, None]
-    n, d = X.shape
-    alive = np.arange(len(columns))
-    W = np.zeros((d, len(columns)))
-    b = np.zeros(len(columns))
-    lr = np.array([cells[0].learning_rate for cells in columns])
-    l2 = np.array([cells[0].l2 for cells in columns])
-    outcomes: list[list[ModelRecord] | DivergenceError] = [[] for _ in columns]
+    y = dataset.labels.astype(np.float64)
+    (n, d), S, C = X.shape, len(stack), len(stack[0])
+    step = n if hp.batch_size == FULL_BATCH else int(hp.batch_size)
+    gather = hp.batch_size != FULL_BATCH
+    # One seed steps in 2-D: a unit seed axis costs about 10% per step.
+    lead = (S,) if S > 1 else ()
+    # Rows :d of Wb hold the weights and row d the bias, so one division,
+    # one lr product and one subtraction update both; G is laid out alike.
+    Wb, G = np.zeros((2,) + lead + (d + 1, C))
+    T = np.empty(lead + (d, C))
+    lr = np.array([[cells[0].learning_rate for cells in group] for group in stack])
+    l2 = np.array([[cells[0].l2 for cells in group] for group in stack])
+    lr_w = np.repeat(lr.reshape(lead + (1, C)), d + 1, axis=-2)
+    l2_w = np.repeat(l2.reshape(lead + (1, C)), d, axis=-2)
+    views = (Wb[..., :d, :], Wb[..., d:, :], G[..., :d, :], G[..., d:, :])
+    sizes = {min(step, n - start) for start in range(0, n, step)}
+    buffers = {m: (np.empty(lead + (m, d)) if gather else X, *np.empty((3,) + lead + (m, C)))
+               for m in sizes}
+    Wb3 = Wb.reshape(S, d + 1, C)
+    alive = np.ones((S, C), dtype=bool)
+    outcomes: list[list] = [[[] for _ in group] for group in stack]
 
     for epoch in range(1, hp.snapshot_epochs[-1] + 1):
-        if hp.batch_size == FULL_BATCH:
-            Xe, ye, step = X, y, n
+        if gather:
+            orders = np.reshape([np.random.default_rng(derive_stream(group[0][0].seed, epoch))
+                                 .permutation(n) for group in stack], lead + (n,))
+            ye = y[orders]
         else:
-            perm_rng = np.random.default_rng(derive_stream(hp.seed, epoch))
-            order = perm_rng.permutation(n)
-            Xe, ye, step = X[order], y[order], int(hp.batch_size)
+            ye = y
         # Unstable settings legitimately blow the iterates up to inf and nan;
         # that path is reported as DivergenceError, so the warnings are noise.
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, step):
-                Xb, yb = Xe[start:start + step], ye[start:start + step]
-                margins = yb * (Xb @ W + b)
-                # d/df log(1+e^{-f}) = -sigmoid(-f), computed overflow-free
-                e = np.exp(-np.abs(margins))
-                coef = yb * (np.where(margins >= 0, e, 1.0) / (1.0 + e))
-                m = len(Xb)
-                W -= lr * (-(Xb.T @ coef) / m + l2 * W)
-                b -= lr * (-coef.sum(axis=0) / m)
-        finite = np.all(np.isfinite(W), axis=0) & np.isfinite(b)
+                Xb, F, E, Q = buffers[min(step, n - start)]
+                if gather:  # "clip" writes straight into Xb; "raise" would buffer
+                    X.take(orders[..., start:start + step], axis=0, out=Xb, mode="clip")
+                _step(Xb, ye[..., start:start + step, None], Wb, G, *views, lr_w, l2_w,
+                      T, F, E, Q)
+        finite = alive & np.all(np.isfinite(Wb3), axis=1)
         if epoch in hp.snapshot_epochs:
-            for k in np.flatnonzero(finite):
-                w, bias = W[:, k].copy(), float(b[k])
-                loss = mean_logistic_loss(w, bias, dataset, float(l2[k]))
+            for s, k in zip(*np.nonzero(finite)):
+                w, bias = Wb3[s, :d, k].copy(), float(Wb3[s, d, k])
+                loss = mean_logistic_loss(w, bias, dataset, float(l2[s, k]))
                 if not np.isfinite(loss):
-                    finite[k] = False
+                    finite[s, k] = False
                     continue
-                outcomes[alive[k]].extend(ModelRecord(
+                outcomes[s][k].extend(ModelRecord(
                     model_id=f"{cell.cell_id()}e{epoch:04d}", weights=w, bias=bias,
                     epoch=epoch, train_loss=loss, hyperparams=cell)
-                    for cell in columns[alive[k]])
-        if not finite.all():
-            for j in alive[~finite]:
-                outcomes[j] = DivergenceError(epoch)
-            alive, W, b = alive[finite], W[:, finite], b[finite]
-            lr, l2 = lr[finite], l2[finite]
-            if not alive.size:
-                break
+                    for cell in stack[s][k])
+        for s, k in zip(*np.nonzero(alive & ~finite)):
+            outcomes[s][k] = DivergenceError(epoch)
+            for arr in (Wb, lr_w, l2_w):
+                arr.reshape(S, -1, C)[s, :, k] = 0.0
+        alive &= finite
+        if not alive.any():
+            break
     return outcomes
+
+
+def _step(Xb, yb, Wb, G, W, b, Gw, Gb, lr_w, l2_w, T, F, E, Q) -> None:
+    """One in-place descent step on batch rows ``Xb`` with labels ``yb``.
+
+    ``W`` and ``b`` are the weight and bias rows of ``Wb``, ``Gw`` and
+    ``Gb`` those of ``G``.  Per seed slice this is bitwise
+    ``W -= lr * (-(Xb.T @ coef) / m + l2 * W)`` and
+    ``b -= lr * (-coef.sum(axis=0) / m)`` with ``coef = yb * sigmoid(-margins)``.
+    """
+    m = Xb.shape[-2]
+    np.matmul(Xb, W, out=F)
+    F += b
+    F *= yb  # margins
+    # d/df log(1+e^{-f}) = -sigmoid(-f), computed overflow-free:
+    # e = exp(-|f|), then (e where f >= 0, else 1) / (1 + e)
+    np.exp(np.copysign(F, -1.0, out=E), out=E)
+    np.maximum(E, np.less(F, 0.0, out=Q), out=Q)
+    E += 1.0
+    Q /= E
+    Q *= yb  # coef
+    np.matmul(Xb.swapaxes(-1, -2), Q, out=Gw)
+    np.add.reduce(Q, axis=-2, keepdims=True, out=Gb)
+    G /= -m
+    Gw += np.multiply(l2_w, W, out=T)
+    G *= lr_w
+    Wb -= G
 
 
 @dataclass
@@ -204,10 +248,13 @@ def sweep(dataset: Dataset, grid: list[HyperParams]) -> SweepResult:
     """Train every grid cell; cell failures are recorded, not fatal.
 
     Cells that share a batch order (batch size, snapshot epochs and, for
-    SGD, seed) train as one stack with columns sorted by cell ID, so any
-    permutation of a grid yields the same bytes.  Full-batch descent ignores
-    the seed: each (lr, l2) trajectory is trained once and recorded under
-    every seed's model ID.  Records are sorted by model_id; failures keep grid order.
+    SGD, seed) form one group of columns sorted by cell ID, so any
+    permutation of a grid yields the same bytes.  Groups that share batch
+    size, snapshot epochs and column count train as one seed stack; each
+    seed slice rounds exactly as its group trained alone, so stacking
+    changes no byte.  Full-batch descent ignores the seed: each (lr, l2)
+    trajectory is trained once and recorded under every seed's model ID.
+    Records are sorted by model_id; failures keep grid order.
     """
     if not grid:
         raise InvalidSpecError("hyperparameter grid must be non-empty")
@@ -221,15 +268,19 @@ def sweep(dataset: Dataset, grid: list[HyperParams]) -> SweepResult:
         key = (hp.batch_size, seed, hp.snapshot_epochs)
         groups.setdefault(key, {}).setdefault((hp.learning_rate, hp.l2), []).append(hp)
 
+    stacks: dict[tuple, list[list[list[HyperParams]]]] = {}
+    for (batch_size, _, snaps), group in groups.items():
+        stacks.setdefault((batch_size, snaps, len(group)), []).append(list(group.values()))
+
     records: list[ModelRecord] = []
     failed: dict[str, str] = {}
-    for group in groups.values():
-        columns = list(group.values())
-        for outcome, cells in zip(_descend(dataset, columns), columns):
-            if isinstance(outcome, DivergenceError):
-                failed.update((hp.cell_id(), str(outcome)) for hp in cells)
-            else:
-                records.extend(outcome)
+    for stack in stacks.values():
+        for outcomes, columns in zip(_descend(dataset, stack), stack):
+            for outcome, cells in zip(outcomes, columns):
+                if isinstance(outcome, DivergenceError):
+                    failed.update((hp.cell_id(), str(outcome)) for hp in cells)
+                else:
+                    records.extend(outcome)
     records.sort(key=lambda r: r.model_id)
     failures = [(cell, hp, failed[cell]) for cell, hp in zip(ids, grid) if cell in failed]
     return SweepResult(records=records, failures=failures)

@@ -126,6 +126,29 @@ def test_series_bad_values_is_config_error(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_series_checks_every_value_before_the_first_sweep(tmp_path, capsys):
+    cfg, out_dir = write_config(tmp_path)
+    assert main(["series", "--config", str(cfg), "--knob", "p_maj",
+                 "--values", "0.7,1.5"]) == 2
+    assert "p_maj" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("old,new", [
+    ("learning_rates=1e-3,1e-2", "learning_rates=nan,1e-2"),
+    ("learning_rates=1e-3,1e-2", "learning_rates=inf"),
+    ("learning_rates=1e-3,1e-2", "learning_rates=1e-2,-inf"),
+    ("l2s=0", "l2s=nan"),
+    ("l2s=0", "l2s=0,inf"),
+    ("batch_sizes=full,16", "batch_sizes=full,0"),
+])
+def test_bad_grid_value_fails_before_training(tmp_path, capsys, old, new):
+    cfg, out_dir = write_config(tmp_path, TINY_SHIFT.replace(old, new))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert "config error: bad [grid]" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("line", [
     "probit_eps=0.7", "probit_eps=0", "probit_eps=0.5", "probit_eps=-1e-3",
     "probit_eps=nan", "spline_lambda=0", "spline_lambda=-2", "spline_lambda=nan",

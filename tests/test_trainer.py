@@ -1,11 +1,14 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from shiftlab import trainer
 from shiftlab.datagen import ShiftSpec, format_sig, generate
 from shiftlab.errors import DivergenceError, InvalidSpecError
 from shiftlab.gauss import normal_cdf
+from shiftlab.rng import derive_stream
 from shiftlab.trainer import (FULL_BATCH, HyperParams, ModelRecord, default_grid,
                               gradient_lipschitz_bound, mean_logistic_loss,
                               oracle_classifier, read_model_store, sweep, train,
@@ -30,6 +33,8 @@ def train_set():
 
 @pytest.mark.parametrize("kw", [
     dict(learning_rate=0.0), dict(l2=-1e-3), dict(batch_size=0),
+    dict(learning_rate=float("nan")), dict(learning_rate=float("inf")),
+    dict(l2=float("nan")), dict(l2=float("inf")),
     dict(batch_size="half"), dict(snapshot_epochs=()),
     dict(snapshot_epochs=(5, 5)), dict(snapshot_epochs=(10, 5)),
     dict(snapshot_epochs=(1, 30), max_epochs=25),
@@ -361,3 +366,122 @@ def test_full_batch_snapshots_identical_across_seeds(train_set):
         for r in copies[1:]:
             assert r.weights.tobytes() == copies[0].weights.tobytes()
             assert r.bias == copies[0].bias and r.train_loss == copies[0].train_loss
+
+
+# ---------------------------------------------------------------------------
+# Seed stack
+# ---------------------------------------------------------------------------
+
+def _spy_stacks(monkeypatch):
+    """Record the (seeds, columns) shape of every stack that sweep trains."""
+    shapes = []
+    descend = trainer._descend
+
+    def spy(dataset, stack):
+        shapes.append((len(stack), len(stack[0])))
+        return descend(dataset, stack)
+
+    monkeypatch.setattr(trainer, "_descend", spy)
+    return shapes
+
+
+def test_seed_stack_equals_one_seed_sweeps_bitwise(train_set, monkeypatch):
+    # Batch 32 leaves a 16-row tail batch; lr 0.1 is chaotic, so a 1-ulp
+    # difference anywhere would grow into a visible one.
+    grid = default_grid(master_seed=6, n_seeds=3, learning_rates=(1e-3, 1e-2, 1e-1),
+                        l2s=(0.0, 1e-2), batch_sizes=(FULL_BATCH, 32),
+                        snapshot_epochs=(1, 3, 6))
+    shapes = _spy_stacks(monkeypatch)
+    stacked = sweep(train_set, grid)
+    assert sorted(shapes) == [(1, 6), (3, 6)]
+    lone = [r for seed in sorted({hp.seed for hp in grid})
+            for r in sweep(train_set, [hp for hp in grid if hp.seed == seed]).records]
+    lone.sort(key=lambda r: r.model_id)
+    assert not stacked.failures
+    assert [r.model_id for r in stacked.records] == [r.model_id for r in lone]
+    for ra, rb in zip(stacked.records, lone):
+        assert ra.weights.tobytes() == rb.weights.tobytes()
+        assert ra.bias == rb.bias and ra.train_loss == rb.train_loss
+
+
+def _reference_descent(dataset, columns, batch_size, seed, epochs):
+    """The textbook step on a permuted epoch copy, one (d x C) group at a time."""
+    X, y = dataset.features, dataset.labels.astype(np.float64)[:, None]
+    n, d = X.shape
+    lr = np.array([hp.learning_rate for hp in columns])
+    l2 = np.array([hp.l2 for hp in columns])
+    W, b = np.zeros((d, len(columns))), np.zeros(len(columns))
+    snaps = {}
+    for epoch in range(1, epochs[-1] + 1):
+        if batch_size == FULL_BATCH:
+            Xe, ye, step = X, y, n
+        else:
+            order = np.random.default_rng(derive_stream(seed, epoch)).permutation(n)
+            Xe, ye, step = X[order], y[order], batch_size
+        for start in range(0, n, step):
+            Xb, yb = Xe[start:start + step], ye[start:start + step]
+            margins = yb * (Xb @ W + b)
+            e = np.exp(-np.abs(margins))
+            coef = yb * (np.where(margins >= 0, e, 1.0) / (1.0 + e))
+            W -= lr * (-(Xb.T @ coef) / len(Xb) + l2 * W)
+            b -= lr * (-coef.sum(axis=0) / len(Xb))
+        if epoch in epochs:
+            snaps[epoch] = W.copy(), b.copy()
+    return snaps
+
+
+def test_seed_stack_matches_reference_descent_bitwise(train_set):
+    grid = default_grid(master_seed=2, n_seeds=2, learning_rates=(1e-3, 1e-1),
+                        l2s=(0.0, 1e-2), batch_sizes=(FULL_BATCH, 32),
+                        snapshot_epochs=(1, 4))
+    by_id = {r.model_id: r for r in sweep(train_set, grid).records}
+    for batch_size in (FULL_BATCH, 32):
+        for seed in sorted({hp.seed for hp in grid}):
+            columns = sorted((hp for hp in grid if hp.batch_size == batch_size
+                              and hp.seed == seed), key=HyperParams.cell_id)
+            snaps = _reference_descent(train_set, columns, batch_size, seed, (1, 4))
+            for epoch, (W, b) in snaps.items():
+                for k, hp in enumerate(columns):
+                    r = by_id[f"{hp.cell_id()}e{epoch:04d}"]
+                    assert r.weights.tobytes() == W[:, k].tobytes() and r.bias == b[k]
+
+
+def test_diverging_column_fails_only_its_own_seed(train_set, monkeypatch):
+    def cell(lr, l2, seed):
+        return HyperParams(learning_rate=lr, l2=l2, batch_size=16, max_epochs=10,
+                           snapshot_epochs=(1, 2, 10), seed=seed)
+
+    stable = [cell(lr, l2, seed) for seed in (5, 6) for lr in (1e-3, 2e-2)
+              for l2 in (0.0, 1e-3)]
+    # Both sort into the middle column of their seed's group, so the two
+    # five-column groups stack and the bad column shares its index with partner.
+    bad, partner = cell(0.01, 1e5, 5), cell(0.01, 1e-4, 6)
+    shapes = _spy_stacks(monkeypatch)
+    with_bad = sweep(train_set, stable + [bad, partner])
+    assert shapes == [(2, 5)]
+    without = sweep(train_set, stable + [partner])
+    assert with_bad.failures == [(bad.cell_id(), bad, str(DivergenceError(5)))]
+    assert not any(r.model_id.startswith(bad.cell_id()) for r in with_bad.records)
+    kept = [r for r in with_bad.records if r.model_id.startswith(partner.cell_id())]
+    assert [r.epoch for r in kept] == [1, 2, 10]
+    assert len(with_bad.records) == len(without.records) == 9 * 3
+    for ra, rb in zip(with_bad.records, without.records):
+        assert_records_close(ra, rb)
+        if ra.hyperparams.seed == 6:  # the other seed's slice is untouched
+            assert ra.weights.tobytes() == rb.weights.tobytes() and ra.bias == rb.bias
+
+
+def test_sgd_sweep_peak_memory_below_feature_matrix():
+    # The flagship train split: 3,000 rows x 110 features, 2.64 MB.  Batches
+    # are gathered row by row, so no permuted copy of the matrix is made.
+    spec = ShiftSpec(d_core=100, d_spu=10, sigma_core=10.0, sigma_spu=1.0,
+                     n_train=3000, p_maj=0.9, master_seed=0)
+    ds = generate(spec, "train")
+    grid = default_grid(master_seed=0, n_seeds=1, batch_sizes=(32,), snapshot_epochs=(1, 2))
+    tracemalloc.start()
+    try:
+        sweep(ds, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ds.features.nbytes
