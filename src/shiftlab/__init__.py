@@ -8,18 +8,17 @@ closed-form subpopulation accuracy gap against Monte Carlo simulation.
 """
 
 from .analysis import (CurveReport, SmoothingSpline, compare_nonlinearity,
-                       fit_curves, probit, smooth_spline)
+                       fit_curves, probit)
 from .config import AnalysisOptions, ExperimentConfig, GridSpec, load_config, write_config
 from .datagen import (Dataset, MixtureTable, ShiftSpec, generate, mixture_table,
                       spec_from_table)
-from .evaluator import (AgreementRecord, EvalRecord, agreement, evaluate,
-                        model_mixture)
+from .evaluator import AgreementRecord, EvalRecord, evaluate, model_mixture
 from .harness import (run_agreement_pipeline, run_gen_data, run_spurious_series,
                       run_sweep_pipeline)
 from .theory import (PopulationSpec, RocPoint, ScoreModel, accuracy_gap,
                      monte_carlo_gap, roc_traverse, subpop_accuracy)
-from .trainer import (HyperParams, ModelRecord, SweepResult, default_grid,
-                      oracle_classifier, sweep, train)
+from .trainer import (HyperParams, ModelRecord, SweepResult, oracle_classifier,
+                      sweep, train)
 
 __version__ = "0.1.0"
 
@@ -27,10 +26,9 @@ __all__ = [
     "AgreementRecord", "AnalysisOptions", "CurveReport", "Dataset", "EvalRecord",
     "ExperimentConfig", "GridSpec", "HyperParams", "MixtureTable", "ModelRecord",
     "PopulationSpec", "RocPoint", "ScoreModel", "ShiftSpec", "SmoothingSpline",
-    "SweepResult", "accuracy_gap", "agreement", "compare_nonlinearity",
-    "default_grid", "evaluate", "fit_curves", "generate", "load_config",
-    "mixture_table", "model_mixture", "monte_carlo_gap", "oracle_classifier",
-    "probit", "roc_traverse", "run_agreement_pipeline", "run_gen_data",
-    "run_spurious_series", "run_sweep_pipeline", "smooth_spline",
-    "spec_from_table", "subpop_accuracy", "sweep", "train", "write_config",
+    "SweepResult", "accuracy_gap", "compare_nonlinearity", "evaluate", "fit_curves",
+    "generate", "load_config", "mixture_table", "model_mixture", "monte_carlo_gap",
+    "oracle_classifier", "probit", "roc_traverse", "run_agreement_pipeline",
+    "run_gen_data", "run_spurious_series", "run_sweep_pipeline", "spec_from_table",
+    "subpop_accuracy", "sweep", "train", "write_config",
 ]

@@ -86,29 +86,27 @@ class QuadFit:
 class SmoothingSpline:
     """Natural cubic smoothing spline on distinct knots.
 
-    Minimizes sum_i w_i (y_i - f(x_i))^2 + lam * integral f''(t)^2 dt over
+    Minimizes sum_i (y_i - f(x_i))^2 + lam * integral f''(t)^2 dt over
     natural cubic splines with knots at the distinct x values (duplicates are
-    collapsed to weighted means).  The fit is computed through the Reinsch
-    system (R + lam * Q^T W^-1 Q) gamma = Q^T y, which stays well conditioned
-    for every lambda, including the straight-line limit lam -> infinity.
+    collapsed to their mean, weighted by their count).  The fit is computed
+    through the Reinsch system (R + lam * Q^T W^-1 Q) gamma = Q^T y, which
+    stays well conditioned for every lambda, including the straight-line limit
+    lam -> infinity.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, lam: float | str = "gcv",
-                 weights: np.ndarray | None = None):
+    def __init__(self, x: np.ndarray, y: np.ndarray, lam: float | str = "gcv"):
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if x.ndim != 1 or x.shape != y.shape:
             raise AnalysisError("spline inputs must be matching 1-D arrays")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise AnalysisError("spline inputs must be finite")
-        if weights is None:
-            weights = np.ones_like(x)
 
         order = np.argsort(x, kind="stable")
-        x, y, weights = x[order], y[order], weights[order]
+        x, y = x[order], y[order]
         # Collapse exact and near-duplicate x (closer than ~1e-9 of the span)
-        # into single knots with weighted mean responses; knot gaps at machine
-        # epsilon would make the penalty system singular.
+        # into single knots with mean responses, weighted by count; knot gaps
+        # at machine epsilon would make the penalty system singular.
         span = float(x[-1] - x[0])
         tol = max(span, 1.0) * 1e-9
         idx = np.concatenate([[0], np.cumsum(np.diff(x) > tol)])
@@ -118,9 +116,9 @@ class SmoothingSpline:
         w = np.zeros(n_knots)
         xbar = np.zeros(n_knots)
         ybar = np.zeros(n_knots)
-        np.add.at(w, idx, weights)
-        np.add.at(xbar, idx, weights * x)
-        np.add.at(ybar, idx, weights * y)
+        np.add.at(w, idx, 1.0)
+        np.add.at(xbar, idx, x)
+        np.add.at(ybar, idx, y)
         xbar /= w
         ybar /= w
 
@@ -222,14 +220,6 @@ class SmoothingSpline:
             "values": [float(v) for v in self.values],
             "second_derivs": [float(v) for v in self.second_derivs],
         }
-
-
-def smooth_spline(points: list[tuple[float, float]] | np.ndarray,
-                  lam: float | str = "gcv") -> SmoothingSpline:
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise AnalysisError("expected a sequence of (x, y) pairs")
-    return SmoothingSpline(pts[:, 0], pts[:, 1], lam=lam)
 
 
 @dataclass(frozen=True)

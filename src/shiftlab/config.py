@@ -19,7 +19,8 @@ import numpy as np
 
 from .datagen import ShiftSpec, parse_spec_items
 from .errors import ConfigError, InvalidSpecError
-from .trainer import FULL_BATCH, HyperParams, default_grid
+from .rng import derive_stream
+from .trainer import FULL_BATCH, HyperParams
 
 
 @dataclass(frozen=True)
@@ -38,10 +39,14 @@ class GridSpec:
     n_seeds: int = 5
 
     def build(self, master_seed: int) -> list[HyperParams]:
-        return default_grid(master_seed=master_seed, n_seeds=self.n_seeds,
-                            learning_rates=self.learning_rates, l2s=self.l2s,
-                            batch_sizes=self.batch_sizes,
-                            snapshot_epochs=self.snapshot_epochs)
+        """Every (lr, l2, batch size, seed) cell; the seeds derive from
+        ``master_seed``."""
+        seeds = [derive_stream(master_seed, 0x5345, k) for k in range(self.n_seeds)]
+        return [HyperParams(learning_rate=float(lr), l2=float(l2), batch_size=bs,
+                            max_epochs=self.snapshot_epochs[-1],
+                            snapshot_epochs=self.snapshot_epochs, seed=seed)
+                for lr in self.learning_rates for l2 in self.l2s
+                for bs in self.batch_sizes for seed in seeds]
 
     @property
     def n_snapshots(self) -> int:
@@ -166,6 +171,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         grid_hp = grid.build(spec.master_seed)
         if not grid_hp:
             raise InvalidSpecError("the hyperparameter grid is empty")
+        if len({hp.cell_id() for hp in grid_hp}) != len(grid_hp):
+            raise InvalidSpecError("two cells share a cell ID: values repeat, "
+                                   "or agree to the 6 significant digits it prints")
         for hp in grid_hp:
             hp.validate()
     except InvalidSpecError as exc:

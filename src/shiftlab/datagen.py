@@ -286,7 +286,7 @@ def generate_blocks(spec: ShiftSpec, split: str, rows: int | None = None) -> Ite
     buffer = np.empty((min(rows, n), spec.d_total))
     for start in range(0, n, rows):
         sl = slice(start, start + rows)
-        features = _draw_features(spec, split, labels[sl], attr[sl], streams[sl],
+        features = _draw_features(spec, labels[sl], attr[sl], streams[sl],
                                   buffer[:labels[sl].shape[0]])
         yield Dataset(features=features, labels=labels[sl], groups=groups[sl],
                       split=split, k_groups=spec.k_groups)
@@ -297,18 +297,12 @@ def generate_blocks(spec: ShiftSpec, split: str, rows: int | None = None) -> Ite
 _GEN_BLOCK_ROWS = 128
 
 
-def _draw_features(spec: ShiftSpec, split: str, labels: np.ndarray, attr: np.ndarray,
-                   streams: np.ndarray | None = None,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def _draw_features(spec: ShiftSpec, labels: np.ndarray, attr: np.ndarray,
+                   streams: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Feature rows ``label + sigma_core * noise`` and ``attr + sigma_spu * noise``,
-    drawn ``_GEN_BLOCK_ROWS`` rows at a time straight into ``out`` (a new array
-    when None); ``streams`` are the rows' streams, the first rows of ``split``
-    when None."""
+    drawn ``_GEN_BLOCK_ROWS`` rows at a time straight into ``out``; ``streams``
+    are the rows' streams."""
     dc = spec.d_core
-    if streams is None:
-        streams = row_streams(spec.master_seed, _SPLIT_SCOPE[split], labels.shape[0])
-    if out is None:
-        out = np.empty((labels.shape[0], spec.d_total))
     for start in range(0, labels.shape[0], _GEN_BLOCK_ROWS):
         sl = slice(start, start + _GEN_BLOCK_ROWS)
         noise = stream_normals(streams[sl], spec.d_total)

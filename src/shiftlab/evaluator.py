@@ -1,4 +1,4 @@
-"""Per-subpopulation evaluation, pairwise agreement, and model mixtures.
+"""Per-subpopulation evaluation, model mixtures, and the sweep's CSV files.
 
 Evaluation runs once against a single group-balanced test pool; the
 in-distribution and shifted views are reweightings of the same per-group
@@ -200,31 +200,6 @@ def evaluate(model: ModelRecord, test: Dataset, r_tr: tuple[float, ...],
     preds = model.predict(test.features)
     return evaluate_predictions(model.model_id, preds, test, r_tr, r_ts,
                                 epoch=model.epoch)
-
-
-def agreement(model_a: ModelRecord, model_b: ModelRecord, test: Dataset) -> AgreementRecord:
-    """Fraction of test rows on which the two classifiers emit the same label."""
-    if model_a.weights.shape != model_b.weights.shape:
-        raise DimensionMismatchError("models have different feature dimensions")
-    pa = model_a.predict(test.features)
-    pb = model_b.predict(test.features)
-    frac = float(np.mean(pa == pb))
-    return AgreementRecord(model_a=model_a.model_id, model_b=model_b.model_id,
-                           agreement=frac)
-
-
-def agreement_by_group(preds_a: np.ndarray, preds_b: np.ndarray,
-                       groups: np.ndarray, k_groups: int) -> tuple[float, ...]:
-    """Per-group agreement fractions for two prediction vectors."""
-    match = preds_a == preds_b
-    out = []
-    for g in range(k_groups):
-        idx = groups == g
-        n_g = int(np.sum(idx))
-        if n_g == 0:
-            raise EmptyGroupError(f"group {g} has no rows in the test pool")
-        out.append(float(np.mean(match[idx])))
-    return tuple(out)
 
 
 def model_mixture(model_a: ModelRecord, model_b: ModelRecord, p: float,

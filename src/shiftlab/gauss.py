@@ -74,24 +74,30 @@ def normal_quantile(p: float) -> float:
     return -_quantile_upper(1.0 - p)
 
 
-def normal_quantile_array(p: np.ndarray) -> np.ndarray:
-    """``normal_quantile`` of each element of a 1-D array, all in (0, 1): one
-    bisection over the array, in which an element freezes once its midpoint
-    no longer splits its bracket."""
-    p = np.asarray(p, dtype=np.float64)
-    if not np.all((p > 0.0) & (p < 1.0)):
-        raise ValueError("quantile requires every p in (0, 1)")
-    upper = p > 0.5
-    q = np.where(upper, p, 1.0 - p)
-    lo, hi = np.zeros(p.size), np.full(p.size, 13.0)
+def bisect(cdf, targets: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Solve ``cdf(x) = target`` on [lo, hi] for each element of a 1-D array by
+    one bisection over the array, in which an element freezes once its
+    midpoint no longer splits its bracket; ``cdf`` maps an array of points to
+    their increasing CDF values."""
+    lo, hi = np.full(targets.shape, lo), np.full(targets.shape, hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         live = np.flatnonzero((mid != lo) & (mid != hi))
         if live.size == 0:
             break
         m = mid[live]
-        below = normal_cdf_array(m) < q[live]
+        below = cdf(m) < targets[live]
         lo[live[below]] = m[below]
         hi[live[~below]] = m[~below]
-    x = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+def normal_quantile_array(p: np.ndarray) -> np.ndarray:
+    """``normal_quantile`` of each element of a 1-D array, all in (0, 1), by
+    one ``bisect`` over the array."""
+    p = np.asarray(p, dtype=np.float64)
+    if not np.all((p > 0.0) & (p < 1.0)):
+        raise ValueError("quantile requires every p in (0, 1)")
+    upper = p > 0.5
+    x = bisect(normal_cdf_array, np.where(upper, p, 1.0 - p), 0.0, 13.0)
     return np.where(p == 0.5, 0.0, np.where(upper, x, -x))

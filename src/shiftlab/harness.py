@@ -11,7 +11,6 @@ overwrite each file with identical bytes.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import warnings
@@ -66,8 +65,9 @@ def _file_entry(path: Path) -> dict:
 def _write_manifest(out_dir: Path, names: list[str]) -> None:
     """``manifest.json``: each named file's size and CRC-32, in ``names`` order.
 
-    Written after the files it names, so a run that dies part-way leaves a
-    manifest that no longer matches them.
+    Written after the files it names, and a sweep removes the previous one
+    before its first write, so a sweep directory holds a complete artifact set
+    exactly when its manifest verifies.
     """
     files = {name: _file_entry(out_dir / name) for name in names}
     _atomic(out_dir / "manifest.json", lambda p: analysis.dump_json({"files": files}, p))
@@ -140,7 +140,7 @@ def _spline_overlay(report: analysis.CurveReport, points: np.ndarray) -> svg.Ove
     return svg.Overlay("smoothing spline", list(zip(xs.tolist(), ys.tolist())), "#2ca02c")
 
 
-def run_sweep_pipeline(config: ExperimentConfig, write_files: bool = True) -> SweepOutputs:
+def run_sweep_pipeline(config: ExperimentConfig) -> SweepOutputs:
     """Generate data, train the grid, evaluate, fit curves, emit artifacts."""
     spec = config.shift
     spec.validate()
@@ -153,50 +153,48 @@ def run_sweep_pipeline(config: ExperimentConfig, write_files: bool = True) -> Sw
     if not result.records:
         raise trainer.DivergenceError(0, "every grid cell diverged")
 
-    def evaluate_and_fit(path: Path | None):
-        """One pass over the OOD pool (draw each block, append it to ``path``
-        when given, score it against every snapshot), then the curve fits: a
-        failed fit renames no ``ood_test.csv`` into place."""
+    def evaluate_and_fit(path: Path):
+        """One pass over the OOD pool (draw each block, append it to ``path``,
+        score it against every snapshot), then the curve fits: a failed fit
+        renames no ``ood_test.csv`` into place."""
         blocks = datagen.generate_blocks(spec, "ood_test", _BLOCK_ROWS)
-        with open(path, "wb") if path else contextlib.nullcontext() as fh:
+        with open(path, "wb") as fh:
             evals, pred_rows = evaluator.evaluate_snapshots(
-                result.records, datagen.csv_rows(blocks, fh) if fh else blocks,
+                result.records, datagen.csv_rows(blocks, fh),
                 spec.train_weights(), spec.ood_weights())
         points = _moon_points(spec, evals)
         report = analysis.fit_curves(points, probit_eps=config.analysis.probit_eps,
                                      spline_lambda=config.analysis.spline_lambda)
         return evals, pred_rows, points, report
 
-    if not write_files:
-        evals, pred_rows, points, report = evaluate_and_fit(None)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.json").unlink(missing_ok=True)
+    evals, pred_rows, points, report = _atomic(out_dir / "ood_test.csv", evaluate_and_fit)
+    _atomic(out_dir / "train.csv", lambda p: datagen.write_dataset_csv(train_set, p))
+    _write_model_store_atomic(result.records, out_dir)
+    _atomic(out_dir / "results.csv",
+            lambda p: evaluator.write_results_csv(list(zip(result.records, evals)), p))
+    _atomic(out_dir / "preds.csv", lambda p: evaluator.write_preds_csv(pred_rows, p))
+    _atomic(out_dir / "report.json", lambda p: analysis.write_report(report, p))
+    overlays = [_quad_overlay(report, points)]
+    sp = _spline_overlay(report, points)
+    if sp is not None:
+        overlays.append(sp)
+    style = svg.PlotStyle(title=f"model sweep ({len(evals)} snapshots)")
+    _atomic_text(out_dir / "moon.svg", svg.render_scatter(
+        [tuple(p) for p in points.tolist()], overlays, style))
+    written = [name for name in SWEEP_ARTIFACTS if name != "manifest.json"]
+    if result.failures:
+        lines = ["cell,lr,l2,batch_size,seed,error"]
+        for cell, hp, msg in result.failures:
+            lines.append(f"{cell},{format_sig(hp.learning_rate)},{format_sig(hp.l2)},"
+                         f"{hp.batch_size},{hp.seed},{msg}")
+        _atomic_text(out_dir / "failures.csv", "\n".join(lines) + "\n")
+        written.append("failures.csv")
     else:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        evals, pred_rows, points, report = _atomic(out_dir / "ood_test.csv", evaluate_and_fit)
-        _atomic(out_dir / "train.csv", lambda p: datagen.write_dataset_csv(train_set, p))
-        _write_model_store_atomic(result.records, out_dir)
-        _atomic(out_dir / "results.csv",
-                lambda p: evaluator.write_results_csv(list(zip(result.records, evals)), p))
-        _atomic(out_dir / "preds.csv", lambda p: evaluator.write_preds_csv(pred_rows, p))
-        _atomic(out_dir / "report.json", lambda p: analysis.write_report(report, p))
-        overlays = [_quad_overlay(report, points)]
-        sp = _spline_overlay(report, points)
-        if sp is not None:
-            overlays.append(sp)
-        style = svg.PlotStyle(title=f"model sweep ({len(evals)} snapshots)")
-        _atomic_text(out_dir / "moon.svg", svg.render_scatter(
-            [tuple(p) for p in points.tolist()], overlays, style))
-        written = [name for name in SWEEP_ARTIFACTS if name != "manifest.json"]
-        if result.failures:
-            lines = ["cell,lr,l2,batch_size,seed,error"]
-            for cell, hp, msg in result.failures:
-                lines.append(f"{cell},{format_sig(hp.learning_rate)},{format_sig(hp.l2)},"
-                             f"{hp.batch_size},{hp.seed},{msg}")
-            _atomic_text(out_dir / "failures.csv", "\n".join(lines) + "\n")
-            written.append("failures.csv")
-        else:
-            # A previous run's failures.csv names cells this run did not fail.
-            (out_dir / "failures.csv").unlink(missing_ok=True)
-        _write_manifest(out_dir, written)
+        # A previous run's failures.csv names cells this run did not fail.
+        (out_dir / "failures.csv").unlink(missing_ok=True)
+    _write_manifest(out_dir, written)
 
     return SweepOutputs(config=config, records=result.records, evals=evals,
                         report=report, points=points, out_dir=out_dir)
@@ -342,10 +340,12 @@ def run_agreement_pipeline(config: ExperimentConfig, n_pairs: int | None = None,
         if not (out_dir / name).exists():
             raise MissingInputsError(f"{name} not found in {out_dir}; run the sweep first")
 
-    results = evaluator.read_results_csv(out_dir / "results.csv", ("model_id",))
+    # Pairs are drawn by results.csv row index, and preds.csv is row-aligned
+    # with the pool the sweep wrote, so all three must be the sweep's files
+    # byte for byte: reordered or edited rows keep the counts.
+    results = _read_verified(out_dir, "results.csv", lambda p: (
+        evaluator.read_results_csv(p, ("model_id",)), _file_entry(p)["crc32"]))
     model_ids = [r["model_id"] for r in results]
-    # preds.csv is row-aligned with the pool the sweep wrote, so the pool must
-    # be that file byte for byte: reordered or edited rows keep the counts.
     pool = _read_verified(out_dir, "ood_test.csv",
                           lambda p: datagen.read_dataset_labels(p, split="ood_test"))
     expected = [c for cell in config.shift.group_label_counts("ood_test") for c in cell]

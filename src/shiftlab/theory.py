@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegeneratePopulationError, EmptyGroupError, InvalidSpecError
-from .gauss import normal_cdf, normal_cdf_array, normal_quantile
+from .gauss import bisect, normal_cdf, normal_cdf_array, normal_quantile
 
 _GRID_CLIP = (0.001, 0.999)
 
@@ -177,22 +177,11 @@ def roc_traverse(pop: PopulationSpec, score: ScoreModel,
     score.validate()
     if n_thresholds < 3:
         raise InvalidSpecError("need at least 3 thresholds")
-    # One bisection on the mixed score CDF for every quantile at once; an
-    # element freezes once its midpoint no longer splits its bracket.
-    qs = np.linspace(_GRID_CLIP[0], _GRID_CLIP[1], n_thresholds)
-    lo = np.full(qs.shape, min(score.mu0 - 10 * score.s0, score.mu1 - 10 * score.s1))
-    hi = np.full(qs.shape, max(score.mu0 + 10 * score.s0, score.mu1 + 10 * score.s1))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        live = np.flatnonzero((mid != lo) & (mid != hi))
-        if live.size == 0:
-            break
-        t = mid[live]
-        below = ((1.0 - pop.p_y1) * normal_cdf_array((t - score.mu0) / score.s0)
-                 + pop.p_y1 * normal_cdf_array((t - score.mu1) / score.s1)) < qs[live]
-        lo[live[below]] = t[below]
-        hi[live[~below]] = t[~below]
-    t = 0.5 * (lo + hi)
+    t = bisect(lambda x: (1.0 - pop.p_y1) * normal_cdf_array((x - score.mu0) / score.s0)
+               + pop.p_y1 * normal_cdf_array((x - score.mu1) / score.s1),
+               np.linspace(_GRID_CLIP[0], _GRID_CLIP[1], n_thresholds),
+               min(score.mu0 - 10 * score.s0, score.mu1 - 10 * score.s1),
+               max(score.mu0 + 10 * score.s0, score.mu1 + 10 * score.s1))
     tpr = 1.0 - normal_cdf_array((t - score.mu1) / score.s1)
     tnr = normal_cdf_array((t - score.mu0) / score.s0)
     maj = subpop_accuracy(pop, tpr, tnr, 1)

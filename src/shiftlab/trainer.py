@@ -286,27 +286,6 @@ def sweep(dataset: Dataset, grid: list[HyperParams]) -> SweepResult:
     return SweepResult(records=records, failures=failures)
 
 
-def default_grid(master_seed: int = 0, n_seeds: int = 5,
-                 learning_rates: tuple[float, ...] | None = None,
-                 l2s: tuple[float, ...] = (0.0, 1e-4, 1e-2),
-                 batch_sizes: tuple[int | str, ...] = (FULL_BATCH, 32),
-                 snapshot_epochs: tuple[int, ...] = (1, 2, 5, 10, 25, 50, 100)) -> list[HyperParams]:
-    """The stock sweep grid: 5 log-spaced learning rates x ridge x batch x seeds."""
-    if learning_rates is None:
-        learning_rates = tuple(np.logspace(-4, -1, 5))
-    seeds = [derive_stream(master_seed, 0x5345, k) for k in range(n_seeds)]
-    grid = []
-    for lr in learning_rates:
-        for l2 in l2s:
-            for bs in batch_sizes:
-                for seed in seeds:
-                    grid.append(HyperParams(
-                        learning_rate=float(lr), l2=float(l2), batch_size=bs,
-                        max_epochs=snapshot_epochs[-1],
-                        snapshot_epochs=snapshot_epochs, seed=seed))
-    return grid
-
-
 def oracle_classifier(spec: ShiftSpec, mode: str = "core-only") -> ModelRecord:
     """Analytic reference classifiers.
 

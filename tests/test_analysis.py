@@ -6,7 +6,7 @@ from scipy.interpolate import make_smoothing_spline
 
 from shiftlab.analysis import (CurveReport, SmoothingSpline, _probit_clamped,
                                compare_nonlinearity, dump_json, fit_curves,
-                               load_json, probit, smooth_spline, write_report)
+                               load_json, probit, write_report)
 from shiftlab.errors import AnalysisError
 
 
@@ -207,7 +207,7 @@ def test_spline_collapses_duplicate_x_to_weighted_mean():
 
 def test_spline_requires_five_distinct_x():
     with pytest.raises(AnalysisError):
-        smooth_spline([(0.1, 1.0), (0.2, 2.0), (0.3, 1.5), (0.4, 2.5)])
+        SmoothingSpline(np.array([0.1, 0.2, 0.3, 0.4]), np.array([1.0, 2.0, 1.5, 2.5]))
 
 
 def test_spline_rejects_nonfinite():

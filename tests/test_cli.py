@@ -329,6 +329,31 @@ def test_agreement_on_reversed_bits_is_generation_error(tmp_path, capsys):
     assert not (out_dir / "agreement.csv").exists()
 
 
+def test_agreement_on_reversed_results_rows_is_generation_error(tmp_path, capsys):
+    # Pairs are drawn by row index, so reordered rows would compare other pairs.
+    cfg, out_dir = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    results = out_dir / "results.csv"
+    header, *rows = results.read_text().splitlines()
+    results.write_text("\n".join([header, *rows[::-1]]) + "\n")
+    capsys.readouterr()
+    assert main(["agreement", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "results.csv" in err and "CRC-32" in err and "Traceback" not in err
+    assert not (out_dir / "agreement.csv").exists()
+
+
+@pytest.mark.parametrize("rates", ["1e-2,1e-2", "0.0100000001,0.01"])
+def test_grid_with_duplicate_cells_is_config_error(tmp_path, capsys, rates):
+    # The second pair differs, but not at the 6 digits a cell ID prints.
+    body = TINY_SHIFT.replace("learning_rates=1e-3,1e-2", f"learning_rates={rates}")
+    cfg, out_dir = write_config(tmp_path, body)
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "[grid]" in err and "cell ID" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def _renamed(column):
     def fault(header, row):
         return header.replace(column, column + "_x"), row

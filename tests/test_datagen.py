@@ -237,7 +237,8 @@ def test_blocked_generation_matches_one_shot_draw(n, d_spu, make):
     for split in ("train", "ood_test"):
         if n == 0:  # no valid spec has an empty split: call the block loop itself
             labels, attr = np.empty(0, np.int64), np.empty(0)
-            got = datagen._draw_features(spec, split, labels, attr)
+            got = datagen._draw_features(spec, labels, attr, np.empty(0, np.uint64),
+                                         np.empty((0, spec.d_total)))
         else:
             ds = generate(spec, split)
             assert ds.n_rows == n

@@ -7,14 +7,14 @@ import pytest
 
 from shiftlab.datagen import Dataset, ShiftSpec, generate, generate_blocks
 from shiftlab.errors import DimensionMismatchError, EmptyGroupError, InvalidSpecError
-from shiftlab.evaluator import (agreement, agreement_by_group,
-                                bits_to_predictions, evaluate,
+from shiftlab.config import GridSpec
+from shiftlab.evaluator import (bits_to_predictions, evaluate,
                                 evaluate_predictions, evaluate_snapshots,
                                 model_mixture,
                                 predictions_bits, read_preds_csv, read_preds_matrix,
                                 read_results_csv, write_preds_csv,
                                 write_results_csv)
-from shiftlab.trainer import HyperParams, ModelRecord, default_grid, sweep
+from shiftlab.trainer import HyperParams, ModelRecord, sweep
 
 
 def make_model(weights, bias=0.0, model_id="m"):
@@ -68,10 +68,10 @@ def test_decomposition_identity_exact_integer_arithmetic():
                      n_train=500, p_maj=0.9, n_ood_test=2000, master_seed=9)
     pool = generate(spec, "ood_test")
     train = generate(spec, "train")
-    model = sweep(train, default_grid(master_seed=9, n_seeds=1,
-                                      learning_rates=(0.01,), l2s=(0.0,),
-                                      batch_sizes=(32,),
-                                      snapshot_epochs=(3,))).records[0]
+    model = sweep(train, GridSpec(n_seeds=1,
+                                  learning_rates=(0.01,), l2s=(0.0,),
+                                  batch_sizes=(32,),
+                                  snapshot_epochs=(3,)).build(9)).records[0]
     rec = evaluate(model, pool, spec.train_weights(), spec.ood_weights())
     for g in range(2):
         acc = Fraction(rec.correct_pos[g] + rec.correct_neg[g],
@@ -155,11 +155,18 @@ def test_evaluate_snapshots_equals_per_record_reference(n_distinct, k):
     assert all(np.isnan(ev.tpr[k - 1]) for ev in evals)
 
 
+@pytest.fixture(scope="module")
+def gaussian_pool():
+    spec = ShiftSpec(d_core=2, d_spu=1, sigma_core=1.0, sigma_spu=1.0,
+                     n_train=100, p_maj=0.9, n_ood_test=5000, master_seed=4)
+    return generate(spec, "ood_test")
+
+
 def test_evaluate_snapshots_on_a_trained_sweep(gaussian_pool):
     spec = ShiftSpec(d_core=2, d_spu=1, sigma_core=1.0, sigma_spu=1.0,
                      n_train=300, p_maj=0.9, n_ood_test=100, master_seed=4)
-    grid = default_grid(master_seed=4, n_seeds=2, learning_rates=(1e-2, 1e-1),
-                        l2s=(0.0,), snapshot_epochs=(1, 3))
+    grid = GridSpec(n_seeds=2, learning_rates=(1e-2, 1e-1),
+                    l2s=(0.0,), snapshot_epochs=(1, 3)).build(4)
     records = sweep(generate(spec, "train"), grid).records
     assert len({id(r.weights) for r in records}) < len(records)
     assert_matches_per_record(records, gaussian_pool, spec.train_weights(), spec.ood_weights())
@@ -204,83 +211,6 @@ def test_evaluate_snapshots_errors():
         evaluate_snapshots(records, pool, (0.5, 0.4), (0.5, 0.5))
     with pytest.raises(InvalidSpecError):
         evaluate_snapshots(records, pool, (1.0,), (0.5, 0.5))
-
-
-# ---------------------------------------------------------------------------
-# Agreement
-# ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def gaussian_pool():
-    spec = ShiftSpec(d_core=2, d_spu=1, sigma_core=1.0, sigma_spu=1.0,
-                     n_train=100, p_maj=0.9, n_ood_test=5000, master_seed=4)
-    return generate(spec, "ood_test")
-
-
-def test_agreement_identity(gaussian_pool):
-    m = make_model([0.5, -0.2, 0.1], bias=0.05)
-    rec = agreement(m, m, gaussian_pool)
-    assert rec.agreement == 1.0
-
-
-def test_agreement_sign_flip_is_zero(gaussian_pool):
-    m = make_model([0.5, -0.2, 0.1], bias=0.05, model_id="a")
-    flipped = make_model([-0.5, 0.2, -0.1], bias=-0.05, model_id="b")
-    rec = agreement(m, flipped, gaussian_pool)
-    assert rec.agreement == 0.0
-
-
-def test_agreement_dimension_mismatch(gaussian_pool):
-    a = make_model([1.0, 0.0, 0.0])
-    b = make_model([1.0, 0.0])
-    with pytest.raises(DimensionMismatchError):
-        agreement(a, b, gaussian_pool)
-
-
-def test_agreement_of_independent_errors():
-    # Two classifiers reading disjoint, independently noisy views of the
-    # label have conditionally independent errors, so expected agreement is
-    # a1*a2 + (1-a1)(1-a2).
-    n = 40_000
-    spec = ShiftSpec(d_core=2, d_spu=1, sigma_core=1.5, sigma_spu=1.0,
-                     n_train=100, p_maj=0.9, n_ood_test=n, master_seed=12)
-    pool = generate(spec, "ood_test")
-    a = make_model([1.0, 0.0, 0.0], model_id="a")
-    b = make_model([0.0, 1.0, 0.0], model_id="b")
-    acc_a = float(np.mean(a.predict(pool.features) == pool.labels))
-    acc_b = float(np.mean(b.predict(pool.features) == pool.labels))
-    expected = acc_a * acc_b + (1 - acc_a) * (1 - acc_b)
-    rec = agreement(a, b, pool)
-    se = np.sqrt(expected * (1 - expected) / n)
-    assert abs(rec.agreement - expected) < 3 * se + 2 / np.sqrt(n)
-
-
-def test_agreement_lower_bound_on_sweep():
-    spec = ShiftSpec(d_core=10, d_spu=3, sigma_core=3.0, sigma_spu=1.0,
-                     n_train=300, p_maj=0.9, n_ood_test=2000, master_seed=2)
-    train = generate(spec, "train")
-    pool = generate(spec, "ood_test")
-    records = sweep(train, default_grid(master_seed=2, n_seeds=2,
-                                        learning_rates=(1e-3, 1e-1),
-                                        l2s=(0.0,), batch_sizes=(16,),
-                                        snapshot_epochs=(1, 5))).records
-    accs = {r.model_id: float(np.mean(r.predict(pool.features) == pool.labels))
-            for r in records}
-    for i in range(len(records)):
-        for j in range(i + 1, len(records)):
-            rec = agreement(records[i], records[j], pool)
-            bound = accs[records[i].model_id] + accs[records[j].model_id] - 1.0
-            assert rec.agreement >= bound - 1e-12
-
-
-def test_agreement_by_group_matches_pool_mean(gaussian_pool):
-    a = make_model([1.0, 0.2, 0.0], model_id="a")
-    b = make_model([0.8, -0.1, 0.3], model_id="b")
-    pa, pb = a.predict(gaussian_pool.features), b.predict(gaussian_pool.features)
-    per_group = agreement_by_group(pa, pb, gaussian_pool.groups, 2)
-    counts = np.bincount(gaussian_pool.groups)
-    pooled = sum(c * g for c, g in zip(counts, per_group)) / counts.sum()
-    assert pooled == pytest.approx(float(np.mean(pa == pb)), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +309,10 @@ def test_results_csv_round_trip(tmp_path):
                      n_train=200, p_maj=0.8, n_ood_test=500, master_seed=3)
     train = generate(spec, "train")
     pool = generate(spec, "ood_test")
-    records = sweep(train, default_grid(master_seed=3, n_seeds=1,
-                                        learning_rates=(0.01,), l2s=(0.0,),
-                                        batch_sizes=(32,),
-                                        snapshot_epochs=(1, 2))).records
+    records = sweep(train, GridSpec(n_seeds=1,
+                                    learning_rates=(0.01,), l2s=(0.0,),
+                                    batch_sizes=(32,),
+                                    snapshot_epochs=(1, 2)).build(3)).records
     evals = [evaluate(m, pool, spec.train_weights(), spec.ood_weights())
              for m in records]
     path = tmp_path / "results.csv"

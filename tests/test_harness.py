@@ -129,10 +129,7 @@ def test_sweep_bytes_do_not_depend_on_pool_block_rows(sweep_out, tmp_path, monke
         assert ((blocked.out_dir / name).read_bytes()
                 == (config.out_dir / name).read_bytes()), name
     assert list(blocked.out_dir.glob("*.tmp")) == []
-    # write_files=False makes the same pass over the pool with no file
-    unwritten = run_sweep_pipeline(replace(config, out_dir=tmp_path / "none"), write_files=False)
-    assert repr(unwritten.evals) == repr(again.evals) == repr(out.evals)
-    assert not (tmp_path / "none").exists()
+    assert repr(again.evals) == repr(out.evals)
 
 
 def test_failed_fit_renames_no_pool_into_place(tmp_path, monkeypatch):
@@ -144,6 +141,19 @@ def test_failed_fit_renames_no_pool_into_place(tmp_path, monkeypatch):
     with pytest.raises(AnalysisError):
         run_sweep_pipeline(config)
     assert list(config.out_dir.iterdir()) == []
+
+
+def test_rerun_failing_a_write_leaves_no_manifest(sweep_out, monkeypatch):
+    # The old manifest would vouch for a mix of old and new files.
+    config, _ = sweep_out
+
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(evaluator, "write_preds_csv", fail)
+    with pytest.raises(OSError):
+        run_sweep_pipeline(config)
+    assert not (config.out_dir / "manifest.json").exists()
 
 
 def test_sweep_memory_does_not_hold_the_pool(tmp_path):
@@ -248,6 +258,20 @@ def test_agreement_pipeline_deterministic(sweep_out):
     b = run_agreement_pipeline(config)
     assert (config.out_dir / "agreement.csv").read_bytes() == bytes_a
     assert np.array_equal(a.agreement_points, b.agreement_points)
+
+
+def test_agreement_is_at_least_the_accuracy_bound(sweep_out):
+    # Two models agree at least where both are right: a_ij >= acc_i + acc_j - 1.
+    config, _ = sweep_out
+    run_agreement_pipeline(config, n_pairs=300)
+    d = config.out_dir
+    labels = read_dataset_csv(d / "ood_test.csv", split="ood_test").labels
+    acc = {mid: float(np.mean(evaluator.bits_to_predictions(bits) == labels))
+           for mid, bits in evaluator.read_preds_csv(d / "preds.csv").items()}
+    rows = [line.split(",") for line in (d / "agreement.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 300
+    for a, b, agreement in rows:
+        assert float(agreement) >= acc[a] + acc[b] - 1.0 - 1e-11
 
 
 def test_overlay_cells_majority_mode(tmp_path):

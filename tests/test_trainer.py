@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from shiftlab import trainer
+from shiftlab.config import GridSpec
 from shiftlab.datagen import ShiftSpec, format_sig, generate
 from shiftlab.errors import DivergenceError, InvalidSpecError
 from shiftlab.gauss import normal_cdf
 from shiftlab.rng import derive_stream
-from shiftlab.trainer import (FULL_BATCH, HyperParams, ModelRecord, default_grid,
+from shiftlab.trainer import (FULL_BATCH, HyperParams, ModelRecord,
                               gradient_lipschitz_bound, mean_logistic_loss,
                               oracle_classifier, read_model_store, sweep, train,
                               write_model_store)
@@ -133,9 +134,9 @@ def test_sweep_single_cell_equals_train(train_set):
 
 
 def test_sweep_rerun_identical(train_set):
-    grid = default_grid(master_seed=1, n_seeds=2,
-                        learning_rates=(1e-3, 1e-2), l2s=(0.0,),
-                        batch_sizes=(FULL_BATCH,), snapshot_epochs=(1, 2))
+    grid = GridSpec(n_seeds=2,
+                    learning_rates=(1e-3, 1e-2), l2s=(0.0,),
+                    batch_sizes=(FULL_BATCH,), snapshot_epochs=(1, 2)).build(1)
     a = sweep(train_set, grid)
     b = sweep(train_set, grid)
     assert [r.model_id for r in a.records] == [r.model_id for r in b.records]
@@ -144,9 +145,9 @@ def test_sweep_rerun_identical(train_set):
 
 
 def test_sweep_shuffle_invariant(train_set):
-    grid = default_grid(master_seed=9, n_seeds=2,
-                        learning_rates=(1e-3, 1e-2), l2s=(0.0, 1e-3),
-                        batch_sizes=(FULL_BATCH, 16), snapshot_epochs=(1, 2))
+    grid = GridSpec(n_seeds=2,
+                    learning_rates=(1e-3, 1e-2), l2s=(0.0, 1e-3),
+                    batch_sizes=(FULL_BATCH, 16), snapshot_epochs=(1, 2)).build(9)
     shuffled = list(grid)
     np.random.default_rng(0).shuffle(shuffled)
     a = sweep(train_set, grid)
@@ -168,7 +169,7 @@ def test_sweep_rejects_empty_grid(train_set):
 
 
 def test_default_grid_shape():
-    grid = default_grid(master_seed=0)
+    grid = GridSpec().build(0)
     assert len(grid) == 5 * 3 * 2 * 5
     assert len({hp.cell_id() for hp in grid}) == len(grid)
 
@@ -234,9 +235,9 @@ def test_oracle_unknown_mode():
 # ---------------------------------------------------------------------------
 
 def test_model_store_round_trip(tmp_path, train_set):
-    grid = default_grid(master_seed=5, n_seeds=1, learning_rates=(1e-2,),
-                        l2s=(0.0, 1e-3), batch_sizes=(FULL_BATCH, 16),
-                        snapshot_epochs=(1, 2))
+    grid = GridSpec(n_seeds=1, learning_rates=(1e-2,),
+                    l2s=(0.0, 1e-3), batch_sizes=(FULL_BATCH, 16),
+                    snapshot_epochs=(1, 2)).build(5)
     records = sweep(train_set, grid).records
     mp, wp = tmp_path / "models.csv", tmp_path / "weights.csv"
     write_model_store(records, mp, wp)
@@ -273,9 +274,9 @@ def _csv_writer_model_store(records, models_path, weights_path):
 def test_model_store_bytes_match_csv_writer(tmp_path, train_set, trained):
     records = []
     if trained:
-        grid = default_grid(master_seed=5, n_seeds=2, learning_rates=(1e-2, 0.1),
-                            l2s=(0.0, 1e-3), batch_sizes=(FULL_BATCH, 16),
-                            snapshot_epochs=(1, 2))
+        grid = GridSpec(n_seeds=2, learning_rates=(1e-2, 0.1),
+                        l2s=(0.0, 1e-3), batch_sizes=(FULL_BATCH, 16),
+                        snapshot_epochs=(1, 2)).build(5)
         records = sweep(train_set, grid).records
         edge = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324, 1e16, 123456789012.5])
         w = np.resize(edge, records[0].weights.shape)
@@ -313,9 +314,9 @@ def assert_records_close(a, b, rtol=1e-12):
 
 
 def test_sweep_stable_cells_match_single_column_train(train_set):
-    grid = default_grid(master_seed=4, n_seeds=2, learning_rates=(1e-3, 1e-2, 1e-1),
-                        l2s=(0.0, 1e-2), batch_sizes=(FULL_BATCH, 16),
-                        snapshot_epochs=(1, 3, 6))
+    grid = GridSpec(n_seeds=2, learning_rates=(1e-3, 1e-2, 1e-1),
+                    l2s=(0.0, 1e-2), batch_sizes=(FULL_BATCH, 16),
+                    snapshot_epochs=(1, 3, 6)).build(4)
     result = sweep(train_set, grid)
     assert not result.failures
     by_id = {r.model_id: r for r in result.records}
@@ -353,9 +354,9 @@ def test_diverging_column_dropped_without_disturbing_its_group(train_set):
 
 
 def test_full_batch_snapshots_identical_across_seeds(train_set):
-    grid = default_grid(master_seed=8, n_seeds=3, learning_rates=(1e-3, 1e-2),
-                        l2s=(0.0, 1e-2), batch_sizes=(FULL_BATCH,),
-                        snapshot_epochs=(1, 4))
+    grid = GridSpec(n_seeds=3, learning_rates=(1e-3, 1e-2),
+                    l2s=(0.0, 1e-2), batch_sizes=(FULL_BATCH,),
+                    snapshot_epochs=(1, 4)).build(8)
     by_traj: dict = {}
     for r in sweep(train_set, grid).records:
         hp = r.hyperparams
@@ -388,9 +389,9 @@ def _spy_stacks(monkeypatch):
 def test_seed_stack_equals_one_seed_sweeps_bitwise(train_set, monkeypatch):
     # Batch 32 leaves a 16-row tail batch; lr 0.1 is chaotic, so a 1-ulp
     # difference anywhere would grow into a visible one.
-    grid = default_grid(master_seed=6, n_seeds=3, learning_rates=(1e-3, 1e-2, 1e-1),
-                        l2s=(0.0, 1e-2), batch_sizes=(FULL_BATCH, 32),
-                        snapshot_epochs=(1, 3, 6))
+    grid = GridSpec(n_seeds=3, learning_rates=(1e-3, 1e-2, 1e-1),
+                    l2s=(0.0, 1e-2), batch_sizes=(FULL_BATCH, 32),
+                    snapshot_epochs=(1, 3, 6)).build(6)
     shapes = _spy_stacks(monkeypatch)
     stacked = sweep(train_set, grid)
     assert sorted(shapes) == [(1, 6), (3, 6)]
@@ -431,9 +432,9 @@ def _reference_descent(dataset, columns, batch_size, seed, epochs):
 
 
 def test_seed_stack_matches_reference_descent_bitwise(train_set):
-    grid = default_grid(master_seed=2, n_seeds=2, learning_rates=(1e-3, 1e-1),
-                        l2s=(0.0, 1e-2), batch_sizes=(FULL_BATCH, 32),
-                        snapshot_epochs=(1, 4))
+    grid = GridSpec(n_seeds=2, learning_rates=(1e-3, 1e-1),
+                    l2s=(0.0, 1e-2), batch_sizes=(FULL_BATCH, 32),
+                    snapshot_epochs=(1, 4)).build(2)
     by_id = {r.model_id: r for r in sweep(train_set, grid).records}
     for batch_size in (FULL_BATCH, 32):
         for seed in sorted({hp.seed for hp in grid}):
@@ -477,7 +478,7 @@ def test_sgd_sweep_peak_memory_below_feature_matrix():
     spec = ShiftSpec(d_core=100, d_spu=10, sigma_core=10.0, sigma_spu=1.0,
                      n_train=3000, p_maj=0.9, master_seed=0)
     ds = generate(spec, "train")
-    grid = default_grid(master_seed=0, n_seeds=1, batch_sizes=(32,), snapshot_epochs=(1, 2))
+    grid = GridSpec(n_seeds=1, batch_sizes=(32,), snapshot_epochs=(1, 2)).build(0)
     tracemalloc.start()
     try:
         sweep(ds, grid)
