@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, evaluator, harness, svg, theory
-from .config import ExperimentConfig, load_config, parse_floats
+from .config import SERIES_KNOBS, ExperimentConfig, load_config, parse_floats
 from .errors import (AnalysisError, ConfigError, DegeneratePopulationError,
                      DimensionMismatchError, DivergenceError, EmptyGroupError,
                      InfeasibleMarginalsError, InvalidSpecError, MissingInputsError)
@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="run a knob series of sweeps")
     _add_common(p)
-    p.add_argument("--knob", choices=harness.SERIES_KNOBS, default=None)
+    p.add_argument("--knob", choices=SERIES_KNOBS, default=None)
     p.add_argument("--values", default=None, help="comma-separated knob values")
 
     p = sub.add_parser("agreement", help="paired-model agreement overlay")
@@ -84,7 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _results_points(config: ExperimentConfig, results_path: Path) -> np.ndarray:
+def _results_points(config: ExperimentConfig, args) -> np.ndarray:
+    results_path = Path(args.results) if args.results else config.out_dir / "results.csv"
+    if not results_path.exists():
+        raise MissingInputsError(f"{results_path} not found; run the sweep first")
     columns = tuple(f"group_acc_{g}" for g in harness.moon_axis_groups(config.shift))
     rows = evaluator.read_results_csv(results_path, columns)
     if not rows:
@@ -114,10 +117,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_analyze(args) -> int:
     config = _load(args)
-    results = Path(args.results) if args.results else config.out_dir / "results.csv"
-    if not results.exists():
-        raise MissingInputsError(f"{results} not found; run the sweep first")
-    points = _results_points(config, results)
+    points = _results_points(config, args)
     report = analysis.fit_curves(points, probit_eps=config.analysis.probit_eps,
                                  spline_lambda=config.analysis.spline_lambda)
     config.out_dir.mkdir(parents=True, exist_ok=True)
@@ -156,10 +156,10 @@ def _cmd_agreement(args) -> int:
 def _cmd_theory(args) -> int:
     pop = theory.PopulationSpec(p_y1=args.p_y1, pi1=args.pi1, pi0=args.pi0)
     score = theory.ScoreModel(mu0=args.mu0, mu1=args.mu1, s0=args.s0, s1=args.s1)
-    points = theory.roc_traverse(pop, score, n_thresholds=args.n_thresholds)
     summary = theory.gap_summary(pop, score, args.threshold,
                                  n_samples=args.mc_samples,
                                  seed=args.seed if args.seed is not None else 0)
+    points = theory.roc_traverse(pop, score, n_thresholds=args.n_thresholds)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
@@ -181,10 +181,7 @@ def _cmd_theory(args) -> int:
 
 def _cmd_plot(args) -> int:
     config = _load(args)
-    results = Path(args.results) if args.results else config.out_dir / "results.csv"
-    if not results.exists():
-        raise MissingInputsError(f"{results} not found; run the sweep first")
-    points = [tuple(p) for p in _results_points(config, results).tolist()]
+    points = [tuple(p) for p in _results_points(config, args).tolist()]
     config.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.out_dir / "moon.svg"
     harness._atomic(out_path, lambda p: svg.emit_plot(points, None, None, p))

@@ -17,10 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import ShiftSpec, parse_spec_items
-from .errors import ConfigError, InvalidSpecError
+from .datagen import ShiftSpec, mixture_table, parse_spec_items
+from .errors import ConfigError, InfeasibleMarginalsError, InvalidSpecError
 from .rng import derive_stream
-from .trainer import FULL_BATCH, HyperParams
+from .trainer import FULL_BATCH, HyperParams, check_grid
+
+SERIES_KNOBS = ("sdr", "p_maj", "correlation_level")
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,6 @@ class GridSpec:
         ``master_seed``."""
         seeds = [derive_stream(master_seed, 0x5345, k) for k in range(self.n_seeds)]
         return [HyperParams(learning_rate=float(lr), l2=float(l2), batch_size=bs,
-                            max_epochs=self.snapshot_epochs[-1],
                             snapshot_epochs=self.snapshot_epochs, seed=seed)
                 for lr in self.learning_rates for l2 in self.l2s
                 for bs in self.batch_sizes for seed in seeds]
@@ -66,11 +67,13 @@ class AnalysisOptions:
         """Range-check the options the analysis stage reads after training."""
         if not 0.0 < self.probit_eps < 0.5:
             raise ConfigError(f"[analysis] probit_eps must be in (0, 0.5), got {self.probit_eps}")
-        if self.spline_lambda != "gcv" and not self.spline_lambda > 0.0:
-            raise ConfigError("[analysis] spline_lambda must be 'gcv' or > 0, "
+        if self.spline_lambda != "gcv" and not 0.0 < self.spline_lambda < np.inf:
+            raise ConfigError("[analysis] spline_lambda must be 'gcv' or finite and > 0, "
                               f"got {self.spline_lambda}")
         if self.n_pairs < 1:
             raise ConfigError(f"[analysis] n_pairs must be at least 1, got {self.n_pairs}")
+        if self.pair_seed is not None and self.pair_seed < 0:
+            raise ConfigError(f"[analysis] pair_seed must be >= 0, got {self.pair_seed}")
 
 
 @dataclass(frozen=True)
@@ -88,32 +91,60 @@ class ExperimentConfig:
     series: SeriesSpec | None = None
 
     def with_overrides(self, out_dir: str | Path | None = None,
-                       master_seed: int | None = None) -> "ExperimentConfig":
+                       master_seed: int | None = None, n_pairs: int | None = None,
+                       pair_seed: int | None = None) -> "ExperimentConfig":
+        """This config with each setting given (not None) replaced, unchecked."""
         cfg = self
         if out_dir is not None:
             cfg = replace(cfg, out_dir=Path(out_dir))
         if master_seed is not None:
             cfg = replace(cfg, shift=replace(cfg.shift, master_seed=master_seed))
-        return cfg
+        analysis = {k: v for k, v in (("n_pairs", n_pairs), ("pair_seed", pair_seed))
+                    if v is not None}
+        return replace(cfg, analysis=replace(cfg.analysis, **analysis))
+
+    def validate(self) -> None:
+        """Check every run setting before any compute: ConfigError, or a spec check's
+        own error led by its section (``[shift]``, ``[grid]``, ``[series] knob=value:``)."""
+        label = "[shift]"
+        try:
+            self.shift.validate()
+            label = "[grid]"
+            check_grid(self.grid.build(self.shift.master_seed))
+            self.analysis.validate()
+            values = list(self.series.values) if self.series else []
+            if not np.all(np.isfinite(values)) or sorted(values) != values:
+                raise ConfigError(f"[series] values must be finite and ascending, got {values}")
+            for value in values:  # an empty list is left to the series command
+                label = f"[series] {self.series.knob}={value:g}:"
+                _spec_for_knob(self.shift, self.series.knob, value).validate()
+        except (InvalidSpecError, InfeasibleMarginalsError) as exc:
+            raise type(exc)(f"{label} {exc}") from exc
 
 
-def parse_floats(raw: str) -> tuple[float, ...]:
-    """Comma-separated floats, as in ``[grid]`` lists and ``[series] values``."""
-    return tuple(float(v) for v in raw.split(",") if v.strip())
+def _spec_for_knob(spec: ShiftSpec, knob: str, value: float) -> ShiftSpec:
+    if knob == "sdr":
+        return replace(spec, d_spu=int(round(value * spec.d_core)))
+    if knob == "p_maj":
+        if spec.mode != "majority":
+            raise ConfigError("p_maj series requires a majority-mode base spec")
+        return replace(spec, p_maj=float(value))
+    if knob == "correlation_level":
+        if spec.mode != "attribute":
+            raise ConfigError("correlation_level series requires pi1/pi0 in the base spec")
+        if not 0.0 <= value <= 1.0:
+            raise InvalidSpecError(f"correlation_level must be in [0, 1], got {value}")
+        table = mixture_table(spec.n_train, spec.p_y1, spec.p_z1, float(value))
+        return replace(spec, pi1=table.pi1, pi0=table.pi0)
+    raise ConfigError(f"unknown series knob {knob!r}; expected one of {SERIES_KNOBS}")
 
 
-def _ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in raw.split(",") if v.strip())
+def _listed(parse):
+    """A reader of comma-separated values, each read by ``parse``; empty items are skipped."""
+    return lambda raw: tuple(parse(v.strip()) for v in raw.split(",") if v.strip())
 
 
-def _batches(raw: str) -> tuple[int | str, ...]:
-    out: list[int | str] = []
-    for v in raw.split(","):
-        v = v.strip()
-        if not v:
-            continue
-        out.append(FULL_BATCH if v == FULL_BATCH else int(v))
-    return tuple(out)
+parse_floats = _listed(float)  # [grid] float lists, [series] values and series --values
 
 
 def _parser() -> configparser.ConfigParser:
@@ -151,36 +182,27 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     try:
         spec = parse_spec_items(dict(parser["shift"]))
-    except (InvalidSpecError, ValueError) as exc:
-        raise ConfigError(f"bad [shift] section in {path}: {exc}") from exc
+    except (InvalidSpecError, ValueError, TypeError) as exc:  # TypeError: a missing key
+        raise ConfigError(f"bad [shift] {exc} (in {path})") from exc
 
     grid = GridSpec(**_read_section(parser, "grid", path, {
-        "learning_rates": parse_floats, "l2s": parse_floats, "batch_sizes": _batches,
-        "snapshot_epochs": _ints, "n_seeds": int}))
+        "learning_rates": parse_floats, "l2s": parse_floats, "snapshot_epochs": _listed(int),
+        "batch_sizes": _listed(lambda v: v if v == FULL_BATCH else int(v)), "n_seeds": int}))
     analysis = AnalysisOptions(**_read_section(parser, "analysis", path, {
         "probit_eps": float, "n_pairs": int, "pair_seed": int, "margin": float,
         "spline_lambda": lambda raw: raw if raw == "gcv" else float(raw)}))
-    analysis.validate()
     out_dir = _read_section(parser, "output", path, {"dir": Path}).get("dir", Path("out"))
     series = None
     if "series" in parser:
         series = SeriesSpec(**_read_section(parser, "series", path,
                                             {"knob": str, "values": parse_floats}))
-
+    config = ExperimentConfig(shift=spec, grid=grid, analysis=analysis,
+                              out_dir=out_dir, series=series)
     try:
-        grid_hp = grid.build(spec.master_seed)
-        if not grid_hp:
-            raise InvalidSpecError("the hyperparameter grid is empty")
-        if len({hp.cell_id() for hp in grid_hp}) != len(grid_hp):
-            raise InvalidSpecError("two cells share a cell ID: values repeat, "
-                                   "or agree to the 6 significant digits it prints")
-        for hp in grid_hp:
-            hp.validate()
-    except InvalidSpecError as exc:
-        raise ConfigError(f"bad [grid] section in {path}: {exc}") from exc
-
-    return ExperimentConfig(shift=spec, grid=grid, analysis=analysis,
-                            out_dir=out_dir, series=series)
+        config.validate()
+    except (InvalidSpecError, InfeasibleMarginalsError) as exc:
+        raise ConfigError(f"bad {exc} (in {path})") from exc
+    return config
 
 
 def _num(value: float) -> str:

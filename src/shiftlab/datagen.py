@@ -110,8 +110,8 @@ class ShiftSpec:
             raise DegenerateDimensionError("d_core must be positive")
         if self.d_core < 0 or self.d_spu < 0:
             raise InvalidSpecError("feature dimensions must be non-negative")
-        if self.sigma_core <= 0 or self.sigma_spu <= 0:
-            raise InvalidSpecError("noise scales must be positive")
+        if not (0 < self.sigma_core < np.inf and 0 < self.sigma_spu < np.inf):
+            raise InvalidSpecError("noise scales must be positive and finite")
         if self.n_train <= 0 or self.n_id_test <= 0 or self.n_ood_test <= 0:
             raise InvalidSpecError("sample counts must be positive")
         if not 0.0 < self.p_y1 < 1.0:

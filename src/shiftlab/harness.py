@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, datagen, evaluator, svg, trainer
-from .config import AnalysisOptions, ExperimentConfig
-from .datagen import Dataset, ShiftSpec, format_sig, mixture_table
+from .config import AnalysisOptions, ExperimentConfig, SeriesSpec, _spec_for_knob
+from .datagen import Dataset, ShiftSpec, format_sig
 from .errors import ConfigError, InvalidSpecError, MissingInputsError
 from .rng import derive_stream
 
@@ -142,9 +142,8 @@ def _spline_overlay(report: analysis.CurveReport, points: np.ndarray) -> svg.Ove
 
 def run_sweep_pipeline(config: ExperimentConfig) -> SweepOutputs:
     """Generate data, train the grid, evaluate, fit curves, emit artifacts."""
+    config.validate()
     spec = config.shift
-    spec.validate()
-    config.analysis.validate()
     out_dir = config.out_dir
 
     train_set = datagen.generate(spec, "train")
@@ -217,24 +216,6 @@ def _write_model_store_atomic(records, out_dir: Path) -> None:
 # Knob series
 # ---------------------------------------------------------------------------
 
-SERIES_KNOBS = ("sdr", "p_maj", "correlation_level")
-
-
-def _spec_for_knob(spec: ShiftSpec, knob: str, value: float) -> ShiftSpec:
-    if knob == "sdr":
-        return replace(spec, d_spu=int(round(value * spec.d_core)))
-    if knob == "p_maj":
-        if spec.mode != "majority":
-            raise ConfigError("p_maj series requires a majority-mode base spec")
-        return replace(spec, p_maj=float(value))
-    if knob == "correlation_level":
-        if spec.mode != "attribute":
-            raise ConfigError("correlation_level series requires pi1/pi0 in the base spec")
-        table = mixture_table(spec.n_train, spec.p_y1, spec.p_z1, float(value))
-        return replace(spec, pi1=table.pi1, pi0=table.pi0)
-    raise ConfigError(f"unknown series knob {knob!r}; expected one of {SERIES_KNOBS}")
-
-
 def _knob_tag(value: float) -> str:
     return format_sig(value, 6).replace(".", "p").replace("-", "m")
 
@@ -244,19 +225,14 @@ def run_spurious_series(config: ExperimentConfig, knob: str,
     """One sweep per knob value with a shared master seed; summarizes curvature."""
     if len(values) < 1:
         raise ConfigError("series needs at least one value")
-    if sorted(values) != list(values):
-        raise ConfigError("series values must be sorted ascending")
-
     # Every value's spec is checked before the first sweep writes anything.
-    sub_cfgs = []
-    for value in values:
-        sub_spec = _spec_for_knob(config.shift, knob, value)
-        sub_spec.validate()
-        sub_cfgs.append(replace(config, shift=sub_spec,
-                                out_dir=config.out_dir / f"{knob}_{_knob_tag(value)}"))
+    config = replace(config, series=SeriesSpec(knob, tuple(values)))
+    config.validate()
     rows = []
-    for value, sub_cfg in zip(values, sub_cfgs):
-        out = run_sweep_pipeline(sub_cfg)
+    for value in values:
+        out = run_sweep_pipeline(replace(
+            config, shift=_spec_for_knob(config.shift, knob, value), series=None,
+            out_dir=config.out_dir / f"{knob}_{_knob_tag(value)}"))
         rows.append({
             "value": value,
             "out_dir": str(out.out_dir),
@@ -328,13 +304,12 @@ def run_agreement_pipeline(config: ExperimentConfig, n_pairs: int | None = None,
     training mixture, the y value by the shifted mixture.  Cubic smoothing
     splines are fitted to each cloud and compared over the common x range.
     """
+    config = config.with_overrides(n_pairs=n_pairs, pair_seed=pair_seed)
+    config.validate()
     opts: AnalysisOptions = config.analysis
     out_dir = config.out_dir
-    if n_pairs is None:
-        n_pairs = opts.n_pairs
-    if pair_seed is None:
-        pair_seed = (opts.pair_seed if opts.pair_seed is not None
-                     else derive_stream(config.shift.master_seed, 0x5052))
+    pair_seed = (opts.pair_seed if opts.pair_seed is not None
+                 else derive_stream(config.shift.master_seed, 0x5052))
 
     for name in ("results.csv", "preds.csv", "ood_test.csv", "manifest.json"):
         if not (out_dir / name).exists():
@@ -368,7 +343,7 @@ def run_agreement_pipeline(config: ExperimentConfig, n_pairs: int | None = None,
     acc_points = np.empty((len(model_ids), 2))
     for start in range(0, len(model_ids), 64):
         acc_points[start:start + 64] = reweight(ones[start:start + 64] == positive)
-    pairs = sample_pairs(len(model_ids), n_pairs, pair_seed)
+    pairs = sample_pairs(len(model_ids), opts.n_pairs, pair_seed)
     agr_points, agreement = np.empty((len(pairs), 2)), np.empty(len(pairs))
     for start in range(0, len(pairs), 64):
         first, second = np.array(pairs[start:start + 64]).T
@@ -449,8 +424,8 @@ def run_agreement_pipeline(config: ExperimentConfig, n_pairs: int | None = None,
 
 def run_gen_data(config: ExperimentConfig) -> list[Path]:
     """Write train / id_test / ood_test CSVs plus the resolved spec file."""
+    config.validate()
     spec = config.shift
-    spec.validate()
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []

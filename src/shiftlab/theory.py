@@ -71,8 +71,9 @@ class ScoreModel:
     s1: float = 1.0
 
     def validate(self) -> None:
-        if self.s0 <= 0 or self.s1 <= 0:
-            raise InvalidSpecError("score standard deviations must be positive")
+        if not (np.isfinite(self.mu0) and np.isfinite(self.mu1)
+                and 0 < self.s0 < np.inf and 0 < self.s1 < np.inf):
+            raise InvalidSpecError("score parameters must be finite, standard deviations > 0")
 
     def tpr(self, threshold: float) -> float:
         """P(X > t | Y=1) for the rule: predict 1 iff x > t."""
@@ -214,6 +215,8 @@ def write_traversal_csv(points: list[RocPoint], path: str | Path) -> None:
 def gap_summary(pop: PopulationSpec, score: ScoreModel, threshold: float,
                 n_samples: int = 1_000_000, seed: int = 0) -> dict:
     """Closed form vs Monte Carlo at one operating point, with a verdict."""
+    if not np.isfinite(threshold):
+        raise InvalidSpecError(f"threshold must be finite, got {threshold}")
     tpr = score.tpr(threshold)
     tnr = score.tnr(threshold)
     closed = accuracy_gap(pop, tpr, tnr)

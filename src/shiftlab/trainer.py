@@ -34,7 +34,6 @@ class HyperParams:
     learning_rate: float
     l2: float = 0.0
     batch_size: int | str = FULL_BATCH
-    max_epochs: int = 25
     snapshot_epochs: tuple[int, ...] = (1, 5, 10, 25)
     seed: int = 0
 
@@ -52,15 +51,11 @@ class HyperParams:
         if self.batch_size != FULL_BATCH:
             if not isinstance(self.batch_size, int) or self.batch_size <= 0:
                 raise InvalidSpecError(f"batch_size must be 'full' or a positive int")
-        if self.max_epochs <= 0:
-            raise InvalidSpecError("max_epochs must be positive")
         snaps = self.snapshot_epochs
         if not snaps or any(e <= 0 for e in snaps):
-            raise InvalidSpecError("snapshot_epochs must be positive")
+            raise InvalidSpecError("snapshot_epochs must be non-empty and positive")
         if any(a >= b for a, b in zip(snaps, snaps[1:])):
             raise InvalidSpecError("snapshot_epochs must be strictly increasing")
-        if snaps[-1] > self.max_epochs:
-            raise InvalidSpecError("last snapshot epoch exceeds max_epochs")
 
 
 @dataclass(frozen=True)
@@ -238,6 +233,19 @@ def _step(Xb, yb, Wb, G, W, b, Gw, Gb, lr_w, l2_w, T, F, E, Q) -> None:
     Wb -= G
 
 
+def check_grid(grid: list[HyperParams]) -> list[str]:
+    """Cell IDs of a non-empty grid of valid cells with distinct IDs."""
+    if not grid:
+        raise InvalidSpecError("the hyperparameter grid is empty")
+    ids = [hp.cell_id() for hp in grid]
+    if len(set(ids)) != len(ids):
+        raise InvalidSpecError("two cells share a cell ID: values repeat, "
+                               "or agree to the 6 significant digits it prints")
+    for hp in grid:
+        hp.validate()
+    return ids
+
+
 @dataclass
 class SweepResult:
     records: list[ModelRecord]
@@ -256,14 +264,9 @@ def sweep(dataset: Dataset, grid: list[HyperParams]) -> SweepResult:
     trajectory is trained once and recorded under every seed's model ID.
     Records are sorted by model_id; failures keep grid order.
     """
-    if not grid:
-        raise InvalidSpecError("hyperparameter grid must be non-empty")
-    ids = [hp.cell_id() for hp in grid]
-    if len(set(ids)) != len(ids):
-        raise InvalidSpecError("grid contains duplicate hyperparameter cells")
+    ids = check_grid(grid)
     groups: dict[tuple, dict[tuple[float, float], list[HyperParams]]] = {}
     for hp in sorted(grid, key=HyperParams.cell_id):
-        hp.validate()
         seed = None if hp.batch_size == FULL_BATCH else hp.seed
         key = (hp.batch_size, seed, hp.snapshot_epochs)
         groups.setdefault(key, {}).setdefault((hp.learning_rate, hp.l2), []).append(hp)
@@ -337,7 +340,6 @@ def read_model_store(models_path: str | Path, weights_path: str | Path) -> list[
             hp = HyperParams(
                 learning_rate=float(row["lr"]), l2=float(row["l2"]),
                 batch_size=bs if bs == FULL_BATCH else int(bs),
-                max_epochs=int(row["epoch"]),
                 snapshot_epochs=(int(row["epoch"]),), seed=int(row["seed"]))
             hps[row["model_id"]] = (hp, int(row["epoch"]), float(row["train_loss"]))
     records = []

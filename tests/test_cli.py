@@ -1,6 +1,9 @@
 import json
+import re
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from shiftlab import analysis, svg, theory
 from shiftlab.cli import main
@@ -141,6 +144,7 @@ def test_series_checks_every_value_before_the_first_sweep(tmp_path, capsys):
     ("l2s=0", "l2s=nan"),
     ("l2s=0", "l2s=0,inf"),
     ("batch_sizes=full,16", "batch_sizes=full,0"),
+    ("snapshot_epochs=1,3", "snapshot_epochs="),
 ])
 def test_bad_grid_value_fails_before_training(tmp_path, capsys, old, new):
     cfg, out_dir = write_config(tmp_path, TINY_SHIFT.replace(old, new))
@@ -152,13 +156,96 @@ def test_bad_grid_value_fails_before_training(tmp_path, capsys, old, new):
 @pytest.mark.parametrize("line", [
     "probit_eps=0.7", "probit_eps=0", "probit_eps=0.5", "probit_eps=-1e-3",
     "probit_eps=nan", "spline_lambda=0", "spline_lambda=-2", "spline_lambda=nan",
-    "n_pairs=0", "n_pairs=-3",
+    "n_pairs=0", "n_pairs=-3", "pair_seed=-1", "spline_lambda=inf",
 ])
 def test_bad_analysis_range_fails_before_any_output(tmp_path, capsys, line):
     cfg, out_dir = write_config(tmp_path, TINY_SHIFT.replace("n_pairs=40", line))
     assert main(["sweep", "--config", str(cfg)]) == 1
     assert "config error" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("old,new", [
+    ("sigma_core=3", "sigma_core=nan"), ("sigma_core=3", "sigma_core=inf"),
+    ("sigma_spu=1", "sigma_spu=nan"),
+])
+def test_non_finite_noise_scale_fails_at_load(tmp_path, capsys, old, new):
+    cfg, out_dir = write_config(tmp_path, TINY_SHIFT.replace(old, new))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert "config error: bad [shift]" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flag", ["--pairs=0", "--pairs=-3", "--pair-seed=-1"])
+def test_bad_agreement_override_is_config_error(tmp_path, capsys, flag):
+    cfg, out_dir = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["agreement", "--config", str(cfg), flag]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [analysis]") and "Traceback" not in err
+    assert not (out_dir / "agreement.csv").exists()
+
+
+@pytest.mark.parametrize("values", ["0.7,1.5", "0.9,0.7", "0.7,nan"])
+def test_bad_series_section_fails_every_command_at_load(tmp_path, capsys, values):
+    body = TINY_SHIFT + f"\n[series]\nknob=p_maj\nvalues={values}\n"
+    cfg, out_dir = write_config(tmp_path, body)
+    for command in ("gen-data", "sweep", "series"):
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "[series]" in err
+    assert not out_dir.exists()
+
+
+def test_empty_series_section_is_left_to_the_series_command(tmp_path, capsys):
+    cfg, out_dir = write_config(tmp_path, TINY_SHIFT + "\n[series]\nknob=p_maj\nvalues=\n")
+    assert main(["series", "--config", str(cfg)]) == 1
+    assert "series needs" in capsys.readouterr().err
+    assert main(["gen-data", "--config", str(cfg)]) == 0
+
+
+def test_series_level_off_its_range_is_generation_error(tmp_path, capsys):
+    attribute = TINY_SHIFT.replace("p_maj=0.9", "pi1=0.9\npi0=0.2")
+    cfg, out_dir = write_config(tmp_path, attribute)
+    assert main(["series", "--config", str(cfg), "--knob", "correlation_level",
+                 "--values", "0.5,1.5"]) == 2
+    err = capsys.readouterr().err
+    assert "correlation_level=1.5" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+# Finite, zero, negative, nan, inf and empty values for the [grid] and
+# [analysis] keys; lists take up to three of them.
+_FLOAT = st.sampled_from(["1e-2", "0.3", "3", "0", "-1e-3", "nan", "inf", "-inf", ""])
+_INT = st.sampled_from(["1", "3", "0", "-2", "nan", "inf", ""])
+_FLOATS = st.lists(_FLOAT, max_size=3).map(",".join)
+_FUZZ = {
+    "learning_rates": _FLOATS, "l2s": _FLOATS,
+    "batch_sizes": st.lists(st.sampled_from(["full", "16", "0", "-4", "nan", ""]),
+                            max_size=3).map(",".join),
+    "snapshot_epochs": st.lists(_INT, max_size=3).map(",".join), "n_seeds": _INT,
+    "probit_eps": _FLOAT, "spline_lambda": st.one_of(_FLOAT, st.just("gcv")),
+    "n_pairs": _INT, "pair_seed": _INT, "margin": _FLOAT,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_any_grid_or_analysis_value_fails_at_load_or_runs(tmp_path_factory, data):
+    # A few keys of the TINY config at a time, so that most draws that pass
+    # the load-time checks still differ from it.
+    body = TINY_SHIFT
+    for key in data.draw(st.lists(st.sampled_from(list(_FUZZ)), min_size=1, max_size=3,
+                                  unique=True)):
+        line = f"{key}={data.draw(_FUZZ[key], label=key)}"
+        old = re.search(rf"^{key}=.*$", body, re.M)
+        # a key TINY leaves out goes to its last section, [analysis]
+        body = body.replace(old.group(0), line) if old else body + line + "\n"
+    cfg, out_dir = write_config(tmp_path_factory.mktemp("fuzz"), body)
+    code = main(["sweep", "--config", str(cfg)])
+    assert code in (0, 1, 3, 4)
+    assert code != 1 or not out_dir.exists()
 
 
 def _write_half_then_fail(*args):
@@ -400,6 +487,16 @@ def test_theory_rerun_gives_identical_bytes(tmp_path):
         assert main(args + ["--out", str(tmp_path / run)]) == 0
     for name in ("roc_traversal.csv", "theory_summary.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--mu0=nan", "--mu1=-inf", "--s0=inf", "--s1=nan",
+                                  "--threshold=nan", "--threshold=inf"])
+def test_theory_non_finite_input_is_generation_error(tmp_path, capsys, flag):
+    out = tmp_path / "theory"
+    assert main(["theory", "--out", str(out), flag]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("generation error:") and "finite" in err
+    assert not out.exists()
 
 
 def test_exit_code_2_generation(tmp_path):

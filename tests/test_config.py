@@ -99,6 +99,9 @@ def test_bad_shift_values(tmp_path):
                     "n_train=10\np_maj=0.5\n")
     with pytest.raises(ConfigError):
         load_config(path)
+    path.write_text("[shift]\nd_core=10\n")  # required keys missing
+    with pytest.raises(ConfigError):
+        load_config(path)
 
 
 def test_unknown_keys_rejected(tmp_path):

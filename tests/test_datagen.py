@@ -51,6 +51,7 @@ def test_zero_core_dimension_rejected():
 @pytest.mark.parametrize("kw", [
     dict(sigma_core=0.0), dict(sigma_spu=-1.0), dict(n_train=0),
     dict(p_maj=0.0), dict(p_maj=1.0), dict(p_y1=1.0), dict(k_groups=1),
+    dict(sigma_core=float("nan")), dict(sigma_core=float("inf")), dict(sigma_spu=float("nan")),
 ])
 def test_bad_majority_specs_rejected(kw):
     with pytest.raises(InvalidSpecError):

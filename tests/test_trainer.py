@@ -38,7 +38,6 @@ def train_set():
     dict(l2=float("nan")), dict(l2=float("inf")),
     dict(batch_size="half"), dict(snapshot_epochs=()),
     dict(snapshot_epochs=(5, 5)), dict(snapshot_epochs=(10, 5)),
-    dict(snapshot_epochs=(1, 30), max_epochs=25),
 ])
 def test_bad_hyperparams_rejected(kw):
     base = dict(learning_rate=0.01)
@@ -61,7 +60,7 @@ def test_cell_id_is_content_derived():
 def test_full_batch_descent_property(train_set):
     lip = gradient_lipschitz_bound(train_set)
     hp = HyperParams(learning_rate=1.0 / lip, batch_size=FULL_BATCH,
-                     max_epochs=40, snapshot_epochs=tuple(range(1, 41)))
+                     snapshot_epochs=tuple(range(1, 41)))
     records = train(train_set, hp)
     losses = [r.train_loss for r in records]
     assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
@@ -71,7 +70,7 @@ def test_descent_property_with_ridge(train_set):
     l2 = 1e-2
     lip = gradient_lipschitz_bound(train_set, l2=l2)
     hp = HyperParams(learning_rate=1.0 / lip, l2=l2, batch_size=FULL_BATCH,
-                     max_epochs=30, snapshot_epochs=tuple(range(1, 31)))
+                     snapshot_epochs=tuple(range(1, 31)))
     records = train(train_set, hp)
     losses = [r.train_loss for r in records]
     assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
@@ -80,14 +79,13 @@ def test_descent_property_with_ridge(train_set):
 def test_separable_data_reaches_perfect_training_accuracy():
     spec = small_spec(sigma_core=1e-9, sigma_spu=1e-9, pi1=0.5, pi0=0.5, p_maj=None)
     ds = generate(spec, "train")
-    hp = HyperParams(learning_rate=0.05, max_epochs=200, snapshot_epochs=(200,))
+    hp = HyperParams(learning_rate=0.05, snapshot_epochs=(200,))
     record = train(ds, hp)[-1]
     assert np.all(record.predict(ds.features) == ds.labels)
 
 
 def test_training_determinism_bitwise(train_set):
-    hp = HyperParams(learning_rate=0.01, batch_size=32, max_epochs=5,
-                     snapshot_epochs=(1, 5), seed=11)
+    hp = HyperParams(learning_rate=0.01, batch_size=32, snapshot_epochs=(1, 5), seed=11)
     a = train(train_set, hp)
     b = train(train_set, hp)
     for ra, rb in zip(a, b):
@@ -96,10 +94,8 @@ def test_training_determinism_bitwise(train_set):
 
 
 def test_snapshot_truncation_consistency(train_set):
-    long_hp = HyperParams(learning_rate=0.02, batch_size=32, max_epochs=12,
-                          snapshot_epochs=(2, 6, 12), seed=4)
-    short_hp = HyperParams(learning_rate=0.02, batch_size=32, max_epochs=6,
-                           snapshot_epochs=(2, 6), seed=4)
+    long_hp = HyperParams(learning_rate=0.02, batch_size=32, snapshot_epochs=(2, 6, 12), seed=4)
+    short_hp = HyperParams(learning_rate=0.02, batch_size=32, snapshot_epochs=(2, 6), seed=4)
     long_run = train(train_set, long_hp)
     short_run = train(train_set, short_hp)
     for rl, rs in zip(long_run, short_run):
@@ -124,7 +120,7 @@ def test_wrong_split_rejected():
 # ---------------------------------------------------------------------------
 
 def test_sweep_single_cell_equals_train(train_set):
-    hp = HyperParams(learning_rate=0.01, snapshot_epochs=(1, 3), max_epochs=3)
+    hp = HyperParams(learning_rate=0.01, snapshot_epochs=(1, 3))
     direct = train(train_set, hp)
     result = sweep(train_set, [hp])
     assert not result.failures
@@ -289,7 +285,7 @@ def test_model_store_bytes_match_csv_writer(tmp_path, train_set, trained):
 
 
 def test_model_store_rejects_ids_csv_would_quote(tmp_path, train_set):
-    record = train(train_set, HyperParams(1e-2, snapshot_epochs=(1,), max_epochs=1))[0]
+    record = train(train_set, HyperParams(1e-2, snapshot_epochs=(1,)))[0]
     for mid in ("a,b", 'a"b', "a\nb"):
         bad = ModelRecord(model_id=mid, weights=record.weights, bias=record.bias,
                           epoch=1, train_loss=record.train_loss,
@@ -332,7 +328,7 @@ def test_sweep_stable_cells_match_single_column_train(train_set):
 
 def test_diverging_column_dropped_without_disturbing_its_group(train_set):
     def cell(lr, l2):
-        return HyperParams(learning_rate=lr, l2=l2, batch_size=16, max_epochs=10,
+        return HyperParams(learning_rate=lr, l2=l2, batch_size=16,
                            snapshot_epochs=(1, 2, 10), seed=5)
 
     stable = [cell(lr, l2) for lr in (1e-3, 2e-2) for l2 in (0.0, 1e-3)]
@@ -449,7 +445,7 @@ def test_seed_stack_matches_reference_descent_bitwise(train_set):
 
 def test_diverging_column_fails_only_its_own_seed(train_set, monkeypatch):
     def cell(lr, l2, seed):
-        return HyperParams(learning_rate=lr, l2=l2, batch_size=16, max_epochs=10,
+        return HyperParams(learning_rate=lr, l2=l2, batch_size=16,
                            snapshot_epochs=(1, 2, 10), seed=seed)
 
     stable = [cell(lr, l2, seed) for seed in (5, 6) for lr in (1e-3, 2e-2)
