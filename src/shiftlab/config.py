@@ -74,6 +74,8 @@ class AnalysisOptions:
             raise ConfigError(f"[analysis] n_pairs must be at least 1, got {self.n_pairs}")
         if self.pair_seed is not None and self.pair_seed < 0:
             raise ConfigError(f"[analysis] pair_seed must be >= 0, got {self.pair_seed}")
+        if not np.isfinite(self.margin):
+            raise ConfigError(f"[analysis] margin must be finite, got {self.margin}")
 
 
 @dataclass(frozen=True)

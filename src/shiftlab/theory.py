@@ -33,6 +33,7 @@ from .errors import DegeneratePopulationError, EmptyGroupError, InvalidSpecError
 from .gauss import bisect, normal_cdf, normal_cdf_array, normal_quantile
 
 _GRID_CLIP = (0.001, 0.999)
+_MC_CHUNK = 1 << 16  # scores drawn per Monte Carlo block
 
 
 @dataclass(frozen=True)
@@ -117,40 +118,50 @@ def monte_carlo_gap(pop: PopulationSpec, score: ScoreModel, threshold: float,
                     n_samples: int, seed: int = 0) -> tuple[float, float]:
     """Estimate the subpopulation accuracy gap by direct simulation.
 
-    Samples Z, then Y | Z by Bayes inversion, then X from the label's score
-    distribution; classifies by ``x > threshold``.  Returns the absolute gap
-    and a binomially propagated standard error.  This path shares no formulas
-    with :func:`accuracy_gap` beyond the population definition, which is what
-    makes it a usable cross-check.
+    Samples in the model's generative direction, by cell counts: #{Y=1} ~
+    Bin(n_samples, p_y1), then #{Y=y, Z=1} ~ Bin(n_y, pi_y) for y = 1, 0
+    (successive binomials give the multinomial's joint law of the counts).
+    Each (Y, Z) cell, in the order (1, 1), (1, 0), (0, 1), (0, 0), then draws
+    that many scores from its label's distribution, ``_MC_CHUNK`` at a time
+    into one reused buffer, and counts those ``x > threshold`` classifies
+    correctly; memory does not grow with ``n_samples``, and as consecutive
+    ``standard_normal`` calls continue one stream, the chunk size does not
+    change the result.  Returns the absolute gap of the per-Z accuracies and
+    a binomially propagated standard error.  No Bayes inversion or normal CDF
+    is shared with :func:`accuracy_gap`, which makes this a usable cross-check.
     """
     pop.validate()
     score.validate()
     if n_samples < 10_000:
         raise InvalidSpecError("n_samples must be at least 10^4")
-    # Four draws in a fixed order (Z, Y, X | Y=1, X | Y=0) into one buffer; the
-    # bool selects use & and |, as np.where is slow on a random mask.
+    if seed < 0:
+        raise InvalidSpecError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
-    u = rng.random(n_samples)
-    z = u < pop.p_z1
-    rng.random(out=u)
-    y = (z & (u < pop.p_y1_given_z(1))) | (~z & (u < pop.p_y1_given_z(0)))
-    rng.standard_normal(out=u)
-    u *= score.s1
-    u += score.mu1
-    above1 = u > threshold
-    rng.standard_normal(out=u)
-    u *= score.s0
-    u += score.mu0
-    correct = ((y & above1) | (~y & (u > threshold))) == y
+    n1 = rng.binomial(n_samples, pop.p_y1)
+    n1_z1 = rng.binomial(n1, pop.pi1)
+    n0_z1 = rng.binomial(n_samples - n1, pop.pi0)
+    buf = np.empty(_MC_CHUNK)
+    n_z, correct = [0, 0], [0, 0]  # indexed by z
+    for y, z, count in ((1, 1, n1_z1), (1, 0, n1 - n1_z1),
+                        (0, 1, n0_z1), (0, 0, n_samples - n1 - n0_z1)):
+        mu, s = (score.mu1, score.s1) if y else (score.mu0, score.s0)
+        above = 0
+        for start in range(0, count, _MC_CHUNK):
+            x = buf[:min(_MC_CHUNK, count - start)]
+            rng.standard_normal(out=x)
+            x *= s
+            x += mu
+            above += int(np.count_nonzero(x > threshold))
+        n_z[z] += count
+        correct[z] += above if y else count - above
 
     accs, ses = [], []
-    for zv, idx in ((1, z), (0, ~z)):
-        n_z = np.count_nonzero(idx)
-        if n_z == 0:
-            raise EmptyGroupError(f"no Monte Carlo samples landed in Z={zv}")
-        acc = float(np.count_nonzero(correct & idx) / n_z)
+    for z in (1, 0):
+        if n_z[z] == 0:
+            raise EmptyGroupError(f"no Monte Carlo samples landed in Z={z}")
+        acc = correct[z] / n_z[z]
         accs.append(acc)
-        ses.append(acc * (1.0 - acc) / n_z)
+        ses.append(acc * (1.0 - acc) / n_z[z])
     return abs(accs[0] - accs[1]), float(np.sqrt(ses[0] + ses[1]))
 
 
@@ -178,13 +189,22 @@ def roc_traverse(pop: PopulationSpec, score: ScoreModel,
     score.validate()
     if n_thresholds < 3:
         raise InvalidSpecError("need at least 3 thresholds")
-    t = bisect(lambda x: (1.0 - pop.p_y1) * normal_cdf_array((x - score.mu0) / score.s0)
-               + pop.p_y1 * normal_cdf_array((x - score.mu1) / score.s1),
-               np.linspace(_GRID_CLIP[0], _GRID_CLIP[1], n_thresholds),
+
+    def component_cdfs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """F_0(x) and F_1(x), from one ``normal_cdf_array`` call."""
+        c = normal_cdf_array(np.concatenate(((x - score.mu0) / score.s0,
+                                             (x - score.mu1) / score.s1)))
+        return c[:x.size], c[x.size:]
+
+    def mixture_cdf(x: np.ndarray) -> np.ndarray:
+        f0, f1 = component_cdfs(x)
+        return (1.0 - pop.p_y1) * f0 + pop.p_y1 * f1
+
+    t = bisect(mixture_cdf, np.linspace(_GRID_CLIP[0], _GRID_CLIP[1], n_thresholds),
                min(score.mu0 - 10 * score.s0, score.mu1 - 10 * score.s1),
                max(score.mu0 + 10 * score.s0, score.mu1 + 10 * score.s1))
-    tpr = 1.0 - normal_cdf_array((t - score.mu1) / score.s1)
-    tnr = normal_cdf_array((t - score.mu0) / score.s0)
+    tnr, f1 = component_cdfs(t)
+    tpr = 1.0 - f1
     maj = subpop_accuracy(pop, tpr, tnr, 1)
     mnr = subpop_accuracy(pop, tpr, tnr, 0)
     return [RocPoint(*row) for row in zip(t.tolist(), tnr.tolist(), tpr.tolist(), maj.tolist(),

@@ -165,6 +165,23 @@ def test_bad_analysis_range_fails_before_any_output(tmp_path, capsys, line):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("margin", ["nan", "inf"])
+def test_non_finite_margin_fails_at_load(tmp_path, capsys, margin):
+    bad = TINY_SHIFT + f"margin={margin}\n"
+    cfg, out_dir = write_config(tmp_path, bad)
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert not out_dir.exists()
+    write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    write_config(tmp_path, bad)
+    capsys.readouterr()
+    assert main(["agreement", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [analysis] margin") and "Traceback" not in err
+    assert not (out_dir / "agreement.csv").exists()
+    assert not (out_dir / "agreement_report.json").exists()
+
+
 @pytest.mark.parametrize("old,new", [
     ("sigma_core=3", "sigma_core=nan"), ("sigma_core=3", "sigma_core=inf"),
     ("sigma_spu=1", "sigma_spu=nan"),
@@ -496,6 +513,14 @@ def test_theory_non_finite_input_is_generation_error(tmp_path, capsys, flag):
     assert main(["theory", "--out", str(out), flag]) == 2
     err = capsys.readouterr().err
     assert err.startswith("generation error:") and "finite" in err
+    assert not out.exists()
+
+
+def test_theory_negative_seed_is_generation_error(tmp_path, capsys):
+    out = tmp_path / "theory"
+    assert main(["theory", "--out", str(out), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("generation error:") and "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,7 +1,10 @@
 import csv
+import tracemalloc
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from shiftlab.analysis import fit_curves
 from shiftlab.datagen import format_sig
@@ -256,19 +259,22 @@ def _reference_roc_traverse(pop, score, n_thresholds):
 
 
 def _reference_monte_carlo_gap(pop, score, threshold, n_samples, seed):
+    """Cell counts by three binomials, then each (Y, Z) cell's scores in one call."""
     rng = np.random.default_rng(seed)
-    z = rng.random(n_samples) < pop.p_z1
-    p_y1_z = np.where(z, pop.p_y1_given_z(1), pop.p_y1_given_z(0))
-    y = rng.random(n_samples) < p_y1_z
-    x = np.where(y, score.mu1 + score.s1 * rng.standard_normal(n_samples),
-                 score.mu0 + score.s0 * rng.standard_normal(n_samples))
-    correct = (x > threshold) == y
-    accs, ses = [], []
-    for idx in (z, ~z):
-        n_z = int(np.sum(idx))
-        acc = float(np.mean(correct[idx]))
-        accs.append(acc)
-        ses.append(acc * (1.0 - acc) / n_z)
+    n1 = rng.binomial(n_samples, pop.p_y1)
+    n1_z1 = rng.binomial(n1, pop.pi1)
+    n0_z1 = rng.binomial(n_samples - n1, pop.pi0)
+    cells = {(1, 1): n1_z1, (1, 0): n1 - n1_z1,
+             (0, 1): n0_z1, (0, 0): n_samples - n1 - n0_z1}
+    n_z = {0: 0, 1: 0}
+    correct = {0: 0, 1: 0}
+    for (y, z), count in cells.items():
+        mu, s = (score.mu1, score.s1) if y else (score.mu0, score.s0)
+        x = mu + s * rng.standard_normal(count)
+        n_z[z] += int(count)
+        correct[z] += int(np.sum((x > threshold) == bool(y)))
+    accs = [correct[z] / n_z[z] for z in (1, 0)]
+    ses = [acc * (1.0 - acc) / n_z[z] for acc, z in zip(accs, (1, 0))]
     return abs(accs[0] - accs[1]), float(np.sqrt(ses[0] + ses[1]))
 
 
@@ -290,13 +296,44 @@ def test_roc_traverse_equals_scalar_reference(case, n_thresholds):
     assert all(type(v) is float for row in rows for v in row)
 
 
+# Populations in the ranges the benchmark's theory workload draws from; any
+# finite score model with positive standard deviations.
+@settings(max_examples=25, deadline=None)
+@given(p_y1=st.floats(0.3, 0.7), pi1=st.floats(0.55, 0.95), pi0=st.floats(0.05, 0.45),
+       mu0=st.floats(-3.0, 3.0), mu1=st.floats(-3.0, 3.0),
+       s0=st.floats(0.05, 4.0), s1=st.floats(0.05, 4.0))
+def test_roc_traverse_equals_scalar_reference_on_drawn_models(p_y1, pi1, pi0, mu0, mu1,
+                                                               s0, s1):
+    pop = PopulationSpec(p_y1=p_y1, pi1=pi1, pi0=pi0)
+    score = ScoreModel(mu0=mu0, mu1=mu1, s0=s0, s1=s1)
+    points = roc_traverse(pop, score, n_thresholds=101)
+    rows = [(p.threshold, p.tnr, p.tpr, p.maj_acc, p.min_acc, p.gap) for p in points]
+    assert rows == _reference_roc_traverse(pop, score, 101)
+
+
 @pytest.mark.parametrize("seed", [0, 987654321])
 @pytest.mark.parametrize("case", range(len(BITWISE_CASES)))
 def test_monte_carlo_gap_equals_reference(case, seed):
     pop, score = BITWISE_CASES[case]
-    got = monte_carlo_gap(pop, score, 0.15, 50_000, seed=seed)
-    assert got == _reference_monte_carlo_gap(pop, score, 0.15, 50_000, seed)
-    assert all(type(v) is float for v in got)
+    # 50,000 samples fit every cell in one block of the kernel's buffer; at
+    # 300,000 the larger cells span several blocks.
+    for n_samples in (50_000, 300_000):
+        got = monte_carlo_gap(pop, score, 0.15, n_samples, seed=seed)
+        assert got == _reference_monte_carlo_gap(pop, score, 0.15, n_samples, seed)
+        assert all(type(v) is float for v in got)
+
+
+def test_monte_carlo_gap_memory_does_not_grow_with_samples():
+    pop, score = BITWISE_CASES[1]
+    # numpy imports numpy.random on first use; keep that one-time import out of the peak
+    monte_carlo_gap(pop, score, 0.15, 10_000, seed=5)
+    tracemalloc.start()
+    try:
+        monte_carlo_gap(pop, score, 0.15, 2_000_000, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_monte_carlo_gap_empty_group():
