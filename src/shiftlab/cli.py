@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, evaluator, harness, svg, theory
+from . import analysis, evaluator, harness, theory
 from .config import SERIES_KNOBS, ExperimentConfig, load_config, parse_floats
 from .errors import (AnalysisError, ConfigError, DegeneratePopulationError,
                      DimensionMismatchError, DivergenceError, EmptyGroupError,
@@ -77,14 +77,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="traversal output format")
 
-    p = sub.add_parser("plot", help="scatter an existing results.csv")
+    p = sub.add_parser("plot", help="moon.svg, with its curve fits, from an existing results.csv")
     _add_common(p)
     p.add_argument("--results", default=None)
 
     return parser
 
 
-def _results_points(config: ExperimentConfig, args) -> np.ndarray:
+def _results_fit(config: ExperimentConfig, args) -> tuple[np.ndarray, analysis.CurveReport]:
+    """The moon-axis points of ``results.csv`` and their curve fits."""
     results_path = Path(args.results) if args.results else config.out_dir / "results.csv"
     if not results_path.exists():
         raise MissingInputsError(f"{results_path} not found; run the sweep first")
@@ -93,9 +94,11 @@ def _results_points(config: ExperimentConfig, args) -> np.ndarray:
     if not rows:
         raise AnalysisError(f"{results_path} has no rows")
     try:
-        return np.array([[float(r[c]) for c in columns] for r in rows])
+        points = np.array([[float(r[c]) for c in columns] for r in rows])
     except (TypeError, ValueError) as exc:  # TypeError: a short row's None
         raise InvalidSpecError(f"{results_path}: bad accuracy value: {exc}") from exc
+    return points, analysis.fit_curves(points, probit_eps=config.analysis.probit_eps,
+                                       spline_lambda=config.analysis.spline_lambda)
 
 
 def _cmd_gen_data(args) -> int:
@@ -117,9 +120,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_analyze(args) -> int:
     config = _load(args)
-    points = _results_points(config, args)
-    report = analysis.fit_curves(points, probit_eps=config.analysis.probit_eps,
-                                 spline_lambda=config.analysis.spline_lambda)
+    _, report = _results_fit(config, args)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     harness._atomic(config.out_dir / "report.json",
                     lambda p: analysis.write_report(report, p))
@@ -181,11 +182,9 @@ def _cmd_theory(args) -> int:
 
 def _cmd_plot(args) -> int:
     config = _load(args)
-    points = [tuple(p) for p in _results_points(config, args).tolist()]
+    points, report = _results_fit(config, args)
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = config.out_dir / "moon.svg"
-    harness._atomic(out_path, lambda p: svg.emit_plot(points, None, None, p))
-    print(out_path)
+    print(harness.write_moon_svg(config.out_dir, points, report))
     return 0
 
 

@@ -30,7 +30,6 @@ deterministic and order-independent.
 from __future__ import annotations
 
 import re
-import zlib
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -114,6 +113,8 @@ class ShiftSpec:
             raise InvalidSpecError("noise scales must be positive and finite")
         if self.n_train <= 0 or self.n_id_test <= 0 or self.n_ood_test <= 0:
             raise InvalidSpecError("sample counts must be positive")
+        if max(self.d_core, self.d_spu, self.n_train, self.n_id_test, self.n_ood_test) >= 2**63:
+            raise InvalidSpecError("feature and sample counts must be below 2**63")
         if not 0.0 < self.p_y1 < 1.0:
             raise InvalidSpecError(f"p_y1 must be in (0,1), got {self.p_y1}")
         if self.k_groups < 2:
@@ -246,41 +247,36 @@ def generate(spec: ShiftSpec, split: str = "train") -> Dataset:
     return next(generate_blocks(spec, split))
 
 
+def row_layout(spec: ShiftSpec, split: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Labels, groups and attribute values of the rows of ``split``: group-major,
+    positives before negatives within each group, in the counts
+    ``spec.group_label_counts(split)`` gives.  The layout holds no randomness,
+    so a split's row order follows from its spec alone."""
+    spec.validate()
+    counts = spec.group_label_counts(split)
+    labels = np.repeat(np.tile(np.array([1, -1], np.int64), len(counts)),
+                       [c for cell in counts for c in cell])
+    groups = np.repeat(np.arange(len(counts), dtype=np.int64), [p + q for p, q in counts])
+    if spec.mode == "majority":
+        attr = np.where(groups == 1, labels, -labels).astype(np.float64)
+    elif spec.mode == "attribute":
+        attr = np.where(groups == 1, 1.0, -1.0)
+    else:
+        attr = np.array(spec.attribute_values())[groups]
+    return labels, groups, attr
+
+
 def generate_blocks(spec: ShiftSpec, split: str, rows: int | None = None) -> Iterator[Dataset]:
     """The rows of ``generate(spec, split)`` as consecutive Datasets of at most
-    ``rows`` rows (all rows in one block when None).
+    ``rows`` rows (all rows in one block when None), laid out by ``row_layout``.
 
     Every block's features are drawn into one buffer, reused from block to
     block, so a block is valid only until the next one is drawn and memory
     stays at about one block.  Since every row has its own stream, the bytes
     do not depend on the block size.
     """
-    spec.validate()
-    if split not in SPLITS:
-        raise InvalidSpecError(f"unknown split {split!r}")
-
-    counts = spec.group_label_counts(split)
-    n = sum(p + q for p, q in counts)
-    labels = np.empty(n, dtype=np.int64)
-    groups = np.empty(n, dtype=np.int64)
-    attr = np.empty(n, dtype=np.float64)
-
-    mode = spec.mode
-    a_values = spec.attribute_values() if mode == "kgroup" else None
-    pos = 0
-    for g, (n_pos, n_neg) in enumerate(counts):
-        for y, block in ((1, n_pos), (-1, n_neg)):
-            sl = slice(pos, pos + block)
-            labels[sl] = y
-            groups[sl] = g
-            if mode == "majority":
-                attr[sl] = y if g == 1 else -y
-            elif mode == "attribute":
-                attr[sl] = 1.0 if g == 1 else -1.0
-            else:
-                attr[sl] = a_values[g]
-            pos += block
-
+    labels, groups, attr = row_layout(spec, split)
+    n = labels.shape[0]
     rows = n if rows is None else rows
     streams = row_streams(spec.master_seed, _SPLIT_SCOPE[split], n)
     buffer = np.empty((min(rows, n), spec.d_total))
@@ -571,32 +567,6 @@ def csv_rows(blocks: Iterable[Dataset], fh) -> Iterator[Dataset]:
         yield block
 
 
-def _header_width(header: str, path: str | Path) -> int:
-    """Feature count named by a dataset CSV header; InvalidSpecError naming
-    ``path`` unless it starts ``y,z``."""
-    fields = header.rstrip("\n").split(",")
-    if fields[:2] != ["y", "z"]:
-        raise InvalidSpecError(f"unexpected dataset header in {path}")
-    return len(fields) - 2
-
-
-def _labels_and_groups(path: str | Path, y: np.ndarray,
-                       z: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Integer labels, groups and group count from parsed ``y``/``z`` columns;
-    InvalidSpecError naming ``path`` on a non-integer value, a label outside
-    {-1, +1} or a negative group."""
-    labels = y.astype(np.int64)
-    groups = z.astype(np.int64)
-    if not (np.array_equal(labels, y) and np.array_equal(groups, z)):
-        raise InvalidSpecError(f"malformed dataset CSV {path}: non-integer label or group")
-    if not np.all(np.abs(labels) == 1):
-        raise InvalidSpecError(f"malformed dataset CSV {path}: a label outside {{-1, +1}}")
-    if np.any(groups < 0):
-        raise InvalidSpecError(f"malformed dataset CSV {path}: a negative group")
-    k = int(groups.max()) + 1 if groups.size else 2
-    return labels, groups, max(k, 2)
-
-
 def read_dataset_csv(path: str | Path, split: str = "train") -> Dataset:
     """Parse a ``write_dataset_csv`` file back into a Dataset.
 
@@ -607,51 +577,30 @@ def read_dataset_csv(path: str | Path, split: str = "train") -> Dataset:
     naming ``path``.
     """
     with open(path) as fh:
-        d = _header_width(fh.readline(), path)
+        header = fh.readline().rstrip("\n").split(",")
+        if header[:2] != ["y", "z"]:
+            raise InvalidSpecError(f"unexpected dataset header in {path}")
         body_start = fh.tell()
         empty = not fh.readline()
         fh.seek(body_start)
         try:
-            body = (np.empty((0, d + 2)) if empty
+            body = (np.empty((0, len(header))) if empty
                     else np.loadtxt(fh, delimiter=",", comments=None, ndmin=2))
         except ValueError as exc:
             raise InvalidSpecError(f"malformed dataset CSV {path}: {exc}") from exc
-    if body.shape[1] != d + 2:
+    if body.shape[1] != len(header):
         raise InvalidSpecError(f"malformed dataset CSV {path}: rows have "
-                               f"{body.shape[1]} fields, the header names {d + 2}")
-    labels, groups, k = _labels_and_groups(path, body[:, 0], body[:, 1])
+                               f"{body.shape[1]} fields, the header names {len(header)}")
+    labels, groups = body[:, 0].astype(np.int64), body[:, 1].astype(np.int64)
+    if not (np.array_equal(labels, body[:, 0]) and np.array_equal(groups, body[:, 1])):
+        raise InvalidSpecError(f"malformed dataset CSV {path}: non-integer label or group")
+    if not np.all(np.abs(labels) == 1):
+        raise InvalidSpecError(f"malformed dataset CSV {path}: a label outside {{-1, +1}}")
+    if np.any(groups < 0):
+        raise InvalidSpecError(f"malformed dataset CSV {path}: a negative group")
+    k = int(groups.max()) + 1 if groups.size else 2
     return Dataset(features=body[:, 2:], labels=labels, groups=groups,
-                   split=split, k_groups=k)
-
-
-def read_dataset_labels(path: str | Path, split: str = "train") -> tuple[Dataset, int]:
-    """Labels and groups of a ``write_dataset_csv`` file, and the CRC-32
-    (``zlib.crc32``) of all its bytes.
-
-    The file is streamed once, a line at a time; each line updates the CRC
-    and only its ``y`` and ``z`` fields are parsed, so the Dataset has
-    zero-width features.  The header, label and group checks are those of
-    ``read_dataset_csv``; the feature fields are not checked, which is left
-    to the caller's CRC comparison.
-    """
-    ys, zs = [], []
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        crc = zlib.crc32(header)
-        _header_width(header.decode("ascii", "replace"), path)
-        for line in fh:
-            crc = zlib.crc32(line, crc)
-            fields = line.split(b",", 2)
-            ys.append(fields[0])
-            zs.append(fields[1] if len(fields) > 1 else b"")
-    try:
-        y = np.array(ys, dtype=bytes).astype(np.float64)
-        z = np.array(zs, dtype=bytes).astype(np.float64)
-    except ValueError as exc:
-        raise InvalidSpecError(f"malformed dataset CSV {path}: {exc}") from exc
-    labels, groups, k = _labels_and_groups(path, y, z)
-    return Dataset(features=np.empty((labels.size, 0)), labels=labels, groups=groups,
-                   split=split, k_groups=k), crc
+                   split=split, k_groups=max(k, 2))
 
 
 _SPEC_INT_FIELDS = {"d_core", "d_spu", "n_train", "n_id_test", "n_ood_test",

@@ -21,6 +21,7 @@ training, prediction bytes are promised per machine and BLAS kernel.
 from __future__ import annotations
 
 import csv
+import os
 import zlib
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -310,39 +311,34 @@ def read_preds_csv(path: str | Path) -> dict[str, str]:
         return {row["model_id"]: row["bits"] for row in csv.DictReader(fh)}
 
 
-def read_preds_matrix(path: str | Path, model_ids: list[str],
-                      n_rows: int) -> tuple[np.ndarray, int]:
-    """``(models x rows)`` predictions, True for +1, and the CRC-32
-    (``zlib.crc32``) of all the file's bytes, from one binary pass that fills
-    a preallocated matrix a line at a time (a model's first row counts).
-    InvalidSpecError on a header other than ``model_id,bits``, a missing
-    model, a bit-string not ``n_rows`` long, or a character other than 0/1."""
-    rows: dict[bytes, list[int]] = {}
-    for i, mid in enumerate(model_ids):
-        rows.setdefault(mid.encode(), []).append(i)
-    ones = np.zeros((len(model_ids), n_rows), dtype=bool)
+def read_preds_matrix(path: str | Path, n_rows: int) -> tuple[list[str], np.ndarray, int]:
+    """The model IDs in file order, their ``(models x rows)`` predictions, True
+    for +1, and the CRC-32 (``zlib.crc32``) of all the file's bytes, from one
+    binary pass.  The matrix is allocated once, for as many rows as the file
+    could hold (each at least ``n_rows + 2`` bytes), and returned cut to the
+    rows read.  InvalidSpecError on a header other than ``model_id,bits``, a
+    bit-string not ``n_rows`` long, or a character other than 0/1."""
+    ids: list[str] = []
     with open(path, "rb") as fh:
         header = fh.readline()
         crc = zlib.crc32(header)
         if header != b"model_id,bits\n":
             raise InvalidSpecError(f"{path}: header is not model_id,bits")
+        # the last line may lack its newline
+        capacity = (os.fstat(fh.fileno()).st_size - len(header) + 1) // (n_rows + 2)
+        ones = np.zeros((capacity, n_rows), dtype=bool)
         for line in fh:
             crc = zlib.crc32(line, crc)
             mid, _, bits = line.rstrip(b"\n").partition(b",")
-            targets = rows.pop(mid, None)
-            if targets is None:
-                continue
-            codes = np.frombuffer(bits, dtype=np.uint8)
+            mid, codes = mid.decode(errors="replace"), np.frombuffer(bits, dtype=np.uint8)
             if codes.size != n_rows:
-                raise InvalidSpecError(f"{path}: model {mid.decode()!r} has {codes.size} "
+                raise InvalidSpecError(f"{path}: model {mid!r} has {codes.size} "
                                        f"predictions, expected {n_rows}")
             if np.count_nonzero((codes == ord("0")) | (codes == ord("1"))) != n_rows:
                 raise InvalidSpecError(f"{path}: predictions must be 0/1 characters")
-            ones[targets] = codes == ord("1")
-    if rows:
-        raise InvalidSpecError(f"{path}: model {next(iter(rows)).decode()!r} has no "
-                               f"predictions, expected {n_rows}")
-    return ones, crc
+            ones[len(ids)] = codes == ord("1")
+            ids.append(mid)
+    return ids, ones[:len(ids)], crc
 
 
 def write_agreement_csv(records: list[AgreementRecord], path: str | Path) -> None:

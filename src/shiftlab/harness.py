@@ -62,44 +62,48 @@ def _file_entry(path: Path) -> dict:
     return {"bytes": size, "crc32": crc}
 
 
-def _write_manifest(out_dir: Path, names: list[str]) -> None:
-    """``manifest.json``: each named file's size and CRC-32, in ``names`` order.
+def _write_manifest(out_dir: Path, names: list[str], spec: ShiftSpec) -> None:
+    """``manifest.json``: each named file's size and CRC-32, in ``names`` order,
+    and the OOD pool's ``[positives, negatives]`` per group.
 
     Written after the files it names, and a sweep removes the previous one
     before its first write, so a sweep directory holds a complete artifact set
     exactly when its manifest verifies.
     """
     files = {name: _file_entry(out_dir / name) for name in names}
-    _atomic(out_dir / "manifest.json", lambda p: analysis.dump_json({"files": files}, p))
+    counts = [list(cell) for cell in spec.group_label_counts("ood_test")]
+    _atomic(out_dir / "manifest.json", lambda p: analysis.dump_json(
+        {"files": files, "ood_test_counts": counts}, p))
 
 
-def _read_verified(out_dir: Path, name: str, read):
-    """``read(path)``'s value for a sweep file that must match its
-    ``manifest.json`` entry: ``read`` returns the value and the CRC-32 of the
-    bytes it read.  InvalidSpecError naming the file on a size (checked before
-    reading) or CRC mismatch."""
+def _from_manifest(out_dir: Path, what: str, get):
+    """``get(manifest)`` for the sweep's parsed ``manifest.json``;
+    InvalidSpecError naming the manifest if it is not JSON or ``get`` finds no
+    valid entry for ``what``."""
+    path = out_dir / "manifest.json"
+    try:
+        return get(json.loads(path.read_text()))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InvalidSpecError(f"{path}: no valid entry for {what} ({exc!r})") from exc
+
+
+def _read_verified(out_dir: Path, name: str, read) -> list:
+    """The values ``read(path)`` returns for a sweep file that must match its
+    ``manifest.json`` entry: ``read`` returns them followed by the CRC-32 of
+    the bytes it read.  InvalidSpecError naming the file on a size (checked
+    before reading) or CRC mismatch."""
     path = out_dir / name
-    size, crc = _manifest_entry(out_dir, name)
+    size, crc = _from_manifest(out_dir, name, lambda m: (
+        int(m["files"][name]["bytes"]), int(m["files"][name]["crc32"])))
     found_size = path.stat().st_size
     if found_size != size:
         raise InvalidSpecError(f"{path}: {found_size} bytes differ from "
                                f"{size} in the sweep's manifest.json")
-    value, found_crc = read(path)
+    *values, found_crc = read(path)
     if found_crc != crc:
         raise InvalidSpecError(f"{path}: CRC-32 {found_crc:08x} differs from "
                                f"{crc:08x} in the sweep's manifest.json")
-    return value
-
-
-def _manifest_entry(out_dir: Path, name: str) -> tuple[int, int]:
-    """(bytes, crc32) that ``manifest.json`` records for ``name``;
-    InvalidSpecError naming the manifest if it is not JSON or lacks the entry."""
-    path = out_dir / "manifest.json"
-    try:
-        entry = json.loads(path.read_text())["files"][name]
-        return int(entry["bytes"]), int(entry["crc32"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InvalidSpecError(f"{path}: no valid entry for {name} ({exc!r})") from exc
+    return values
 
 
 def moon_axis_groups(spec: ShiftSpec) -> tuple[int, int]:
@@ -125,19 +129,21 @@ def _moon_points(spec: ShiftSpec, evals: list[evaluator.EvalRecord]) -> np.ndarr
     return np.array([[ev.group_acc[maj_g], ev.group_acc[min_g]] for ev in evals])
 
 
-def _quad_overlay(report: analysis.CurveReport, points: np.ndarray) -> svg.Overlay:
+def write_moon_svg(out_dir: Path, points: np.ndarray, report: analysis.CurveReport) -> Path:
+    """``out_dir/moon.svg``: the (majority, minority) points with the quadratic
+    fit and, when there is one, the smoothing spline over their x range."""
+    xs = np.linspace(float(points[:, 0].min()), float(points[:, 0].max()), 101)
     q = report.quad_fit
-    xs = np.linspace(float(points[:, 0].min()), float(points[:, 0].max()), 101)
-    ys = q.beta0 + q.beta1 * xs + q.beta2 * xs * xs
-    return svg.Overlay("quadratic fit", list(zip(xs.tolist(), ys.tolist())), "#d62728")
-
-
-def _spline_overlay(report: analysis.CurveReport, points: np.ndarray) -> svg.Overlay | None:
-    if report.spline is None:
-        return None
-    xs = np.linspace(float(points[:, 0].min()), float(points[:, 0].max()), 101)
-    ys = report.spline.predict(xs)
-    return svg.Overlay("smoothing spline", list(zip(xs.tolist(), ys.tolist())), "#2ca02c")
+    fits = [("quadratic fit", q.beta0 + q.beta1 * xs + q.beta2 * xs * xs, "#d62728")]
+    if report.spline is not None:
+        fits.append(("smoothing spline", report.spline.predict(xs), "#2ca02c"))
+    overlays = [svg.Overlay(label, list(zip(xs.tolist(), ys.tolist())), color)
+                for label, ys, color in fits]
+    style = svg.PlotStyle(title=f"model sweep ({len(points)} snapshots)")
+    path = out_dir / "moon.svg"
+    _atomic(path, lambda p: svg.emit_plot([tuple(pt) for pt in points.tolist()],
+                                          overlays, style, p))
+    return path
 
 
 def run_sweep_pipeline(config: ExperimentConfig) -> SweepOutputs:
@@ -175,13 +181,7 @@ def run_sweep_pipeline(config: ExperimentConfig) -> SweepOutputs:
             lambda p: evaluator.write_results_csv(list(zip(result.records, evals)), p))
     _atomic(out_dir / "preds.csv", lambda p: evaluator.write_preds_csv(pred_rows, p))
     _atomic(out_dir / "report.json", lambda p: analysis.write_report(report, p))
-    overlays = [_quad_overlay(report, points)]
-    sp = _spline_overlay(report, points)
-    if sp is not None:
-        overlays.append(sp)
-    style = svg.PlotStyle(title=f"model sweep ({len(evals)} snapshots)")
-    _atomic_text(out_dir / "moon.svg", svg.render_scatter(
-        [tuple(p) for p in points.tolist()], overlays, style))
+    write_moon_svg(out_dir, points, report)
     written = [name for name in SWEEP_ARTIFACTS if name != "manifest.json"]
     if result.failures:
         lines = ["cell,lr,l2,batch_size,seed,error"]
@@ -193,23 +193,18 @@ def run_sweep_pipeline(config: ExperimentConfig) -> SweepOutputs:
     else:
         # A previous run's failures.csv names cells this run did not fail.
         (out_dir / "failures.csv").unlink(missing_ok=True)
-    _write_manifest(out_dir, written)
+    _write_manifest(out_dir, written, spec)
 
     return SweepOutputs(config=config, records=result.records, evals=evals,
                         report=report, points=points, out_dir=out_dir)
 
 
 def _write_model_store_atomic(records, out_dir: Path) -> None:
-    models_tmp = out_dir / "models.csv.tmp"
-    weights_tmp = out_dir / "weights.csv.tmp"
-    try:
-        trainer.write_model_store(records, models_tmp, weights_tmp)
-        os.replace(models_tmp, out_dir / "models.csv")
-        os.replace(weights_tmp, out_dir / "weights.csv")
-    finally:
-        for tmp in (models_tmp, weights_tmp):
-            if tmp.exists():
-                tmp.unlink()
+    """``models.csv`` and ``weights.csv``: neither is renamed into place until
+    ``trainer.write_model_store`` has written both."""
+    _atomic(out_dir / "models.csv", lambda models: _atomic(
+        out_dir / "weights.csv",
+        lambda weights: trainer.write_model_store(records, models, weights)))
 
 
 # ---------------------------------------------------------------------------
@@ -311,25 +306,23 @@ def run_agreement_pipeline(config: ExperimentConfig, n_pairs: int | None = None,
     pair_seed = (opts.pair_seed if opts.pair_seed is not None
                  else derive_stream(config.shift.master_seed, 0x5052))
 
-    for name in ("results.csv", "preds.csv", "ood_test.csv", "manifest.json"):
+    for name in ("preds.csv", "manifest.json"):
         if not (out_dir / name).exists():
             raise MissingInputsError(f"{name} not found in {out_dir}; run the sweep first")
 
-    # Pairs are drawn by results.csv row index, and preds.csv is row-aligned
-    # with the pool the sweep wrote, so all three must be the sweep's files
-    # byte for byte: reordered or edited rows keep the counts.
-    results = _read_verified(out_dir, "results.csv", lambda p: (
-        evaluator.read_results_csv(p, ("model_id",)), _file_entry(p)["crc32"]))
-    model_ids = [r["model_id"] for r in results]
-    pool = _read_verified(out_dir, "ood_test.csv",
-                          lambda p: datagen.read_dataset_labels(p, split="ood_test"))
-    expected = [c for cell in config.shift.group_label_counts("ood_test") for c in cell]
-    found = np.bincount(2 * pool.groups + (pool.labels < 0), minlength=len(expected))
-    if found.tolist() != expected:
-        raise InvalidSpecError(f"{out_dir / 'ood_test.csv'}: (positive, negative) rows per "
-                               f"group {found.tolist()} differ from the config's {expected}")
-    ones = _read_verified(out_dir, "preds.csv", lambda p: evaluator.read_preds_matrix(
-        p, model_ids, pool.n_rows))
+    # preds.csv's bits follow the pool rows the sweep wrote, laid out by
+    # row_layout from the pool's counts: the config must give the same counts.
+    expected = [list(cell) for cell in config.shift.group_label_counts("ood_test")]
+    counts = _from_manifest(out_dir, "ood_test_counts", lambda m: m["ood_test_counts"])
+    if counts != expected:
+        raise InvalidSpecError(f"{out_dir / 'manifest.json'}: the OOD pool's [positives, "
+                               f"negatives] per group {counts} differ from the config's "
+                               f"{expected}")
+    labels, groups, _ = datagen.row_layout(config.shift, "ood_test")
+    pool = Dataset(features=np.empty((labels.size, 0)), labels=labels, groups=groups,
+                   split="ood_test", k_groups=config.shift.k_groups)
+    model_ids, ones = _read_verified(out_dir, "preds.csv", lambda p: evaluator.read_preds_matrix(
+        p, pool.n_rows))
     masks, w_id, w_ood = overlay_cells(config.shift, pool)
 
     def reweight(values: np.ndarray) -> np.ndarray:

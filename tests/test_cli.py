@@ -1,11 +1,12 @@
 import json
 import re
+import zlib
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from shiftlab import analysis, svg, theory
+from shiftlab import analysis, svg, theory, trainer
 from shiftlab.cli import main
 
 TINY_SHIFT = """\
@@ -46,6 +47,23 @@ def test_sweep_and_plot_and_analyze(tmp_path, capsys):
     assert main(["plot", "--config", str(cfg)]) == 0
     assert main(["analyze", "--config", str(cfg)]) == 0
     assert (out_dir / "report.json").exists()
+
+
+def test_plot_redraws_the_sweeps_moon_svg(tmp_path, capsys):
+    cfg, out_dir = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    moon = (out_dir / "moon.svg").read_bytes()
+    assert main(["plot", "--config", str(cfg)]) == 0
+    assert (out_dir / "moon.svg").read_bytes() == moon
+    for name, entry in json.loads((out_dir / "manifest.json").read_text())["files"].items():
+        data = (out_dir / name).read_bytes()
+        assert entry == {"bytes": len(data), "crc32": zlib.crc32(data)}, name
+    # the curve fits need at least 4 points
+    results = tmp_path / "three.csv"
+    results.write_text("\n".join((out_dir / "results.csv").read_text().splitlines()[:4]) + "\n")
+    capsys.readouterr()
+    assert main(["plot", "--config", str(cfg), "--results", str(results)]) == 4
+    assert "at least 4 points" in capsys.readouterr().err
 
 
 def test_clean_sweep_removes_stale_failures_csv(tmp_path):
@@ -265,6 +283,37 @@ def test_any_grid_or_analysis_value_fails_at_load_or_runs(tmp_path_factory, data
     assert code != 1 or not out_dir.exists()
 
 
+# [shift] and [series] values: counts from {-1, 0, 1, 3, 2**64}, rates and
+# scales from {nan, inf, -1, 0, 0.5, 1, 1.5}, and empty or non-numeric ones.
+_SHIFT_INT = st.sampled_from(["-1", "0", "1", "3", str(2**64), "", "x"])
+_SHIFT_FLOAT = st.sampled_from(["nan", "inf", "-1", "0", "0.5", "1", "1.5", "", "x"])
+_SHIFT_FLOATS = st.lists(_SHIFT_FLOAT, max_size=3).map(",".join)
+_SHIFT_FUZZ = {
+    **dict.fromkeys(("d_core", "d_spu", "n_train", "n_id_test", "n_ood_test", "k_groups",
+                     "master_seed"), _SHIFT_INT),
+    **dict.fromkeys(("sigma_core", "sigma_spu", "p_maj", "pi1", "pi0", "p_y1"), _SHIFT_FLOAT),
+    "r_tr": _SHIFT_FLOATS, "r_ts": _SHIFT_FLOATS,
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_any_shift_or_series_value_fails_at_load_or_runs(tmp_path_factory, data):
+    body = TINY_SHIFT
+    for key in data.draw(st.lists(st.sampled_from(list(_SHIFT_FUZZ)), max_size=3, unique=True)):
+        line = f"{key}={data.draw(_SHIFT_FUZZ[key], label=key)}"
+        old = re.search(rf"^{key}=.*$", body, re.M)
+        body = body.replace(old.group(0), line) if old else body.replace(
+            "\n[grid]", f"{line}\n\n[grid]")
+    if data.draw(st.booleans(), label="series"):
+        knob = data.draw(st.sampled_from(["sdr", "p_maj", "correlation_level", "x", ""]))
+        body += f"\n[series]\nknob={knob}\nvalues={data.draw(_SHIFT_FLOATS, label='values')}\n"
+    cfg, out_dir = write_config(tmp_path_factory.mktemp("fuzz"), body)
+    code = main(["sweep", "--config", str(cfg)])
+    assert code in (0, 1, 2, 3, 4)
+    assert code != 1 or not out_dir.exists()
+
+
 def _write_half_then_fail(*args):
     with open(args[-1], "w") as fh:  # every patched writer takes the path last
         fh.write("partial")
@@ -278,13 +327,14 @@ def _write_half_then_fail(*args):
      ["roc_traversal.csv", "theory_summary.json"]),
     (["theory", "--mc-samples", "10000", "--format", "json"], (analysis, "dump_json"),
      ["roc_traversal.json", "theory_summary.json"]),
+    (["sweep"], (trainer, "write_model_store"), ["models.csv", "weights.csv", "manifest.json"]),
 ])
 def test_failed_writer_leaves_no_partial_file(tmp_path, monkeypatch, command, patch,
                                               outputs):
     cfg, out_dir = write_config(tmp_path)
     assert main(["sweep", "--config", str(cfg)]) == 0
-    for name in ("report.json", "moon.svg"):
-        (out_dir / name).unlink()
+    for name in ("report.json", "moon.svg", *outputs):
+        (out_dir / name).unlink(missing_ok=True)
     monkeypatch.setattr(*patch, _write_half_then_fail)
     args = command + (["--out", str(out_dir)] if command[0] == "theory"
                       else ["--config", str(cfg)])
@@ -294,19 +344,68 @@ def test_failed_writer_leaves_no_partial_file(tmp_path, monkeypatch, command, pa
     assert list(out_dir.glob("*.tmp")) == []
 
 
-def test_agreement_on_corrupted_pool_is_generation_error(tmp_path, capsys):
-    cfg, out_dir = write_config(tmp_path)
-    assert main(["sweep", "--config", str(cfg)]) == 0
+def _corrupted_pool(cfg, out_dir):
     pool = out_dir / "ood_test.csv"
     lines = pool.read_text().splitlines()
-    lines[5] = lines[5].rsplit(",", 1)[0]  # a ragged row
+    lines[5] = lines[5].rsplit(",", 1)[0] + ",oops"
     pool.write_text("\n".join(lines) + "\n")
+
+
+def _reordered_pool(cfg, out_dir):
+    pool = out_dir / "ood_test.csv"
+    header, *rows = pool.read_text().splitlines()
+    pool.write_text("\n".join([header, *reversed(rows)]) + "\n")
+
+
+def _reversed_results(cfg, out_dir):
+    results = out_dir / "results.csv"
+    header, *rows = results.read_text().splitlines()
+    results.write_text("\n".join([header, *reversed(rows)]) + "\n")
+
+
+def _results_without_model_id(cfg, out_dir):
+    results = out_dir / "results.csv"
+    results.write_text(results.read_text().replace("model_id", "model_id_x", 1))
+
+
+def _reseeded_pool(cfg, out_dir):
+    assert main(["gen-data", "--config", str(cfg), "--seed", "99"]) == 0
+
+
+def _only_manifest_and_preds(cfg, out_dir):
+    for name in ("train.csv", "ood_test.csv", "results.csv", "models.csv", "weights.csv"):
+        (out_dir / name).unlink()
+
+
+@pytest.mark.parametrize("fault", [_corrupted_pool, _reordered_pool, _reversed_results,
+                                   _results_without_model_id, _reseeded_pool,
+                                   _only_manifest_and_preds])
+def test_agreement_reads_only_manifest_and_preds(tmp_path, fault):
+    # The pool's rows come from the config's layout and the model IDs from
+    # preds.csv, so no other file of the sweep can change the outputs.
+    cfg, out_dir = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    outputs = ("agreement.csv", "agreement_report.json", "agreement_overlay.svg")
+    assert main(["agreement", "--config", str(cfg)]) == 0
+    want = [(out_dir / name).read_bytes() for name in outputs]
+    for name in outputs:
+        (out_dir / name).unlink()
+    fault(cfg, out_dir)
+    assert main(["agreement", "--config", str(cfg)]) == 0
+    assert [(out_dir / name).read_bytes() for name in outputs] == want
+
+
+@pytest.mark.parametrize("old,new", [("master_seed=4", "master_seed=4\nr_ts=0.3,0.7"),
+                                     ("n_ood_test=800", "n_ood_test=801")])
+def test_agreement_with_other_pool_counts_is_generation_error(tmp_path, capsys, old, new):
+    cfg, out_dir = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    write_config(tmp_path, TINY_SHIFT.replace(old, new))
+    capsys.readouterr()
     assert main(["agreement", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "ood_test.csv" in err and "Traceback" not in err
-    lines[5] = lines[5] + ",oops"  # a non-numeric field
-    pool.write_text("\n".join(lines) + "\n")
-    assert main(["agreement", "--config", str(cfg)]) == 2
+    assert "manifest.json" in err and "Traceback" not in err
+    assert not (out_dir / "agreement.csv").exists()
 
 
 def _with(row, y=None, z=None):
@@ -327,32 +426,30 @@ def _group_9(rows):
     return [_with(rows[0], z=9), *rows[1:]]
 
 
+def _pool_counts(rows):
+    """[positives, negatives] per group of dataset CSV rows, as a sweep's
+    manifest records them."""
+    cells = [(int(row.split(",")[1]), row.split(",")[0]) for row in rows]
+    return [[cells.count((g, "1")), cells.count((g, "-1"))]
+            for g in range(max(g for g, _ in cells) + 1)]
+
+
 @pytest.mark.parametrize("fault", [_every_group_one, _label_7_and_group_9, _group_9])
 def test_agreement_on_pool_off_the_config_counts_is_generation_error(tmp_path, capsys, fault):
+    # The manifest records a pool whose per-(group, label) counts the config
+    # does not give, so preds.csv's bits are not aligned with its layout.
     cfg, out_dir = write_config(tmp_path)
     assert main(["sweep", "--config", str(cfg)]) == 0
-    pool = out_dir / "ood_test.csv"
-    header, *rows = pool.read_text().splitlines()
-    pool.write_text("\n".join([header, *fault(rows)]) + "\n")
+    header, *rows = (out_dir / "ood_test.csv").read_text().splitlines()
+    manifest = out_dir / "manifest.json"
+    recorded = json.loads(manifest.read_text())
+    assert recorded["ood_test_counts"] == _pool_counts(rows)
+    recorded["ood_test_counts"] = _pool_counts(fault(rows))
+    manifest.write_text(json.dumps(recorded))
     capsys.readouterr()
     assert main(["agreement", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "ood_test.csv" in err and "Traceback" not in err
-    assert not (out_dir / "agreement.csv").exists()
-
-
-def test_agreement_on_reordered_pool_is_generation_error(tmp_path, capsys):
-    # Reversed rows keep every (group, label) count, but preds.csv is aligned
-    # with the rows the sweep wrote.
-    cfg, out_dir = write_config(tmp_path)
-    assert main(["sweep", "--config", str(cfg)]) == 0
-    pool = out_dir / "ood_test.csv"
-    header, *rows = pool.read_text().splitlines()
-    pool.write_text("\n".join([header, *reversed(rows)]) + "\n")
-    capsys.readouterr()
-    assert main(["agreement", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "ood_test.csv" in err and "Traceback" not in err
+    assert "manifest.json" in err and "Traceback" not in err
     assert not (out_dir / "agreement.csv").exists()
 
 
@@ -371,9 +468,9 @@ def _not_json(manifest):
 
 
 def _no_pool_entry(manifest):
-    files = json.loads(manifest)["files"]
-    del files["ood_test.csv"]
-    return json.dumps({"files": files})
+    manifest = json.loads(manifest)
+    del manifest["ood_test_counts"]
+    return json.dumps(manifest)
 
 
 @pytest.mark.parametrize("fault", [_not_json, _no_pool_entry])
@@ -433,20 +530,6 @@ def test_agreement_on_reversed_bits_is_generation_error(tmp_path, capsys):
     assert not (out_dir / "agreement.csv").exists()
 
 
-def test_agreement_on_reversed_results_rows_is_generation_error(tmp_path, capsys):
-    # Pairs are drawn by row index, so reordered rows would compare other pairs.
-    cfg, out_dir = write_config(tmp_path)
-    assert main(["sweep", "--config", str(cfg)]) == 0
-    results = out_dir / "results.csv"
-    header, *rows = results.read_text().splitlines()
-    results.write_text("\n".join([header, *rows[::-1]]) + "\n")
-    capsys.readouterr()
-    assert main(["agreement", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "results.csv" in err and "CRC-32" in err and "Traceback" not in err
-    assert not (out_dir / "agreement.csv").exists()
-
-
 @pytest.mark.parametrize("rates", ["1e-2,1e-2", "0.0100000001,0.01"])
 def test_grid_with_duplicate_cells_is_config_error(tmp_path, capsys, rates):
     # The second pair differs, but not at the 6 digits a cell ID prints.
@@ -475,13 +558,12 @@ def _short_row(header, row):
 
 
 @pytest.mark.parametrize("command,fault", [
-    ("agreement", _renamed("model_id")),
     ("analyze", _renamed("group_acc_0")),
     ("plot", _renamed("group_acc_0")),
     ("analyze", _non_numeric),
     ("plot", _non_numeric),
     ("analyze", _short_row),
-], ids=["agreement-no-model_id", "analyze-no-group_acc_0", "plot-no-group_acc_0",
+], ids=["analyze-no-group_acc_0", "plot-no-group_acc_0",
         "analyze-non-numeric", "plot-non-numeric", "analyze-short-row"])
 def test_malformed_results_csv_is_generation_error(tmp_path, capsys, command, fault):
     cfg, out_dir = write_config(tmp_path)

@@ -2,7 +2,6 @@ from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 import tracemalloc
-import zlib
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -12,8 +11,7 @@ from hypothesis import given, settings
 
 from shiftlab import datagen
 from shiftlab.datagen import (SPLITS, Dataset, ShiftSpec, generate, generate_blocks,
-                              mixture_table, read_dataset_csv, read_dataset_labels,
-                              read_spec_file,
+                              mixture_table, read_dataset_csv, read_spec_file,
                               spec_from_table, write_dataset_csv, write_spec_file)
 from shiftlab.errors import (DegenerateDimensionError, InfeasibleMarginalsError,
                              InvalidSpecError)
@@ -261,6 +259,24 @@ def test_generate_blocks_concatenate_to_generate(rows):
                                                for i in range(0, whole.n_rows, step)]
         for got, want in zip(zip(*blocks), (whole.features, whole.labels, whole.groups)):
             assert np.concatenate(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    majority_spec, lambda **kw: attribute_spec(r_ts=(0.3, 0.7), **kw),
+    lambda **kw: majority_spec(k_groups=3, p_maj=None, r_tr=(0.5, 0.3, 0.2), **kw),
+], ids=["majority", "attribute", "kgroup"])
+def test_row_layout_is_the_layout_of_generate(make):
+    spec = make(d_core=5, d_spu=3, n_train=301, n_id_test=77, n_ood_test=1001)
+    for split in SPLITS:
+        labels, groups, attr = datagen.row_layout(spec, split)
+        ds = generate(spec, split)
+        assert labels.tobytes() == ds.labels.tobytes()
+        assert groups.tobytes() == ds.groups.tobytes()
+        assert attr.tobytes() == _attributes(spec, ds).tobytes()
+        # group-major, positives before negatives, in the spec's counts
+        want = [(g, y) for g, (n_pos, n_neg) in enumerate(spec.group_label_counts(split))
+                for y, n in ((1, n_pos), (-1, n_neg)) for _ in range(n)]
+        assert list(zip(groups.tolist(), labels.tolist())) == want
 
 
 @pytest.mark.parametrize("rows", [1, 7, 2 * datagen._CSV_CHUNK_ROWS + 5])
@@ -587,46 +603,22 @@ _LABEL_GROUP_FAULTS = [
 
 @pytest.mark.parametrize("body", _FEATURE_FAULTS + _LABEL_GROUP_FAULTS)
 def test_malformed_dataset_csv_names_path(tmp_path, body):
-    # read_dataset_labels parses only y and z, so it shares the header, label
-    # and group checks but not those of the feature fields.
-    label_or_group_fault = body in _LABEL_GROUP_FAULTS
     path = tmp_path / "bad.csv"
     path.write_text("y,z,x0,x1\n" + body)
     with pytest.raises(InvalidSpecError, match="bad.csv"):
         read_dataset_csv(path)
-    if label_or_group_fault:
-        with pytest.raises(InvalidSpecError, match="bad.csv"):
-            read_dataset_labels(path)
     for header in ("", "x,y,x0,x1\n"):
         path.write_text(header)
-        for reader in (read_dataset_csv, read_dataset_labels):
-            with pytest.raises(InvalidSpecError, match="bad.csv"):
-                reader(path)
+        with pytest.raises(InvalidSpecError, match="bad.csv"):
+            read_dataset_csv(path)
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, 2 * datagen._CSV_CHUNK_ROWS + 5])
-def test_dataset_labels_match_full_read_and_crc(tmp_path, n_rows):
-    feats = np.random.default_rng(n_rows).normal(scale=10.0, size=(n_rows, 4))
-    path = tmp_path / "d.csv"
-    write_dataset_csv(_dataset(feats), path)
-    full = read_dataset_csv(path, split="ood_test")
-    labels, crc = read_dataset_labels(path, split="ood_test")
-    assert crc == zlib.crc32(path.read_bytes())
-    assert labels.features.shape == (n_rows, 0)
-    assert np.array_equal(labels.labels, full.labels)
-    assert np.array_equal(labels.groups, full.groups)
-    assert (labels.k_groups, labels.split) == (full.k_groups, "ood_test")
-    # zero features: each row is just "y,z"
-    write_dataset_csv(_dataset(np.empty((n_rows, 0))), path)
-    assert np.array_equal(read_dataset_labels(path)[0].groups, full.groups)
-
-
-@pytest.mark.parametrize("body", ["abc,0,0.5\n", "1,,0.5\n", "1\n", "\n"])
+@pytest.mark.parametrize("body", ["abc,0,0.5\n", "1,,0.5\n", "1\n"])
 def test_dataset_labels_reject_non_numeric_label_or_group(tmp_path, body):
     path = tmp_path / "bad.csv"
     path.write_text("y,z,x0\n1,0,0.5\n" + body)
     with pytest.raises(InvalidSpecError, match="bad.csv"):
-        read_dataset_labels(path)
+        read_dataset_csv(path)
 
 
 def test_spec_file_round_trip(tmp_path):

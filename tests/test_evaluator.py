@@ -350,23 +350,27 @@ def test_preds_csv_matches_csv_writer(tmp_path):
 
 def test_read_preds_matrix_fills_rows_and_returns_crc(tmp_path):
     rng = np.random.default_rng(3)
-    rows = [(f"m{i}", predictions_bits(rng.choice([-1, 1], size=50))) for i in range(5)]
+    rows = [(f"m{i}", predictions_bits(rng.choice([-1, 1], size=50))) for i in (3, 0, 4, 1)]
     path = tmp_path / "preds.csv"
     write_preds_csv(rows, path)
-    ids = ["m3", "m0", "m3"]
-    ones, crc = read_preds_matrix(path, ids, 50)
+    ids, ones, crc = read_preds_matrix(path, 50)
+    assert ids == ["m3", "m0", "m4", "m1"]  # file order
     assert crc == zlib.crc32(path.read_bytes())
-    assert np.array_equal(ones, [[c == "1" for c in dict(rows)[m]] for m in ids])
-    with pytest.raises(InvalidSpecError, match="'zz' has no predictions"):
-        read_preds_matrix(path, ["m1", "zz"], 50)
-    with pytest.raises(InvalidSpecError, match="'m1' has 50 predictions, expected 49"):
-        read_preds_matrix(path, ["m1"], 49)
+    assert np.array_equal(ones, [[c == "1" for c in bits] for _, bits in rows])
+    with pytest.raises(InvalidSpecError, match="'m3' has 50 predictions, expected 51"):
+        read_preds_matrix(path, 51)  # every bit-string one short
+    with pytest.raises(InvalidSpecError, match="'m3' has 50 predictions, expected 49"):
+        read_preds_matrix(path, 49)  # one long
+    path.write_bytes(path.read_bytes()[:-1])  # the last line without its newline
+    assert read_preds_matrix(path, 50)[1].tolist() == ones.tolist()
+    path.write_text("model_id,bits\n,0101")  # the shortest line a file can end with
+    assert read_preds_matrix(path, 4)[0] == [""]
     path.write_text("model_id,bits\nm0,01x1\n")
     with pytest.raises(InvalidSpecError, match="0/1 characters"):
-        read_preds_matrix(path, ["m0"], 4)
+        read_preds_matrix(path, 4)
     path.write_text("bits,model_id\n0101,m0\n")
     with pytest.raises(InvalidSpecError, match="header"):
-        read_preds_matrix(path, ["m0"], 4)
+        read_preds_matrix(path, 4)
 
 
 @pytest.mark.parametrize("model_id", ["a,b", 'say "x"', "a\rb", "a\nb"])
