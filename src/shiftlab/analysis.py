@@ -83,15 +83,149 @@ class QuadFit:
     se_beta2: float
 
 
+def _knot_index(x: np.ndarray) -> np.ndarray:
+    """Knot number of each sorted x: x closer than 1e-5 of the span share one.
+
+    A gap h puts entries of order 1/h^2 into the penalty system next to ones
+    of order 1/mean-gap^2, and its factorization keeps only the larger, so
+    gaps below about 1e-6 of the span spoil the fit at large lambda; merging
+    them moves the fitted values by about 1e-7.
+    """
+    return np.concatenate([[0], np.cumsum(np.diff(x) > (x[-1] - x[0]) * 1e-5)])
+
+
+def _reinsch(h: np.ndarray, w: np.ndarray, y: np.ndarray, lams: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Natural cubic smoothing splines for every penalty in ``lams`` at once.
+
+    Knot gaps ``h``, knot weights ``w`` and knot responses ``y`` define Q
+    (m x m-2, three bands) and R (m-2 x m-2, tridiagonal); the interior second
+    derivatives gamma solve the pentadiagonal system A gamma = Q^T y with
+    A = R + lam B and B = Q^T W^-1 Q (Reinsch, Numer. Math. 1967).  One
+    forward pass factors A = L D L^T and solves L z = Q^T y; one backward pass
+    solves L^T gamma = D^-1 z and takes the central five bands of S = A^-1
+    (Hutchinson & de Hoog, Numer. Math. 1985).  Each pass runs once over the
+    knots with every penalty as one vector.  Returns, one row per penalty,
+    the fitted knot values, gamma, the weighted residual sum of squares,
+    m - tr H and tr H.
+    """
+    q0, q2 = 1.0 / h[:-1], 1.0 / h[1:]
+    q1 = -q0 - q2
+    n, lam = q0.size, lams[None, :]
+    # Bands of R and B, zero-padded to n rows so that the passes need no
+    # boundary cases.
+    r0 = (h[:-1] + h[1:]) / 3.0
+    r1 = np.zeros(n)
+    r1[:-1] = h[1:-1] / 6.0
+    b0 = q0 * q0 / w[:-2] + q1 * q1 / w[1:-1] + q2 * q2 / w[2:]
+    b1 = np.zeros(n)
+    b1[:-1] = q1[:-1] * q0[1:] / w[1:-2] + q2[:-1] * q1[1:] / w[2:-1]
+    b2 = np.zeros(n)
+    b2[:-2] = q2[:-2] * q0[2:] / w[2:-2]
+    # Q^T y is repeated across the penalties: a numpy op on a Python float
+    # costs about twice one on two arrays of equal length.
+    rhs = np.repeat((q0 * y[:-2] + q1 * y[1:-1] + q2 * y[2:])[:, None], lams.size, axis=1)
+
+    # Forward: 1/D and the negated sub-diagonals -L[k+1, k], -L[k+2, k] of
+    # the factor, with L z = Q^T y alongside.  Since u = L[k+1, k] d_k and
+    # L[k+2, k] d_k = A[k+2, k], d_k and u need only the last two steps'
+    # -L[k+1, k], u, A[k+2, k] and p = -A[k+2, k]^2 / d.
+    zero, minus_one = np.zeros(lams.size), np.full(lams.size, -1.0)
+    ne1 = u1 = c1 = nf1 = nf2 = p1 = p2 = z1 = z2 = zero
+    ninvs, nes, nfs, zs = [], [], [], []
+    for a0k, a1k, a2k, bk in zip(r0[:, None] + b0[:, None] * lam, r1[:, None] + b1[:, None] * lam,
+                                 b2[:, None] * lam, rhs):
+        d = a0k + ne1 * u1 + p2
+        u = a1k + ne1 * c1
+        ninv = minus_one / d
+        ne = u * ninv
+        nf = a2k * ninv
+        z = bk + ne1 * z1 + nf2 * z2
+        ninvs.append(ninv)
+        nes.append(ne)
+        nfs.append(nf)
+        zs.append(z)
+        ne1, u1, c1 = ne, u, a2k
+        nf2, nf1 = nf1, nf
+        p2, p1 = p1, a2k * nf
+        z2, z1 = z1, z
+    inv = -np.array(ninvs)
+    zd = np.array(zs) * inv
+    del ninvs, zs, rhs
+
+    # Backward: L^T gamma = D^-1 z, and S[k, k], S[k, k+1], S[k, k+2] from
+    # L^T S = D^-1 L^-1.
+    g1 = g2 = s0_1 = s0_2 = s1_1 = zero
+    gs, s0s, s1s, s2s = [], [], [], []
+    for ne, nf, zdk, invk in zip(reversed(nes), reversed(nfs), zd[::-1], inv[::-1]):
+        g = zdk + ne * g1 + nf * g2
+        s2 = ne * s1_1 + nf * s0_2
+        s1 = ne * s0_1 + nf * s1_1
+        s0 = invk + ne * s1 + nf * s2
+        gs.append(g)
+        s0s.append(s0)
+        s1s.append(s1)
+        s2s.append(s2)
+        g2, g1 = g1, g
+        s0_2, s0_1, s1_1 = s0_1, s0, s1
+    del nes, nfs
+    gamma = np.array(gs[::-1])
+    s0, s1, s2 = np.array(s0s[::-1]), np.array(s1s[::-1]), np.array(s2s[::-1])
+    del gs, s0s, s1s, s2s
+    # tr H = 2 + tr(S R) = m - lam tr(S B); each is taken from the sum that
+    # does not cancel where it is small.
+    tr_h = 2.0 + r0 @ s0 + 2.0 * (r1 @ s1)
+    dfree = lams * (b0 @ s0 + 2.0 * (b1 @ s1 + b2 @ s2))
+
+    # The residuals y - f = lam W^-1 Q gamma give the residual sum of squares;
+    # they scale with lam, so an exact fit stays exact.  The knot values come
+    # from gamma instead: Q^T f = R gamma fixes the secant slopes up to a
+    # constant, so f is R gamma integrated twice plus a line, and W (y - f)
+    # is orthogonal to the lines, which makes that line the weighted least
+    # squares line of what is left.  At large lam, y - lam W^-1 Q gamma would
+    # leave rounding noise of order 1/h in f, which its penalty magnifies.
+    qg = np.zeros((n + 2, lams.size))
+    qg[:-2] += q0[:, None] * gamma
+    qg[1:-1] += q1[:, None] * gamma
+    qg[2:] += q2[:, None] * gamma
+    resid = lam * qg / w[:, None]
+    rss = w @ (resid * resid)
+    rg = r0[:, None] * gamma
+    rg[:-1] += r1[:-1, None] * gamma[1:]
+    rg[1:] += r1[:-1, None] * gamma[:-1]
+    slopes = np.zeros((n + 1, lams.size))
+    np.cumsum(rg, axis=0, out=slopes[1:])
+    fitted = np.zeros((n + 2, lams.size))
+    np.cumsum(slopes * h[:, None], axis=0, out=fitted[1:])
+    t = np.concatenate([[0.0], np.cumsum(h)])
+    t -= (w @ t) / w.sum()
+    resid = y[:, None] - fitted
+    fitted += (w @ resid) / w.sum() + np.outer(t, (w * t) @ resid / ((w * t) @ t))
+    return fitted.T, gamma.T, rss, dfree, tr_h
+
+
 class SmoothingSpline:
     """Natural cubic smoothing spline on distinct knots.
 
     Minimizes sum_i (y_i - f(x_i))^2 + lam * integral f''(t)^2 dt over
-    natural cubic splines with knots at the distinct x values (duplicates are
-    collapsed to their mean, weighted by their count).  The fit is computed
-    through the Reinsch system (R + lam * Q^T W^-1 Q) gamma = Q^T y, which
-    stays well conditioned for every lambda, including the straight-line limit
-    lam -> infinity.
+    natural cubic splines with knots at the distinct x values (x closer than
+    1e-5 of the span are one knot, at their mean x and mean y, weighted by
+    their count: ``_knot_index``).  The fit is Reinsch's banded algorithm on a unit-span axis
+    (``_reinsch``), O(m) in time and memory for m knots; with lam="gcv",
+    every value of ``GCV_GRID`` is fitted in the same passes and the one with
+    the least GCV score is kept.
+
+    Tolerance, measured against scipy's ``make_smoothing_spline`` on sorted
+    uniform x over [0.5, 0.9] with 5 to 2,000 points and lam from 1e-6 to 1:
+    the penalized objective of the fitted values never exceeds the smaller of
+    scipy's and the least-squares line's by more than 1e-9 of it, and the
+    fitted values agree with scipy's to 1e-6 while lam * m^4 <= 1e6, to 1e-5
+    while it is <= 1e8 and to 3e-4 while it is <= 1e10; beyond that scipy's
+    fit is the less accurate one.
+
+    ``effective_df`` is tr H, the trace of the hat matrix at the chosen lam;
+    ``lambda_at_grid_edge`` says whether GCV chose an end of ``GCV_GRID``
+    (None for a given lam).
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, lam: float | str = "gcv"):
@@ -104,92 +238,38 @@ class SmoothingSpline:
 
         order = np.argsort(x, kind="stable")
         x, y = x[order], y[order]
-        # Collapse exact and near-duplicate x (closer than ~1e-9 of the span)
-        # into single knots with mean responses, weighted by count; knot gaps
-        # at machine epsilon would make the penalty system singular.
-        span = float(x[-1] - x[0])
-        tol = max(span, 1.0) * 1e-9
-        idx = np.concatenate([[0], np.cumsum(np.diff(x) > tol)])
+        idx = _knot_index(x)
         n_knots = int(idx[-1]) + 1
         if n_knots < 5:
             raise AnalysisError(f"smoothing spline needs >= 5 distinct x values, got {n_knots}")
-        w = np.zeros(n_knots)
-        xbar = np.zeros(n_knots)
-        ybar = np.zeros(n_knots)
-        np.add.at(w, idx, 1.0)
-        np.add.at(xbar, idx, x)
-        np.add.at(ybar, idx, y)
-        xbar /= w
-        ybar /= w
-
+        w = np.bincount(idx).astype(np.float64)
+        xbar = np.bincount(idx, weights=x) / w
+        ybar = np.bincount(idx, weights=y) / w
         self.knots = xbar
-        self._w = w
-        self._ybar = ybar
-        # Solve on a unit-span axis for conditioning; an affine change of
-        # variable multiplies integral(f'')^2 by span^-3, so lambda is mapped
-        # exactly and the fitted function is unchanged.
-        self._scale = float(self.knots[-1] - self.knots[0])
-        self._decompose()
 
         if lam == "gcv":
-            self.lam, self.gcv_score = self._select_gcv()
+            lams = GCV_GRID
         else:
             lam = float(lam)
             if lam <= 0:
                 raise AnalysisError("lambda must be positive")
-            self.lam = lam
-            self.gcv_score = self._gcv(lam)
-        self.values, self.second_derivs = self._fit(self.lam)
-
-    # -- internals ---------------------------------------------------------
-
-    def _decompose(self) -> None:
-        h = np.diff(self.knots) / self._scale
-        m = self.knots.size
-        Q = np.zeros((m, m - 2))
-        R = np.zeros((m - 2, m - 2))
-        for j in range(1, m - 1):
-            k = j - 1
-            Q[j - 1, k] = 1.0 / h[j - 1]
-            Q[j, k] = -1.0 / h[j - 1] - 1.0 / h[j]
-            Q[j + 1, k] = 1.0 / h[j]
-            R[k, k] = (h[j - 1] + h[j]) / 3.0
-            if k + 1 < m - 2:
-                R[k, k + 1] = R[k + 1, k] = h[j] / 6.0
-        self._Q = Q
-        B = (Q.T / self._w) @ Q  # Q^T W^-1 Q
-        L = np.linalg.cholesky(R)
-        C = np.linalg.solve(L, np.linalg.solve(L, B).T).T  # L^-1 B L^-T
-        mu, V = np.linalg.eigh((C + C.T) / 2.0)
-        self._mu = np.maximum(mu, 0.0)
-        self._LtV = np.linalg.solve(L.T, V)  # L^-T V, maps eig basis to gamma
-        self._c = V.T @ np.linalg.solve(L, self._Q.T @ self._ybar)
-
-    def _scaled_lambda(self, lam: float) -> float:
-        return lam / self._scale ** 3
-
-    def _fit(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
-        lam_s = self._scaled_lambda(lam)
-        shrink = self._c / (1.0 + lam_s * self._mu)
-        gamma = self._LtV @ shrink
-        fitted = self._ybar - lam_s * (self._Q @ gamma) / self._w
+            lams = (lam,)
+        # Solve on a unit-span axis for conditioning; an affine change of
+        # variable multiplies integral(f'')^2 by span^-3, so lambda is mapped
+        # exactly and the fitted function is unchanged.
+        scale = float(xbar[-1] - xbar[0])
+        values, gamma, rss, dfree, tr_h = _reinsch(np.diff(xbar) / scale, w, ybar,
+                                                   np.array(lams) / scale ** 3)
+        scores = n_knots * rss / dfree ** 2
+        best = int(np.argmin(scores))
+        self.lam = lams[best]
+        self.gcv_score = float(scores[best])
+        self.effective_df = float(tr_h[best])
+        self.lambda_at_grid_edge = best in (0, len(lams) - 1) if lam == "gcv" else None
+        self.values = values[best].copy()
         # Second derivatives in original units: d2/dx2 = scale^-2 * d2/dx'2.
-        full_gamma = np.zeros(self.knots.size)
-        full_gamma[1:-1] = gamma / self._scale ** 2
-        return fitted, full_gamma
-
-    def _gcv(self, lam: float) -> float:
-        m = self.knots.size
-        lam_s = self._scaled_lambda(lam)
-        denom = 1.0 + lam_s * self._mu
-        rss = lam_s * lam_s * float(np.sum(self._mu * (self._c / denom) ** 2))
-        tr_h = 2.0 + float(np.sum(1.0 / denom))
-        return m * rss / (m - tr_h) ** 2
-
-    def _select_gcv(self) -> tuple[float, float]:
-        scores = [(self._gcv(lam), lam) for lam in GCV_GRID]
-        best = min(scores, key=lambda t: t[0])
-        return best[1], best[0]
+        self.second_derivs = np.zeros(n_knots)
+        self.second_derivs[1:-1] = gamma[best] / scale ** 2
 
     # -- public ------------------------------------------------------------
 
@@ -216,6 +296,8 @@ class SmoothingSpline:
         return {
             "lambda": self.lam,
             "gcv_score": self.gcv_score,
+            "effective_df": self.effective_df,
+            "lambda_at_grid_edge": self.lambda_at_grid_edge,
             "knots": [float(v) for v in self.knots],
             "values": [float(v) for v in self.values],
             "second_derivs": [float(v) for v in self.second_derivs],
@@ -307,7 +389,7 @@ def fit_curves(points: list[tuple[float, float]] | np.ndarray,
             phase = float(vertex)
 
     spline = None
-    if np.unique(x).size >= 5:
+    if _knot_index(np.sort(x))[-1] >= 4:
         spline = SmoothingSpline(x, y, lam=spline_lambda)
 
     return CurveReport(n_points=n, linear_fit=lin, probit_fit=pro, quad_fit=quad,

@@ -144,7 +144,7 @@ class ShiftSpec:
                 continue
             if len(weights) != self.k_groups:
                 raise InvalidSpecError(f"{name} must have {self.k_groups} entries")
-            if any(w < 0.0 or w > 1.0 for w in weights):
+            if not all(0.0 <= w <= 1.0 for w in weights):  # NaN fails here too
                 raise InvalidSpecError(f"{name} entries must lie in [0,1]")
             if abs(sum(weights) - 1.0) > _WEIGHT_SUM_TOL:
                 raise InvalidSpecError(f"{name} must sum to 1 within {_WEIGHT_SUM_TOL}")
@@ -572,10 +572,17 @@ def read_dataset_csv(path: str | Path, split: str = "train") -> Dataset:
 
     Each feature is the double its ``%.9g`` text denotes, so the round trip is
     exact; the features are a read-only view of the parsed block.  A bad
-    header, a ragged row, a non-numeric field, a non-integer label or group,
-    a label outside {-1, +1} or a negative group raises InvalidSpecError
-    naming ``path``.
+    header, a blank line, a ragged row, a non-numeric field, a non-integer
+    label or group, a label outside {-1, +1} or a negative group raises
+    InvalidSpecError naming ``path``.
     """
+    def rows(fh):
+        # np.loadtxt skips blank lines; a dataset file has none.
+        for number, line in enumerate(fh, start=2):
+            if not line.strip():
+                raise InvalidSpecError(f"malformed dataset CSV {path}: line {number} is blank")
+            yield line
+
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
         if header[:2] != ["y", "z"]:
@@ -585,7 +592,7 @@ def read_dataset_csv(path: str | Path, split: str = "train") -> Dataset:
         fh.seek(body_start)
         try:
             body = (np.empty((0, len(header))) if empty
-                    else np.loadtxt(fh, delimiter=",", comments=None, ndmin=2))
+                    else np.loadtxt(rows(fh), delimiter=",", comments=None, ndmin=2))
         except ValueError as exc:
             raise InvalidSpecError(f"malformed dataset CSV {path}: {exc}") from exc
     if body.shape[1] != len(header):

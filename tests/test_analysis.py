@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.interpolate import make_smoothing_spline
+from scipy.linalg import solveh_banded
 
-from shiftlab.analysis import (CurveReport, SmoothingSpline, _probit_clamped,
+from shiftlab.analysis import (GCV_GRID, CurveReport, SmoothingSpline, _probit_clamped,
                                compare_nonlinearity, dump_json, fit_curves,
                                load_json, probit, write_report)
 from shiftlab.errors import AnalysisError
@@ -182,6 +184,28 @@ def test_spline_gcv_recovers_known_parabola():
     assert rmse <= 0.01
 
 
+def _penalized_objective(x, y, f, lam):
+    """sum (y - f)^2 + lam * integral g''^2 for the natural spline g through (x, f)."""
+    h = np.diff(x)
+    q0, q2 = 1.0 / h[:-1], 1.0 / h[1:]
+    qtf = q0 * f[:-2] - (q0 + q2) * f[1:-1] + q2 * f[2:]
+    bands = np.zeros((2, h.size - 1))
+    bands[0, 1:] = h[1:-1] / 6.0
+    bands[1] = (h[:-1] + h[1:]) / 3.0
+    gamma = solveh_banded(bands, qtf)  # R gamma = Q^T f
+    return float(np.sum((y - f) ** 2) + lam * gamma @ qtf)
+
+
+def _scipy_value_tolerance(lam, m):
+    """The stated agreement with scipy's fitted values; None where scipy is the
+    less accurate fit (its objective exceeds ours there)."""
+    stiffness = lam * m ** 4
+    for bound, tol in ((1e6, 1e-6), (1e8, 1e-5), (1e10, 3e-4)):
+        if stiffness <= bound:
+            return tol
+    return None
+
+
 def test_spline_matches_scipy_reference():
     # scipy.interpolate.make_smoothing_spline minimizes the same
     # sum-of-squares plus lam * integral(f'')^2 objective.
@@ -194,6 +218,84 @@ def test_spline_matches_scipy_reference():
         assert np.max(np.abs(ours.predict(x) - ref(x))) < 1e-6
         grid = np.linspace(x[0], x[-1], 333)
         assert np.max(np.abs(ours.predict(grid) - ref(grid))) < 1e-6
+    # Sorted uniform x on [0.5, 0.9], y = x^2 + N(0, 0.01^2): from a few
+    # knots to the sizes where a dense solve drifts off the minimizer.  The
+    # objective is taken from each fit's values at x, so it scores the
+    # values, not the fit's own second derivatives.
+    for m in (5, 31, 232, 500, 700, 2000):
+        rng = np.random.default_rng(m)
+        x = np.sort(0.5 + 0.4 * rng.random(m))
+        y = x ** 2 + 0.01 * rng.standard_normal(m)
+        line = np.polyval(np.polyfit(x, y, 1), x)
+        for lam in (1e-6, 1e-4, 1e-2, 1.0):
+            ours = SmoothingSpline(x, y, lam=lam).predict(x)
+            ref = make_smoothing_spline(x, y, lam=lam)(x)
+            best_other = min(_penalized_objective(x, y, ref, lam),
+                             _penalized_objective(x, y, line, lam))
+            assert _penalized_objective(x, y, ours, lam) <= best_other * (1 + 1e-9), (m, lam)
+            tol = _scipy_value_tolerance(lam, m)
+            if tol is not None:
+                assert np.max(np.abs(ours - ref)) <= tol, (m, lam)
+
+
+def test_spline_matches_dense_reinsch_solve():
+    # The textbook dense form of the same fit: A = R + lam Q^T W^-1 Q,
+    # A gamma = Q^T ybar, f = ybar - lam W^-1 Q gamma, H = I - lam W^-1 Q A^-1 Q^T.
+    x = np.array([0.1, 0.15, 0.15, 0.3, 0.42, 0.5, 0.5, 0.5, 0.61, 0.7, 0.85, 0.9])
+    y = np.cos(4 * x) + np.linspace(-0.05, 0.05, x.size) ** 2
+    t, w = np.unique(x, return_counts=True)
+    ybar = np.array([y[x == k].mean() for k in t])
+    m, h = t.size, np.diff(t)
+    Q, R = np.zeros((m, m - 2)), np.zeros((m - 2, m - 2))
+    for k in range(m - 2):
+        Q[k:k + 3, k] = 1 / h[k], -1 / h[k] - 1 / h[k + 1], 1 / h[k + 1]
+        R[k, k] = (h[k] + h[k + 1]) / 3
+        if k + 1 < m - 2:
+            R[k, k + 1] = R[k + 1, k] = h[k + 1] / 6
+    for lam in (1e-6, 1e-3, 1.0):
+        A = R + lam * (Q.T / w) @ Q
+        gamma = np.linalg.solve(A, Q.T @ ybar)
+        f = ybar - lam * (Q @ gamma) / w
+        hat = np.eye(m) - lam * (Q / w[:, None]) @ np.linalg.solve(A, Q.T)
+        sp = SmoothingSpline(x, y, lam=lam)
+        assert np.allclose(sp.values, f, rtol=0, atol=1e-12)
+        assert np.allclose(sp.second_derivs[1:-1], gamma, rtol=1e-9, atol=1e-9)
+        assert sp.effective_df == pytest.approx(np.trace(hat), rel=1e-10)
+        rss = np.sum(w * (ybar - f) ** 2)
+        assert sp.gcv_score == pytest.approx(m * rss / (m - np.trace(hat)) ** 2, rel=1e-8)
+        assert sp.lambda_at_grid_edge is None
+    # tr H runs from the line's 2 to the knot count.
+    assert SmoothingSpline(x, y, lam=1e9).effective_df == pytest.approx(2.0, abs=1e-6)
+    assert SmoothingSpline(x, y, lam=1e-12).effective_df == pytest.approx(m, abs=1e-6)
+
+
+def test_spline_gcv_fit_memory_is_linear_in_knots():
+    # One dense 2,000 x 2,000 float64 matrix alone is 32 MB.
+    x = np.linspace(0.5, 0.9, 2000)
+    y = x ** 2 + 0.01 * np.random.default_rng(11).standard_normal(2000)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        sp = SmoothingSpline(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sp.knots.size == 2000
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_spline_reports_whether_gcv_chose_a_grid_edge():
+    rng = np.random.default_rng(12)
+    x = np.sort(rng.random(200))
+    noise = SmoothingSpline(x, rng.standard_normal(200))
+    assert noise.lam == GCV_GRID[-1] and noise.lambda_at_grid_edge is True
+    parabola = SmoothingSpline(x, x - x ** 2 + 0.01 * rng.standard_normal(200))
+    assert GCV_GRID[0] < parabola.lam < GCV_GRID[-1]
+    assert parabola.lambda_at_grid_edge is False
+    exact = SmoothingSpline(x, np.sin(6 * x))
+    assert exact.lam == GCV_GRID[0] and exact.lambda_at_grid_edge is True
+    assert exact.effective_df == pytest.approx(
+        SmoothingSpline(x, np.sin(6 * x), lam=GCV_GRID[0]).effective_df, rel=1e-12)
 
 
 def test_spline_collapses_duplicate_x_to_weighted_mean():
@@ -203,6 +305,19 @@ def test_spline_collapses_duplicate_x_to_weighted_mean():
     assert sp.knots.size == 5
     assert sp.predict(0.1) == pytest.approx(0.5, abs=1e-6)
     assert sp.predict(0.9) == pytest.approx(0.5, abs=1e-6)
+    # x closer than 1e-5 of the span are one knot too; farther ones are not.
+    near = np.array([0.1, 0.1 + 7e-6, 0.3, 0.5, 0.7, 0.9, 0.9 - 9e-6 * 0.8])
+    assert SmoothingSpline(near, y, lam=1e-12).knots.size == 5
+    near[1] = 0.1 + 9e-6
+    assert SmoothingSpline(near, y, lam=1e-12).knots.size == 6
+
+
+def test_fit_curves_skips_spline_below_five_knots():
+    # Five distinct x, two of them within 1e-5 of the span: four knots.
+    rep = fit_curves([(0.5, 0.1), (0.5 + 1e-7, 0.2), (0.6, 0.4), (0.7, 0.3), (0.8, 0.6)])
+    assert rep.spline is None
+    assert fit_curves([(0.5, 0.1), (0.55, 0.2), (0.6, 0.4), (0.7, 0.3),
+                       (0.8, 0.6)]).spline is not None
 
 
 def test_spline_requires_five_distinct_x():
@@ -268,6 +383,9 @@ def test_report_json_round_trip(tmp_path):
     assert set(data["linear_fit"]) == {"slope", "intercept", "r2"}
     assert set(data["quad_fit"]) == {"beta0", "beta1", "beta2", "r2", "se_beta2"}
     assert data["spline"]["lambda"] > 0
+    assert data["spline"]["effective_df"] == pytest.approx(rep.spline.effective_df, rel=1e-11)
+    assert 2.0 < data["spline"]["effective_df"] < 50.0
+    assert data["spline"]["lambda_at_grid_edge"] is rep.spline.lambda_at_grid_edge
     # byte-identical re-emission after a parse round trip
     p2 = tmp_path / "again.json"
     dump_json(data, p2)

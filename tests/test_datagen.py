@@ -71,6 +71,8 @@ def test_weight_vectors_must_sum_to_one():
         majority_spec(r_ts=(0.6, 0.5)).validate()
     with pytest.raises(InvalidSpecError):
         majority_spec(r_ts=(0.2, 0.3, 0.5)).validate()
+    with pytest.raises(InvalidSpecError, match="r_ts entries"):
+        majority_spec(r_ts=(float("nan"), float("nan"))).validate()
 
 
 def test_kgroup_needs_r_tr():
@@ -618,6 +620,16 @@ def test_dataset_labels_reject_non_numeric_label_or_group(tmp_path, body):
     path = tmp_path / "bad.csv"
     path.write_text("y,z,x0\n1,0,0.5\n" + body)
     with pytest.raises(InvalidSpecError, match="bad.csv"):
+        read_dataset_csv(path)
+
+
+@pytest.mark.parametrize("body", ["1,0,0.5\n\n", "1,0,0.5\n\n-1,0,0.25\n"],
+                         ids=["trailing", "between-rows"])
+def test_dataset_csv_rejects_blank_line(tmp_path, body):
+    # np.loadtxt would skip the blank line and load one or two rows.
+    path = tmp_path / "bad.csv"
+    path.write_text("y,z,x0\n" + body)
+    with pytest.raises(InvalidSpecError, match="bad.csv.*line 3 is blank"):
         read_dataset_csv(path)
 
 
