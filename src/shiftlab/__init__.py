@@ -7,11 +7,9 @@ nonlinearity of the (majority, minority) accuracy cloud, and verifies the
 closed-form subpopulation accuracy gap against Monte Carlo simulation.
 """
 
-from .analysis import (CurveReport, SmoothingSpline, compare_nonlinearity,
-                       fit_curves, probit)
-from .config import AnalysisOptions, ExperimentConfig, GridSpec, load_config, write_config
-from .datagen import (Dataset, MixtureTable, ShiftSpec, generate, mixture_table,
-                      spec_from_table)
+from .analysis import CurveReport, SmoothingSpline, fit_curves, probit
+from .config import AnalysisOptions, ExperimentConfig, GridSpec, load_config
+from .datagen import Dataset, MixtureTable, ShiftSpec, generate, mixture_table
 from .evaluator import AgreementRecord, EvalRecord, evaluate, model_mixture
 from .harness import (run_agreement_pipeline, run_gen_data, run_spurious_series,
                       run_sweep_pipeline)
@@ -26,9 +24,8 @@ __all__ = [
     "AgreementRecord", "AnalysisOptions", "CurveReport", "Dataset", "EvalRecord",
     "ExperimentConfig", "GridSpec", "HyperParams", "MixtureTable", "ModelRecord",
     "PopulationSpec", "RocPoint", "ScoreModel", "ShiftSpec", "SmoothingSpline",
-    "SweepResult", "accuracy_gap", "compare_nonlinearity", "evaluate", "fit_curves",
-    "generate", "load_config", "mixture_table", "model_mixture", "monte_carlo_gap",
-    "oracle_classifier", "probit", "roc_traverse", "run_agreement_pipeline",
-    "run_gen_data", "run_spurious_series", "run_sweep_pipeline", "spec_from_table",
-    "subpop_accuracy", "sweep", "train", "write_config",
+    "SweepResult", "accuracy_gap", "evaluate", "fit_curves", "generate", "load_config",
+    "mixture_table", "model_mixture", "monte_carlo_gap", "oracle_classifier", "probit",
+    "roc_traverse", "run_agreement_pipeline", "run_gen_data", "run_spurious_series",
+    "run_sweep_pipeline", "subpop_accuracy", "sweep", "train",
 ]

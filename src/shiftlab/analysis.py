@@ -396,36 +396,6 @@ def fit_curves(points: list[tuple[float, float]] | np.ndarray,
                        curvature=quad.beta2, phase_transition=phase, spline=spline)
 
 
-@dataclass(frozen=True)
-class NonlinearityComparison:
-    delta_probit_r2: float
-    delta_curvature: float
-    margin: float
-    verdict: str
-
-    def to_dict(self) -> dict:
-        return vars(self) | {}
-
-
-def compare_nonlinearity(report_a: CurveReport, report_b: CurveReport,
-                         margin: float = 0.02) -> NonlinearityComparison:
-    """Compare two sweeps' departure from a probit-scale line.
-
-    Lower probit-space R^2 means more nonlinear; ``margin`` is the minimum
-    R^2 difference before the verdict leaves "comparable".
-    """
-    d_r2 = report_a.probit_fit.r2 - report_b.probit_fit.r2
-    d_curv = report_a.curvature - report_b.curvature
-    if d_r2 < -margin:
-        verdict = "a more nonlinear"
-    elif d_r2 > margin:
-        verdict = "b more nonlinear"
-    else:
-        verdict = "comparable"
-    return NonlinearityComparison(delta_probit_r2=d_r2, delta_curvature=d_curv,
-                                  margin=margin, verdict=verdict)
-
-
 # ---------------------------------------------------------------------------
 # Deterministic JSON with 12-significant-digit floats
 # ---------------------------------------------------------------------------

@@ -74,8 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.0)
     p.add_argument("--n-thresholds", type=int, default=101)
     p.add_argument("--mc-samples", type=int, default=1_000_000)
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="traversal output format")
 
     p = sub.add_parser("plot", help="moon.svg, with its curve fits, from an existing results.csv")
     _add_common(p)
@@ -163,14 +161,9 @@ def _cmd_theory(args) -> int:
     points = theory.roc_traverse(pop, score, n_thresholds=args.n_thresholds)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.format == "csv":
-        harness._atomic(out_dir / "roc_traversal.csv",
-                        lambda p: theory.write_traversal_csv(points, p))
-        print(out_dir / "roc_traversal.csv")
-    else:
-        harness._atomic(out_dir / "roc_traversal.json", lambda p: analysis.dump_json(
-            {"points": [vars(pt) | {} for pt in points]}, p))
-        print(out_dir / "roc_traversal.json")
+    harness._atomic(out_dir / "roc_traversal.csv",
+                    lambda p: theory.write_traversal_csv(points, p))
+    print(out_dir / "roc_traversal.csv")
     harness._atomic(out_dir / "theory_summary.json",
                     lambda p: analysis.dump_json(summary, p))
     print(out_dir / "theory_summary.json")

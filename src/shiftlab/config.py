@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .analysis import PROBIT_EPS_DEFAULT
 from .datagen import ShiftSpec, mixture_table, parse_spec_items
 from .errors import ConfigError, InfeasibleMarginalsError, InvalidSpecError
 from .rng import derive_stream
@@ -57,7 +58,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class AnalysisOptions:
-    probit_eps: float = 1e-3
+    probit_eps: float = PROBIT_EPS_DEFAULT
     spline_lambda: float | str = "gcv"
     n_pairs: int = 500
     pair_seed: int | None = None
@@ -205,49 +206,3 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except (InvalidSpecError, InfeasibleMarginalsError) as exc:
         raise ConfigError(f"bad {exc} (in {path})") from exc
     return config
-
-
-def _num(value: float) -> str:
-    # repr is the shortest string that parses back to the same double.
-    return repr(float(value))
-
-
-def write_config(config: ExperimentConfig, path: str | Path) -> None:
-    """Serialize a config; load_config(write_config(c)) reproduces c."""
-    spec = config.shift
-    lines = ["[shift]"]
-    for name in ("d_core", "d_spu", "n_train", "n_id_test", "n_ood_test",
-                 "k_groups", "master_seed"):
-        lines.append(f"{name}={getattr(spec, name)}")
-    for name in ("sigma_core", "sigma_spu", "p_maj", "pi1", "pi0", "p_y1"):
-        value = getattr(spec, name)
-        if value is not None:
-            lines.append(f"{name}={_num(value)}")
-    for name in ("r_tr", "r_ts"):
-        value = getattr(spec, name)
-        if value is not None:
-            lines.append(f"{name}={','.join(_num(v) for v in value)}")
-
-    g = config.grid
-    lines += ["", "[grid]",
-              f"learning_rates={','.join(_num(v) for v in g.learning_rates)}",
-              f"l2s={','.join(_num(v) for v in g.l2s)}",
-              f"batch_sizes={','.join(str(b) for b in g.batch_sizes)}",
-              f"snapshot_epochs={','.join(str(e) for e in g.snapshot_epochs)}",
-              f"n_seeds={g.n_seeds}"]
-
-    a = config.analysis
-    lines += ["", "[analysis]",
-              f"probit_eps={_num(a.probit_eps)}",
-              f"spline_lambda={a.spline_lambda if a.spline_lambda == 'gcv' else _num(a.spline_lambda)}",
-              f"n_pairs={a.n_pairs}",
-              f"margin={_num(a.margin)}"]
-    if a.pair_seed is not None:
-        lines.append(f"pair_seed={a.pair_seed}")
-
-    lines += ["", "[output]", f"dir={config.out_dir}"]
-
-    if config.series is not None:
-        lines += ["", "[series]", f"knob={config.series.knob}",
-                  f"values={','.join(_num(v) for v in config.series.values)}"]
-    Path(path).write_text("\n".join(lines) + "\n")

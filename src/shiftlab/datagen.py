@@ -29,7 +29,6 @@ deterministic and order-independent.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -391,22 +390,6 @@ def mixture_table(total: int, class_balance: float, attr_balance: float,
     return MixtureTable(counts=counts)
 
 
-def spec_from_table(table: MixtureTable, *, d_core: int, d_spu: int,
-                    sigma_core: float, sigma_spu: float,
-                    n_id_test: int = 10_000, n_ood_test: int = 10_000,
-                    r_ts: tuple[float, ...] | None = None,
-                    master_seed: int = 0) -> ShiftSpec:
-    """Bridge a mixture table to an attribute-mode ShiftSpec."""
-    spec = ShiftSpec(
-        d_core=d_core, d_spu=d_spu, sigma_core=sigma_core, sigma_spu=sigma_spu,
-        n_train=table.total, pi1=table.pi1, pi0=table.pi0, p_y1=table.p_y1,
-        n_id_test=n_id_test, n_ood_test=n_ood_test, r_ts=r_ts,
-        master_seed=master_seed,
-    )
-    spec.validate()
-    return spec
-
-
 # ---------------------------------------------------------------------------
 # File formats
 # ---------------------------------------------------------------------------
@@ -617,7 +600,7 @@ _SPEC_WEIGHT_FIELDS = {"r_tr", "r_ts"}
 
 
 def write_spec_file(spec: ShiftSpec, path: str | Path) -> None:
-    """Plain ``key=value`` lines, one per set field; ``#`` starts a comment."""
+    """``key=value`` lines, floats at 12 digits: a record the package does not read back."""
     lines = []
     for name in (*_SPEC_INT_FIELDS, *_SPEC_FLOAT_FIELDS, *_SPEC_WEIGHT_FIELDS):
         value = getattr(spec, name)
@@ -649,16 +632,3 @@ def parse_spec_items(items: dict[str, str]) -> ShiftSpec:
     spec = ShiftSpec(**kwargs)
     spec.validate()
     return spec
-
-
-def read_spec_file(path: str | Path) -> ShiftSpec:
-    items: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)", line)
-        if m is None:
-            raise InvalidSpecError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        items[m.group(1)] = m.group(2)
-    return parse_spec_items(items)

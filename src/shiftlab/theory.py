@@ -72,9 +72,12 @@ class ScoreModel:
     s1: float = 1.0
 
     def validate(self) -> None:
-        if not (np.isfinite(self.mu0) and np.isfinite(self.mu1)
-                and 0 < self.s0 < np.inf and 0 < self.s1 < np.inf):
-            raise InvalidSpecError("score parameters must be finite, standard deviations > 0")
+        # below 2**1023 the ends, midpoints and x - mu of roc_traverse's bracket stay finite
+        # each comparison is False for NaN, so a NaN mean or deviation is rejected too
+        if not (0 < self.s0 and 0 < self.s1 and abs(self.mu0) + 10 * self.s0 < 2.0**1023
+                and abs(self.mu1) + 10 * self.s1 < 2.0**1023):
+            raise InvalidSpecError("score parameters must be finite, standard deviations > 0, "
+                                   "and each |mu| + 10 * s below 2**1023")
 
     def tpr(self, threshold: float) -> float:
         """P(X > t | Y=1) for the rule: predict 1 iff x > t."""
@@ -132,8 +135,8 @@ def monte_carlo_gap(pop: PopulationSpec, score: ScoreModel, threshold: float,
     """
     pop.validate()
     score.validate()
-    if n_samples < 10_000:
-        raise InvalidSpecError("n_samples must be at least 10^4")
+    if not 10_000 <= n_samples < 2**63:
+        raise InvalidSpecError(f"n_samples must be at least 10^4 and below 2**63, got {n_samples}")
     if seed < 0:
         raise InvalidSpecError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
@@ -187,8 +190,8 @@ def roc_traverse(pop: PopulationSpec, score: ScoreModel,
     """
     pop.validate()
     score.validate()
-    if n_thresholds < 3:
-        raise InvalidSpecError("need at least 3 thresholds")
+    if not 3 <= n_thresholds < 2**63:
+        raise InvalidSpecError(f"need at least 3 thresholds and below 2**63, got {n_thresholds}")
 
     def component_cdfs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """F_0(x) and F_1(x), from one ``normal_cdf_array`` call."""

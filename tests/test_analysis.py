@@ -6,9 +6,8 @@ import pytest
 from scipy.interpolate import make_smoothing_spline
 from scipy.linalg import solveh_banded
 
-from shiftlab.analysis import (GCV_GRID, CurveReport, SmoothingSpline, _probit_clamped,
-                               compare_nonlinearity, dump_json, fit_curves,
-                               load_json, probit, write_report)
+from shiftlab.analysis import (GCV_GRID, SmoothingSpline, _probit_clamped, dump_json,
+                               fit_curves, load_json, probit, write_report)
 from shiftlab.errors import AnalysisError
 
 
@@ -336,35 +335,6 @@ def test_spline_linear_extrapolation():
     sp = SmoothingSpline(x, y, lam=1e-9)
     assert sp.predict(-0.5) == pytest.approx(0.0, abs=1e-5)
     assert sp.predict(1.5) == pytest.approx(4.0, abs=1e-5)
-
-
-# ---------------------------------------------------------------------------
-# compare_nonlinearity
-# ---------------------------------------------------------------------------
-
-def _line_report() -> CurveReport:
-    maj = np.linspace(0.45, 0.95, 30)
-    return fit_curves(np.column_stack([maj, 0.1 + 0.8 * maj]))
-
-
-def _parabola_report() -> CurveReport:
-    maj = np.linspace(0.45, 0.95, 30)
-    return fit_curves(np.column_stack([maj, 1.3 - 3.4 * maj + 2.8 * maj**2]))
-
-
-def test_compare_identical_reports():
-    rep = _line_report()
-    cmp = compare_nonlinearity(rep, rep)
-    assert cmp.verdict == "comparable"
-    assert cmp.delta_probit_r2 == 0.0
-    assert cmp.delta_curvature == 0.0
-
-
-def test_compare_flags_parabola_as_more_nonlinear():
-    line = _line_report()
-    parab = _parabola_report()
-    assert compare_nonlinearity(parab, line).verdict == "a more nonlinear"
-    assert compare_nonlinearity(line, parab).verdict == "b more nonlinear"
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ n_pairs=40
 """
 
 
-def write_config(tmp_path, body=TINY_SHIFT, out=None):
+def make_config(tmp_path, body=TINY_SHIFT, out=None):
     path = tmp_path / "cfg.ini"
     out_dir = out or (tmp_path / "out")
     path.write_text(body + f"\n[output]\ndir={out_dir}\n")
@@ -40,7 +40,7 @@ def write_config(tmp_path, body=TINY_SHIFT, out=None):
 
 
 def test_sweep_and_plot_and_analyze(tmp_path, capsys):
-    cfg, out_dir = write_config(tmp_path)
+    cfg, out_dir = make_config(tmp_path)
     assert main(["sweep", "--config", str(cfg)]) == 0
     assert (out_dir / "results.csv").exists()
     assert (out_dir / "moon.svg").exists()
@@ -50,7 +50,7 @@ def test_sweep_and_plot_and_analyze(tmp_path, capsys):
 
 
 def test_plot_redraws_the_sweeps_moon_svg(tmp_path, capsys):
-    cfg, out_dir = write_config(tmp_path)
+    cfg, out_dir = make_config(tmp_path)
     assert main(["sweep", "--config", str(cfg)]) == 0
     moon = (out_dir / "moon.svg").read_bytes()
     assert main(["plot", "--config", str(cfg)]) == 0
@@ -70,11 +70,11 @@ def test_clean_sweep_removes_stale_failures_csv(tmp_path):
     # The ridge term multiplies the weights by about -lr * l2 <= -1e197 a step,
     # so every l2=1e200 cell overflows to inf in its first epochs.
     failing = TINY_SHIFT.replace("l2s=0\n", "l2s=0,1e200\n")
-    cfg, out_dir = write_config(tmp_path, failing)
+    cfg, out_dir = make_config(tmp_path, failing)
     assert main(["sweep", "--config", str(cfg)]) == 0
     assert "1e+200" in (out_dir / "failures.csv").read_text()
     assert "failures.csv" in json.loads((out_dir / "manifest.json").read_text())["files"]
-    cfg, _ = write_config(tmp_path, TINY_SHIFT, out=out_dir)
+    cfg, _ = make_config(tmp_path, TINY_SHIFT, out=out_dir)
     assert main(["sweep", "--config", str(cfg)]) == 0
     assert not (out_dir / "failures.csv").exists()
     assert (out_dir / "results.csv").exists()
@@ -82,14 +82,14 @@ def test_clean_sweep_removes_stale_failures_csv(tmp_path):
 
 
 def test_gen_data(tmp_path):
-    cfg, out_dir = write_config(tmp_path)
+    cfg, out_dir = make_config(tmp_path)
     assert main(["gen-data", "--config", str(cfg)]) == 0
     for name in ("train.csv", "id_test.csv", "ood_test.csv", "spec.txt"):
         assert (out_dir / name).exists()
 
 
 def test_seed_override_changes_features(tmp_path):
-    cfg, out_dir = write_config(tmp_path)
+    cfg, out_dir = make_config(tmp_path)
     main(["gen-data", "--config", str(cfg)])
     first = (out_dir / "train.csv").read_bytes()
     main(["gen-data", "--config", str(cfg), "--seed", "99"])
@@ -97,14 +97,14 @@ def test_seed_override_changes_features(tmp_path):
 
 
 def test_series_subcommand(tmp_path):
-    cfg, out_dir = write_config(tmp_path)
+    cfg, out_dir = make_config(tmp_path)
     assert main(["series", "--config", str(cfg), "--knob", "p_maj",
                  "--values", "0.7,0.9"]) == 0
     assert (out_dir / "series.json").exists()
 
 
 def test_agreement_subcommand(tmp_path):
-    cfg, out_dir = write_config(tmp_path)
+    cfg, out_dir = make_config(tmp_path)
     main(["sweep", "--config", str(cfg)])
     assert main(["agreement", "--config", str(cfg), "--pairs", "30"]) == 0
     assert (out_dir / "agreement.csv").exists()
@@ -118,9 +118,6 @@ def test_theory_subcommand(tmp_path):
     assert (tmp_path / "roc_traversal.csv").exists()
     summary = json.loads((tmp_path / "theory_summary.json").read_text())
     assert summary["verdict"] == "consistent"
-    assert main(["theory", "--out", str(tmp_path), "--format", "json",
-                 "--mc-samples", "100000"]) == 0
-    assert (tmp_path / "roc_traversal.json").exists()
 
 
 def test_exit_code_1_config(tmp_path):
@@ -132,14 +129,14 @@ def test_exit_code_1_config(tmp_path):
 
 
 def test_empty_grid_is_config_error(tmp_path, capsys):
-    cfg, out_dir = write_config(tmp_path, TINY_SHIFT.replace("n_seeds=2", "n_seeds=0"))
+    cfg, out_dir = make_config(tmp_path, TINY_SHIFT.replace("n_seeds=2", "n_seeds=0"))
     assert main(["sweep", "--config", str(cfg)]) == 1
     assert "config error" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
 def test_series_bad_values_is_config_error(tmp_path, capsys):
-    cfg, out_dir = write_config(tmp_path)
+    cfg, out_dir = make_config(tmp_path)
     assert main(["series", "--config", str(cfg), "--knob", "sdr",
                  "--values", "0.1,x"]) == 1
     err = capsys.readouterr().err
@@ -148,7 +145,7 @@ def test_series_bad_values_is_config_error(tmp_path, capsys):
 
 
 def test_series_checks_every_value_before_the_first_sweep(tmp_path, capsys):
-    cfg, out_dir = write_config(tmp_path)
+    cfg, out_dir = make_config(tmp_path)
     assert main(["series", "--config", str(cfg), "--knob", "p_maj",
                  "--values", "0.7,1.5"]) == 2
     assert "p_maj" in capsys.readouterr().err
@@ -165,7 +162,7 @@ def test_series_checks_every_value_before_the_first_sweep(tmp_path, capsys):
     ("snapshot_epochs=1,3", "snapshot_epochs="),
 ])
 def test_bad_grid_value_fails_before_training(tmp_path, capsys, old, new):
-    cfg, out_dir = write_config(tmp_path, TINY_SHIFT.replace(old, new))
+    cfg, out_dir = make_config(tmp_path, TINY_SHIFT.replace(old, new))
     assert main(["sweep", "--config", str(cfg)]) == 1
     assert "config error: bad [grid]" in capsys.readouterr().err
     assert not out_dir.exists()
@@ -177,7 +174,7 @@ def test_bad_grid_value_fails_before_training(tmp_path, capsys, old, new):
     "n_pairs=0", "n_pairs=-3", "pair_seed=-1", "spline_lambda=inf",
 ])
 def test_bad_analysis_range_fails_before_any_output(tmp_path, capsys, line):
-    cfg, out_dir = write_config(tmp_path, TINY_SHIFT.replace("n_pairs=40", line))
+    cfg, out_dir = make_config(tmp_path, TINY_SHIFT.replace("n_pairs=40", line))
     assert main(["sweep", "--config", str(cfg)]) == 1
     assert "config error" in capsys.readouterr().err
     assert not out_dir.exists()
@@ -186,12 +183,12 @@ def test_bad_analysis_range_fails_before_any_output(tmp_path, capsys, line):
 @pytest.mark.parametrize("margin", ["nan", "inf"])
 def test_non_finite_margin_fails_at_load(tmp_path, capsys, margin):
     bad = TINY_SHIFT + f"margin={margin}\n"
-    cfg, out_dir = write_config(tmp_path, bad)
+    cfg, out_dir = make_config(tmp_path, bad)
     assert main(["sweep", "--config", str(cfg)]) == 1
     assert not out_dir.exists()
-    write_config(tmp_path)
+    make_config(tmp_path)
     assert main(["sweep", "--config", str(cfg)]) == 0
-    write_config(tmp_path, bad)
+    make_config(tmp_path, bad)
     capsys.readouterr()
     assert main(["agreement", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
@@ -205,7 +202,7 @@ def test_non_finite_margin_fails_at_load(tmp_path, capsys, margin):
     ("sigma_spu=1", "sigma_spu=nan"),
 ])
 def test_non_finite_noise_scale_fails_at_load(tmp_path, capsys, old, new):
-    cfg, out_dir = write_config(tmp_path, TINY_SHIFT.replace(old, new))
+    cfg, out_dir = make_config(tmp_path, TINY_SHIFT.replace(old, new))
     assert main(["sweep", "--config", str(cfg)]) == 1
     assert "config error: bad [shift]" in capsys.readouterr().err
     assert not out_dir.exists()
@@ -213,7 +210,7 @@ def test_non_finite_noise_scale_fails_at_load(tmp_path, capsys, old, new):
 
 @pytest.mark.parametrize("flag", ["--pairs=0", "--pairs=-3", "--pair-seed=-1"])
 def test_bad_agreement_override_is_config_error(tmp_path, capsys, flag):
-    cfg, out_dir = write_config(tmp_path)
+    cfg, out_dir = make_config(tmp_path)
     assert main(["sweep", "--config", str(cfg)]) == 0
     capsys.readouterr()
     assert main(["agreement", "--config", str(cfg), flag]) == 1
@@ -225,7 +222,7 @@ def test_bad_agreement_override_is_config_error(tmp_path, capsys, flag):
 @pytest.mark.parametrize("values", ["0.7,1.5", "0.9,0.7", "0.7,nan"])
 def test_bad_series_section_fails_every_command_at_load(tmp_path, capsys, values):
     body = TINY_SHIFT + f"\n[series]\nknob=p_maj\nvalues={values}\n"
-    cfg, out_dir = write_config(tmp_path, body)
+    cfg, out_dir = make_config(tmp_path, body)
     for command in ("gen-data", "sweep", "series"):
         assert main([command, "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
@@ -234,7 +231,7 @@ def test_bad_series_section_fails_every_command_at_load(tmp_path, capsys, values
 
 
 def test_empty_series_section_is_left_to_the_series_command(tmp_path, capsys):
-    cfg, out_dir = write_config(tmp_path, TINY_SHIFT + "\n[series]\nknob=p_maj\nvalues=\n")
+    cfg, out_dir = make_config(tmp_path, TINY_SHIFT + "\n[series]\nknob=p_maj\nvalues=\n")
     assert main(["series", "--config", str(cfg)]) == 1
     assert "series needs" in capsys.readouterr().err
     assert main(["gen-data", "--config", str(cfg)]) == 0
@@ -242,7 +239,7 @@ def test_empty_series_section_is_left_to_the_series_command(tmp_path, capsys):
 
 def test_series_level_off_its_range_is_generation_error(tmp_path, capsys):
     attribute = TINY_SHIFT.replace("p_maj=0.9", "pi1=0.9\npi0=0.2")
-    cfg, out_dir = write_config(tmp_path, attribute)
+    cfg, out_dir = make_config(tmp_path, attribute)
     assert main(["series", "--config", str(cfg), "--knob", "correlation_level",
                  "--values", "0.5,1.5"]) == 2
     err = capsys.readouterr().err
@@ -277,7 +274,7 @@ def test_any_grid_or_analysis_value_fails_at_load_or_runs(tmp_path_factory, data
         old = re.search(rf"^{key}=.*$", body, re.M)
         # a key TINY leaves out goes to its last section, [analysis]
         body = body.replace(old.group(0), line) if old else body + line + "\n"
-    cfg, out_dir = write_config(tmp_path_factory.mktemp("fuzz"), body)
+    cfg, out_dir = make_config(tmp_path_factory.mktemp("fuzz"), body)
     code = main(["sweep", "--config", str(cfg)])
     assert code in (0, 1, 3, 4)
     assert code != 1 or not out_dir.exists()
@@ -308,7 +305,7 @@ def test_any_shift_or_series_value_fails_at_load_or_runs(tmp_path_factory, data)
     if data.draw(st.booleans(), label="series"):
         knob = data.draw(st.sampled_from(["sdr", "p_maj", "correlation_level", "x", ""]))
         body += f"\n[series]\nknob={knob}\nvalues={data.draw(_SHIFT_FLOATS, label='values')}\n"
-    cfg, out_dir = write_config(tmp_path_factory.mktemp("fuzz"), body)
+    cfg, out_dir = make_config(tmp_path_factory.mktemp("fuzz"), body)
     code = main(["sweep", "--config", str(cfg)])
     assert code in (0, 1, 2, 3, 4)
     assert code != 1 or not out_dir.exists()
@@ -325,13 +322,12 @@ def _write_half_then_fail(*args):
     (["plot"], (svg, "emit_plot"), ["moon.svg"]),
     (["theory", "--mc-samples", "10000"], (theory, "write_traversal_csv"),
      ["roc_traversal.csv", "theory_summary.json"]),
-    (["theory", "--mc-samples", "10000", "--format", "json"], (analysis, "dump_json"),
-     ["roc_traversal.json", "theory_summary.json"]),
+    (["theory", "--mc-samples", "10000"], (analysis, "dump_json"), ["theory_summary.json"]),
     (["sweep"], (trainer, "write_model_store"), ["models.csv", "weights.csv", "manifest.json"]),
 ])
 def test_failed_writer_leaves_no_partial_file(tmp_path, monkeypatch, command, patch,
                                               outputs):
-    cfg, out_dir = write_config(tmp_path)
+    cfg, out_dir = make_config(tmp_path)
     assert main(["sweep", "--config", str(cfg)]) == 0
     for name in ("report.json", "moon.svg", *outputs):
         (out_dir / name).unlink(missing_ok=True)
@@ -383,7 +379,7 @@ def _only_manifest_and_preds(cfg, out_dir):
 def test_agreement_reads_only_manifest_and_preds(tmp_path, fault):
     # The pool's rows come from the config's layout and the model IDs from
     # preds.csv, so no other file of the sweep can change the outputs.
-    cfg, out_dir = write_config(tmp_path)
+    cfg, out_dir = make_config(tmp_path)
     assert main(["sweep", "--config", str(cfg)]) == 0
     outputs = ("agreement.csv", "agreement_report.json", "agreement_overlay.svg")
     assert main(["agreement", "--config", str(cfg)]) == 0
@@ -398,9 +394,9 @@ def test_agreement_reads_only_manifest_and_preds(tmp_path, fault):
 @pytest.mark.parametrize("old,new", [("master_seed=4", "master_seed=4\nr_ts=0.3,0.7"),
                                      ("n_ood_test=800", "n_ood_test=801")])
 def test_agreement_with_other_pool_counts_is_generation_error(tmp_path, capsys, old, new):
-    cfg, out_dir = write_config(tmp_path)
+    cfg, out_dir = make_config(tmp_path)
     assert main(["sweep", "--config", str(cfg)]) == 0
-    write_config(tmp_path, TINY_SHIFT.replace(old, new))
+    make_config(tmp_path, TINY_SHIFT.replace(old, new))
     capsys.readouterr()
     assert main(["agreement", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
@@ -438,7 +434,7 @@ def _pool_counts(rows):
 def test_agreement_on_pool_off_the_config_counts_is_generation_error(tmp_path, capsys, fault):
     # The manifest records a pool whose per-(group, label) counts the config
     # does not give, so preds.csv's bits are not aligned with its layout.
-    cfg, out_dir = write_config(tmp_path)
+    cfg, out_dir = make_config(tmp_path)
     assert main(["sweep", "--config", str(cfg)]) == 0
     header, *rows = (out_dir / "ood_test.csv").read_text().splitlines()
     manifest = out_dir / "manifest.json"
@@ -454,7 +450,7 @@ def test_agreement_on_pool_off_the_config_counts_is_generation_error(tmp_path, c
 
 
 def test_agreement_without_manifest_is_analysis_error(tmp_path, capsys):
-    cfg, out_dir = write_config(tmp_path)
+    cfg, out_dir = make_config(tmp_path)
     assert main(["sweep", "--config", str(cfg)]) == 0
     (out_dir / "manifest.json").unlink()
     capsys.readouterr()
@@ -475,7 +471,7 @@ def _no_pool_entry(manifest):
 
 @pytest.mark.parametrize("fault", [_not_json, _no_pool_entry])
 def test_agreement_on_bad_manifest_is_generation_error(tmp_path, capsys, fault):
-    cfg, out_dir = write_config(tmp_path)
+    cfg, out_dir = make_config(tmp_path)
     assert main(["sweep", "--config", str(cfg)]) == 0
     manifest = out_dir / "manifest.json"
     manifest.write_text(fault(manifest.read_text()))
@@ -500,7 +496,7 @@ def _dropped(row):
 
 @pytest.mark.parametrize("fault", [_short_bits, _bad_char, _dropped])
 def test_agreement_on_corrupted_preds_is_generation_error(tmp_path, capsys, fault):
-    cfg, out_dir = write_config(tmp_path)
+    cfg, out_dir = make_config(tmp_path)
     assert main(["sweep", "--config", str(cfg)]) == 0
     preds = out_dir / "preds.csv"
     lines = preds.read_text().splitlines()
@@ -515,7 +511,7 @@ def test_agreement_on_corrupted_preds_is_generation_error(tmp_path, capsys, faul
 
 def test_agreement_on_reversed_bits_is_generation_error(tmp_path, capsys):
     # Same length and characters: only the manifest's CRC-32 tells it apart.
-    cfg, out_dir = write_config(tmp_path)
+    cfg, out_dir = make_config(tmp_path)
     assert main(["sweep", "--config", str(cfg)]) == 0
     preds = out_dir / "preds.csv"
     lines = preds.read_text().splitlines()
@@ -534,7 +530,7 @@ def test_agreement_on_reversed_bits_is_generation_error(tmp_path, capsys):
 def test_grid_with_duplicate_cells_is_config_error(tmp_path, capsys, rates):
     # The second pair differs, but not at the 6 digits a cell ID prints.
     body = TINY_SHIFT.replace("learning_rates=1e-3,1e-2", f"learning_rates={rates}")
-    cfg, out_dir = write_config(tmp_path, body)
+    cfg, out_dir = make_config(tmp_path, body)
     assert main(["sweep", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "[grid]" in err and "cell ID" in err and "Traceback" not in err
@@ -566,7 +562,7 @@ def _short_row(header, row):
 ], ids=["analyze-no-group_acc_0", "plot-no-group_acc_0",
         "analyze-non-numeric", "plot-non-numeric", "analyze-short-row"])
 def test_malformed_results_csv_is_generation_error(tmp_path, capsys, command, fault):
-    cfg, out_dir = write_config(tmp_path)
+    cfg, out_dir = make_config(tmp_path)
     assert main(["sweep", "--config", str(cfg)]) == 0
     results = out_dir / "results.csv"
     header, first, *rest = results.read_text().splitlines()
@@ -588,8 +584,10 @@ def test_theory_rerun_gives_identical_bytes(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-@pytest.mark.parametrize("flag", ["--mu0=nan", "--mu1=-inf", "--s0=inf", "--s1=nan",
-                                  "--threshold=nan", "--threshold=inf"])
+# --s0=1e308 is finite, but the ROC traversal's bisection bracket, mu0 + 10 * s0, is not:
+# it would give only nan rows.
+@pytest.mark.parametrize("flag", ["--mu0=nan", "--mu1=nan", "--mu1=-inf", "--s0=inf", "--s0=nan",
+                                  "--s1=nan", "--threshold=nan", "--threshold=inf", "--s0=1e308"])
 def test_theory_non_finite_input_is_generation_error(tmp_path, capsys, flag):
     out = tmp_path / "theory"
     assert main(["theory", "--out", str(out), flag]) == 2
@@ -606,6 +604,16 @@ def test_theory_negative_seed_is_generation_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--mc-samples", "--n-thresholds"])
+def test_theory_count_of_2_to_63_is_generation_error(tmp_path, capsys, flag):
+    out = tmp_path / "theory"
+    # a second --mc-samples overrides the first
+    assert main(["theory", "--out", str(out), "--mc-samples", "10000", flag, str(2**63)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("generation error:") and "2**63" in err
+    assert not out.exists()
+
+
 def test_exit_code_2_generation(tmp_path):
     # degenerate population reaches the generation layer through `theory`
     assert main(["theory", "--pi1", "1.0", "--pi0", "1.0",
@@ -618,12 +626,12 @@ def test_exit_code_3_training(tmp_path):
     body = TINY_SHIFT.replace("learning_rates=1e-3,1e-2", "learning_rates=10.0") \
                      .replace("l2s=0", "l2s=1e12") \
                      .replace("snapshot_epochs=1,3", "snapshot_epochs=1,25")
-    cfg, _ = write_config(tmp_path, body)
+    cfg, _ = make_config(tmp_path, body)
     assert main(["sweep", "--config", str(cfg)]) == 3
 
 
 def test_exit_code_4_analysis(tmp_path):
-    cfg, _ = write_config(tmp_path)
+    cfg, _ = make_config(tmp_path)
     assert main(["analyze", "--config", str(cfg)]) == 4  # no results.csv yet
     assert main(["agreement", "--config", str(cfg)]) == 4
 
@@ -631,5 +639,5 @@ def test_exit_code_4_analysis(tmp_path):
 def test_exit_code_5_io(tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")
-    cfg, _ = write_config(tmp_path, out=blocker / "sub")
+    cfg, _ = make_config(tmp_path, out=blocker / "sub")
     assert main(["sweep", "--config", str(cfg)]) == 5

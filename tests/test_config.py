@@ -1,7 +1,9 @@
 import pytest
 
+from pathlib import Path
+
 from shiftlab.config import (AnalysisOptions, ExperimentConfig, GridSpec,
-                             SeriesSpec, load_config, write_config)
+                             SeriesSpec, load_config)
 from shiftlab.datagen import ShiftSpec
 from shiftlab.errors import ConfigError
 
@@ -46,39 +48,88 @@ def test_load_good_config(tmp_path):
     assert cfg.grid.n_snapshots == 3 * 2 * 2 * 2 * 3
 
 
+ROUND_TRIP_CONFIG = """\
+[shift]
+d_core=50
+d_spu=25
+sigma_core=10.0
+sigma_spu=1.0
+n_train=3000
+pi1=0.9
+pi0=0.3
+master_seed=5
+
+[grid]
+learning_rates=0.001,0.01
+n_seeds=3
+
+[analysis]
+n_pairs=250
+margin=0.05
+pair_seed=11
+
+[output]
+dir=o
+
+[series]
+knob=sdr
+values=0.1,0.3,0.5
+"""
+
+
 def test_config_round_trip(tmp_path):
+    # Every section of a hand-written file loads back into the config it
+    # spells out: attribute-mode shift (pi1/pi0), pair_seed and [series].
+    path = tmp_path / "cfg.ini"
+    path.write_text(ROUND_TRIP_CONFIG)
+    back = load_config(path)
     spec = ShiftSpec(d_core=50, d_spu=25, sigma_core=10.0, sigma_spu=1.0,
                      n_train=3000, pi1=0.9, pi0=0.3, master_seed=5)
     cfg = ExperimentConfig(shift=spec,
                            grid=GridSpec(learning_rates=(1e-3, 1e-2), n_seeds=3),
-                           analysis=AnalysisOptions(n_pairs=250, margin=0.05),
-                           out_dir=tmp_path / "o",
+                           analysis=AnalysisOptions(n_pairs=250, margin=0.05,
+                                                    pair_seed=11),
+                           out_dir=Path("o"),
                            series=SeriesSpec(knob="sdr", values=(0.1, 0.3, 0.5)))
-    path = tmp_path / "cfg.ini"
-    write_config(cfg, path)
-    back = load_config(path)
     assert back.shift == spec
     assert back.grid == cfg.grid
     assert back.analysis == cfg.analysis
     assert back.series == cfg.series
-    # a second write is byte-identical
-    path2 = tmp_path / "cfg2.ini"
-    write_config(back, path2)
-    assert path.read_text().replace(str(tmp_path / "o"), "X") \
-        == path2.read_text().replace(str(tmp_path / "o"), "X")
+    assert back == cfg
+
+
+# The default learning rates are log-spaced doubles printed to 17 significant
+# digits; 12 would load back a different sweep.
+DEFAULT_GRID_CONFIG = """\
+[shift]
+d_core=100
+d_spu=10
+sigma_core=10.0
+sigma_spu=1.0
+n_train=3000
+p_maj=0.9
+master_seed=2
+
+[grid]
+learning_rates=0.0001,0.0005623413251903491,0.0031622776601683794,0.017782794100389229,0.10000000000000001
+l2s=0.0,0.0001,0.01
+batch_sizes=full,32
+snapshot_epochs=1,2,5,10,25,50,100
+n_seeds=5
+
+[output]
+dir=o
+"""
 
 
 def test_default_grid_round_trips_exactly(tmp_path):
-    # The default learning rates are log-spaced doubles with 17 significant
-    # digits; fewer printed digits would load back a different sweep.
-    spec = ShiftSpec(d_core=100, d_spu=10, sigma_core=10.0, sigma_spu=1.0,
-                     n_train=3000, p_maj=0.9, master_seed=2)
-    cfg = ExperimentConfig(shift=spec, out_dir=tmp_path / "o")
     path = tmp_path / "cfg.ini"
-    write_config(cfg, path)
+    path.write_text(DEFAULT_GRID_CONFIG)
     back = load_config(path)
     assert back.grid.learning_rates == GridSpec().learning_rates
-    assert back == cfg
+    spec = ShiftSpec(d_core=100, d_spu=10, sigma_core=10.0, sigma_spu=1.0,
+                     n_train=3000, p_maj=0.9, master_seed=2)
+    assert back == ExperimentConfig(shift=spec, out_dir=Path("o"))
 
 
 def test_missing_file_is_config_error():
@@ -108,6 +159,9 @@ def test_unknown_keys_rejected(tmp_path):
     path = tmp_path / "c.ini"
     path.write_text(GOOD_CONFIG + "\n[grid]\nbogus=1\n")
     with pytest.raises(ConfigError):
+        load_config(path)
+    path.write_text(GOOD_CONFIG.replace("master_seed=42", "master_seed=42\nbogus_key=1"))
+    with pytest.raises(ConfigError, match="unknown spec key 'bogus_key'"):
         load_config(path)
 
 

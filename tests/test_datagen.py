@@ -11,8 +11,8 @@ from hypothesis import given, settings
 
 from shiftlab import datagen
 from shiftlab.datagen import (SPLITS, Dataset, ShiftSpec, generate, generate_blocks,
-                              mixture_table, read_dataset_csv, read_spec_file,
-                              spec_from_table, write_dataset_csv, write_spec_file)
+                              mixture_table, parse_spec_items, read_dataset_csv,
+                              write_dataset_csv, write_spec_file)
 from shiftlab.errors import (DegenerateDimensionError, InfeasibleMarginalsError,
                              InvalidSpecError)
 from shiftlab.rng import row_streams, stream_normals
@@ -371,9 +371,16 @@ def test_infeasible_marginals_rejected():
         mixture_table(100, 0.5, 0.5, 1.5)
 
 
+def table_spec(t, **kw) -> ShiftSpec:
+    """The attribute-mode spec with a table's total, pi1, pi0 and p_y1."""
+    spec = ShiftSpec(n_train=t.total, pi1=t.pi1, pi0=t.pi0, p_y1=t.p_y1, **kw)
+    spec.validate()
+    return spec
+
+
 def test_spec_from_table_round_trip():
     t = mixture_table(10_000, 0.5, 0.6, 1.0)
-    spec = spec_from_table(t, d_core=50, d_spu=10, sigma_core=5.0, sigma_spu=1.0)
+    spec = table_spec(t, d_core=50, d_spu=10, sigma_core=5.0, sigma_spu=1.0)
     assert spec.pi1 == 1.0 and spec.pi0 == 0.2 and spec.p_y1 == 0.5
     assert spec.n_train == 10_000
     # regenerating cell counts from the parameters reproduces the table exactly
@@ -386,7 +393,7 @@ def test_spec_from_table_round_trip():
 
 def test_independent_table_spec_has_equal_conditionals():
     t = mixture_table(10_000, 0.5, 0.6, 0.0)
-    spec = spec_from_table(t, d_core=10, d_spu=2, sigma_core=1.0, sigma_spu=1.0)
+    spec = table_spec(t, d_core=10, d_spu=2, sigma_core=1.0, sigma_spu=1.0)
     assert spec.pi1 == spec.pi0 == 0.6
 
 
@@ -638,16 +645,6 @@ def test_spec_file_round_trip(tmp_path):
                  majority_spec(k_groups=3, p_maj=None, r_tr=(0.5, 0.3, 0.2))):
         path = tmp_path / "spec.txt"
         write_spec_file(spec, path)
-        back = read_spec_file(path)
+        back = parse_spec_items(dict(line.split("=", 1)
+                                     for line in path.read_text().splitlines()))
         assert back == spec
-
-
-def test_spec_file_comments_and_errors(tmp_path):
-    path = tmp_path / "s.txt"
-    path.write_text("# comment\nd_core=4\nd_spu=1 # trailing\nsigma_core=1\n"
-                    "sigma_spu=1\nn_train=100\np_maj=0.8\n")
-    spec = read_spec_file(path)
-    assert spec.d_core == 4 and spec.d_spu == 1
-    path.write_text("bogus_key=1\n")
-    with pytest.raises(InvalidSpecError):
-        read_spec_file(path)
