@@ -161,11 +161,16 @@ def _cmd_theory(args) -> int:
     points = theory.roc_traverse(pop, score, n_thresholds=args.n_thresholds)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    harness._atomic(out_dir / "roc_traversal.csv",
-                    lambda p: theory.write_traversal_csv(points, p))
+
+    def write_both(traversal: Path) -> None:
+        """The traversal to its temp name, then the summary: a failed summary
+        write renames no traversal into place."""
+        theory.write_traversal_csv(points, traversal)
+        harness._atomic(out_dir / "theory_summary.json",
+                        lambda p: analysis.dump_json(summary, p))
+
+    harness._atomic(out_dir / "roc_traversal.csv", write_both)
     print(out_dir / "roc_traversal.csv")
-    harness._atomic(out_dir / "theory_summary.json",
-                    lambda p: analysis.dump_json(summary, p))
     print(out_dir / "theory_summary.json")
     print(f"closed-form gap {summary['closed_form_gap']:.6f}, "
           f"MC {summary['mc_gap']:.6f} +/- {summary['mc_se']:.6f} "

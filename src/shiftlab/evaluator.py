@@ -16,6 +16,11 @@ thresholded into a ``(rows x chunk)`` bool block whose per-(group, label)
 counts are added up across blocks into every column's record.  A GEMM may
 round a decision value differently from one model's GEMV, so, as for
 training, prediction bytes are promised per machine and BLAS kernel.
+
+Predictions are held packed, one bit per pool row (``np.packbits`` order:
+row 0 in the high bit of byte 0, zero bits padding the last byte), from
+scoring to ``preds.csv`` and back to the agreement counts, which are
+popcounts of ``~(a ^ b) & cell`` over packed rows.
 """
 
 from __future__ import annotations
@@ -72,6 +77,9 @@ def _check_weights(weights: tuple[float, ...], k: int, name: str) -> None:
 
 # Distinct snapshots per pool GEMM: bounds the decision block at 16 doubles a row.
 _CHUNK = 16
+
+# Set bits of each byte value; np.bitwise_count needs numpy >= 2.0.
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
 def _group_cells(test: Dataset) -> tuple[list[np.ndarray], list[int], list[int]]:
@@ -138,16 +146,20 @@ def _predict_chunk(features: np.ndarray, chunk: list[ModelRecord]) -> np.ndarray
 
 def evaluate_snapshots(records: list[ModelRecord], test: Dataset | Iterable[Dataset],
                        r_tr: tuple[float, ...], r_ts: tuple[float, ...]
-                       ) -> tuple[list[EvalRecord], list[tuple[str, str]]]:
+                       ) -> tuple[list[EvalRecord], list[tuple[str, np.ndarray]]]:
     """Score every record against the test pool: its EvalRecord and its
-    ``(model_id, predictions_bits)`` row, in record order.
+    ``(model_id, packed)`` row, in record order.  ``packed`` holds one bit per
+    pool row, set for +1, as ``np.packbits`` lays it out; records that share a
+    snapshot share one ``packed`` array.
 
     ``test`` is the pool, or consecutive blocks of it as
     ``datagen.generate_blocks`` yields them; a whole pool is the one-block
     case.  Records sharing one weights array and bias (full-batch copies
     across seeds) are predicted once.  The distinct snapshots are predicted
     ``_CHUNK`` at a time, one GEMM per chunk and block; only integer
-    (group, label) counts and prediction bits are kept from block to block.
+    (group, label) counts and packed prediction bits are kept from block to
+    block.  A block's last ``rows % 8`` decisions are carried into the next
+    block's bytes, so the bits do not depend on where the blocks end.
     """
     column: dict[tuple[int, float], int] = {}
     distinct: list[ModelRecord] = []
@@ -159,7 +171,8 @@ def evaluate_snapshots(records: list[ModelRecord], test: Dataset | Iterable[Data
     chunks = [distinct[start:start + _CHUNK] for start in range(0, len(distinct), _CHUNK)]
 
     sizes = totals = counts = None
-    codes: list[list[np.ndarray]] = [[] for _ in chunks]
+    packed: list[list[np.ndarray]] = [[] for _ in chunks]
+    tails = [np.zeros((len(chunk), 0), dtype=bool) for chunk in chunks]
     for block in [test] if isinstance(test, Dataset) else test:
         cells, block_sizes, block_totals = _group_cells(block)
         if counts is None:
@@ -177,15 +190,18 @@ def evaluate_snapshots(records: list[ModelRecord], test: Dataset | Iterable[Data
             ones = _predict_chunk(block.features, chunk)
             counts[c * _CHUNK:c * _CHUNK + len(chunk)] += _column_counts(
                 ones == positive[:, None], cells)
-            codes[c].append(ones.T.astype(np.uint8, order="C") + ord("0"))
+            pending = np.concatenate([tails[c], ones.T], axis=1)
+            whole = pending.shape[1] - pending.shape[1] % 8
+            packed[c].append(np.packbits(pending[:, :whole], axis=1))
+            tails[c] = pending[:, whole:]
     if counts is None:
         raise EmptyGroupError("the test pool has no rows")
     sizes, totals = sizes.tolist(), totals.tolist()
     _check_pool(sizes, r_tr, r_ts)
 
-    bits: list[str] = []
-    for parts in codes:
-        bits += [row.tobytes().decode("ascii") for row in np.concatenate(parts, axis=1)]
+    bits: list[np.ndarray] = []
+    for parts, tail in zip(packed, tails):
+        bits += list(np.concatenate([*parts, np.packbits(tail, axis=1)], axis=1))
         parts.clear()
     evals, pred_rows = [], []
     for r in records:
@@ -194,6 +210,16 @@ def evaluate_snapshots(records: list[ModelRecord], test: Dataset | Iterable[Data
                              r_tr, r_ts))
         pred_rows.append((r.model_id, bits[j]))
     return evals, pred_rows
+
+
+def matching_counts(a: np.ndarray, b: np.ndarray, cells: list[np.ndarray]) -> np.ndarray:
+    """``(rows x cells)`` counts of the bits where packed rows ``a`` and ``b``
+    (either may be one row, broadcast) agree inside each packed cell mask:
+    popcounts of ``~(a ^ b) & cell``.  A mask's zero padding bits keep the
+    padding out of every count."""
+    same = ~(a ^ b)
+    return np.stack([_POPCOUNT[same & cell].sum(axis=-1, dtype=np.int64) for cell in cells],
+                    axis=-1)
 
 
 def evaluate(model: ModelRecord, test: Dataset, r_tr: tuple[float, ...],
@@ -294,15 +320,20 @@ def bits_to_predictions(bits: str) -> np.ndarray:
     return np.where(np.frombuffer(bits.encode(), dtype=np.uint8) == ord("1"), 1, -1)
 
 
-def write_preds_csv(rows: list[tuple[str, str]], path: str | Path) -> None:
+def write_preds_csv(rows: list[tuple[str, np.ndarray]], n_rows: int,
+                    path: str | Path) -> None:
     """``model_id,bits`` lines, as ``csv.writer`` would write them, one write
-    per row; a model ID that it would quote (one holding ``,``, ``"``, CR or
-    LF) raises InvalidSpecError instead."""
+    per row: each row's first ``n_rows`` packed bits (``evaluate_snapshots``'
+    rows) spelled as '1' for +1 and '0' for -1, expanded one row at a time.
+    A model ID that ``csv.writer`` would quote (one holding ``,``, ``"``, CR
+    or LF) raises InvalidSpecError instead."""
     for mid, _ in rows:
         if any(c in mid for c in ',"\r\n'):
             raise InvalidSpecError(f"model ID {mid!r} cannot be written to {path} unquoted")
     with open(path, "w", newline="") as fh:
-        for mid, bits in [("model_id", "bits"), *rows]:
+        fh.write("model_id,bits\n")
+        for mid, packed in rows:
+            bits = (np.unpackbits(packed, count=n_rows) + ord("0")).tobytes().decode("ascii")
             fh.write(f"{mid},{bits}\n")
 
 
@@ -312,12 +343,14 @@ def read_preds_csv(path: str | Path) -> dict[str, str]:
 
 
 def read_preds_matrix(path: str | Path, n_rows: int) -> tuple[list[str], np.ndarray, int]:
-    """The model IDs in file order, their ``(models x rows)`` predictions, True
-    for +1, and the CRC-32 (``zlib.crc32``) of all the file's bytes, from one
-    binary pass.  The matrix is allocated once, for as many rows as the file
-    could hold (each at least ``n_rows + 2`` bytes), and returned cut to the
-    rows read.  InvalidSpecError on a header other than ``model_id,bits``, a
-    bit-string not ``n_rows`` long, or a character other than 0/1."""
+    """The model IDs in file order, their ``(models x ceil(n_rows / 8))``
+    predictions packed as ``evaluate_snapshots`` packs them (one bit per row,
+    set for +1), and the CRC-32 (``zlib.crc32``) of all the file's bytes, from
+    one binary pass that packs each line as it validates it.  The packed
+    matrix is allocated once, for as many rows as the file could hold (each
+    at least ``n_rows + 2`` bytes), and returned cut to the rows read.
+    InvalidSpecError on a header other than ``model_id,bits``, a bit-string
+    not ``n_rows`` long, or a character other than 0/1."""
     ids: list[str] = []
     with open(path, "rb") as fh:
         header = fh.readline()
@@ -326,7 +359,7 @@ def read_preds_matrix(path: str | Path, n_rows: int) -> tuple[list[str], np.ndar
             raise InvalidSpecError(f"{path}: header is not model_id,bits")
         # the last line may lack its newline
         capacity = (os.fstat(fh.fileno()).st_size - len(header) + 1) // (n_rows + 2)
-        ones = np.zeros((capacity, n_rows), dtype=bool)
+        packed = np.zeros((capacity, -(-n_rows // 8)), dtype=np.uint8)
         for line in fh:
             crc = zlib.crc32(line, crc)
             mid, _, bits = line.rstrip(b"\n").partition(b",")
@@ -336,9 +369,9 @@ def read_preds_matrix(path: str | Path, n_rows: int) -> tuple[list[str], np.ndar
                                        f"predictions, expected {n_rows}")
             if np.count_nonzero((codes == ord("0")) | (codes == ord("1"))) != n_rows:
                 raise InvalidSpecError(f"{path}: predictions must be 0/1 characters")
-            ones[len(ids)] = codes == ord("1")
+            packed[len(ids)] = np.packbits(codes == ord("1"))
             ids.append(mid)
-    return ids, ones[:len(ids)], crc
+    return ids, packed[:len(ids)], crc
 
 
 def write_agreement_csv(records: list[AgreementRecord], path: str | Path) -> None:

@@ -44,7 +44,10 @@ def normal_cdf_array(x: np.ndarray) -> np.ndarray:
     ax = np.abs(x)
     t = 1.0 / (1.0 + _P * ax)
     poly = t * (_B1 + t * (_B2 + t * (_B3 + t * (_B4 + t * _B5))))
-    e = np.fromiter(map(math.exp, (-0.5 * ax * ax).ravel().tolist()), np.float64, x.size)
+    # exp(-0.5 x^2) is 0.0 from x = 38.7 on, so capping x at 40 changes no
+    # value and keeps x^2 from overflowing.
+    cap = np.minimum(ax, 40.0)
+    e = np.fromiter(map(math.exp, (-0.5 * cap * cap).ravel().tolist()), np.float64, x.size)
     upper = 1.0 - _INV_SQRT_2PI * e.reshape(x.shape) * poly
     return np.where(x >= 0.0, upper, 1.0 - upper)
 

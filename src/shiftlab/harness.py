@@ -1,12 +1,13 @@
 """Experiment pipelines: generate, sweep, evaluate, analyze, render.
 
-A sweep trains on the training split in memory, then makes one pass over the
-OOD pool in blocks of ``_BLOCK_ROWS`` rows: each block is drawn, appended to
-``ood_test.csv`` and scored against every snapshot, so the pool's feature
-matrix never exists whole.  Every file is written through a
-temp-name-plus-rename step from a single place, so an interrupted run never
-leaves truncated artifacts behind and reruns with the same configuration
-overwrite each file with identical bytes.
+A sweep trains on the training split in memory, writes it to ``train.csv``
+and releases it, then makes one pass over the OOD pool in blocks of
+``_BLOCK_ROWS`` rows: each block is drawn, appended to ``ood_test.csv`` and
+scored against every snapshot, so the pool's feature matrix never exists
+whole and its predictions are kept as one bit per row and distinct snapshot.
+Every file is written through a temp-name-plus-rename step from a single
+place, so an interrupted run never leaves truncated artifacts behind and
+reruns with the same configuration overwrite each file with identical bytes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ SWEEP_ARTIFACTS = ("train.csv", "ood_test.csv", "models.csv", "weights.csv",
 
 
 # Rows per block of a split streamed from generation to its file (and, for
-# the OOD pool, to scoring): 2.4 MB of features at 150 columns.
+# the OOD pool, to scoring): 2.4 MB of features at 150 columns.  Scoring's
+# packed bits do not depend on it: a block's trailing rows % 8 decisions
+# are carried into the next block's bytes.
 _BLOCK_ROWS = 2048
 
 
@@ -172,14 +175,23 @@ def run_sweep_pipeline(config: ExperimentConfig) -> SweepOutputs:
                                      spline_lambda=config.analysis.spline_lambda)
         return evals, pred_rows, points, report
 
+    def write_train_then_pool(path: Path):
+        """``train.csv`` to its temp name, then the pool pass with the training
+        split released, so the two are never held together; the pool pass
+        runs inside this write, so a failed fit renames neither file."""
+        nonlocal train_set
+        datagen.write_dataset_csv(train_set, path)
+        train_set = None
+        return _atomic(out_dir / "ood_test.csv", evaluate_and_fit)
+
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").unlink(missing_ok=True)
-    evals, pred_rows, points, report = _atomic(out_dir / "ood_test.csv", evaluate_and_fit)
-    _atomic(out_dir / "train.csv", lambda p: datagen.write_dataset_csv(train_set, p))
+    evals, pred_rows, points, report = _atomic(out_dir / "train.csv", write_train_then_pool)
     _write_model_store_atomic(result.records, out_dir)
     _atomic(out_dir / "results.csv",
             lambda p: evaluator.write_results_csv(list(zip(result.records, evals)), p))
-    _atomic(out_dir / "preds.csv", lambda p: evaluator.write_preds_csv(pred_rows, p))
+    _atomic(out_dir / "preds.csv",
+            lambda p: evaluator.write_preds_csv(pred_rows, spec.n_ood_test, p))
     _atomic(out_dir / "report.json", lambda p: analysis.write_report(report, p))
     write_moon_svg(out_dir, points, report)
     written = [name for name in SWEEP_ARTIFACTS if name != "manifest.json"]
@@ -321,28 +333,32 @@ def run_agreement_pipeline(config: ExperimentConfig, n_pairs: int | None = None,
     labels, groups, _ = datagen.row_layout(config.shift, "ood_test")
     pool = Dataset(features=np.empty((labels.size, 0)), labels=labels, groups=groups,
                    split="ood_test", k_groups=config.shift.k_groups)
-    model_ids, ones = _read_verified(out_dir, "preds.csv", lambda p: evaluator.read_preds_matrix(
+    model_ids, packed = _read_verified(out_dir, "preds.csv", lambda p: evaluator.read_preds_matrix(
         p, pool.n_rows))
     masks, w_id, w_ood = overlay_cells(config.shift, pool)
+    cells, cell_rows = [np.packbits(m) for m in masks], [np.count_nonzero(m) for m in masks]
 
-    def reweight(values: np.ndarray) -> np.ndarray:
-        """ID and OOD reweighted cell means of each row of a bool matrix."""
-        means = [np.count_nonzero(values & m, axis=1) / np.count_nonzero(m) for m in masks]
+    def reweight(counts: np.ndarray) -> np.ndarray:
+        """ID and OOD reweighted cell means of each row of ``(rows x cells)``
+        match counts."""
+        means = [counts[:, i] / n for i, n in enumerate(cell_rows)]
         return np.stack([sum(w * v for w, v in zip(w_id, means)),
                          sum(w * v for w, v in zip(w_ood, means))], axis=1)
 
-    # Models and pairs are compared 64 at a time, so one chunk's matches stay small.
-    positive = pool.labels == 1
+    # Models and pairs are compared 64 at a time, so one chunk's temporaries stay small.
+    positive = np.packbits(pool.labels == 1)
     acc_points = np.empty((len(model_ids), 2))
     for start in range(0, len(model_ids), 64):
-        acc_points[start:start + 64] = reweight(ones[start:start + 64] == positive)
+        acc_points[start:start + 64] = reweight(evaluator.matching_counts(
+            packed[start:start + 64], positive, cells))
     pairs = sample_pairs(len(model_ids), opts.n_pairs, pair_seed)
     agr_points, agreement = np.empty((len(pairs), 2)), np.empty(len(pairs))
     for start in range(0, len(pairs), 64):
         first, second = np.array(pairs[start:start + 64]).T
-        match = ones[first] == ones[second]
-        agr_points[start:start + 64] = reweight(match)
-        agreement[start:start + 64] = np.count_nonzero(match, axis=1) / pool.n_rows
+        counts = evaluator.matching_counts(packed[first], packed[second], cells)
+        agr_points[start:start + 64] = reweight(counts)
+        # the cells partition the pool, so their counts add up to all its rows
+        agreement[start:start + 64] = counts.sum(axis=1) / pool.n_rows
     agreement_records = [evaluator.AgreementRecord(model_ids[i], model_ids[j], a)
                          for (i, j), a in zip(pairs, agreement.tolist())]
 

@@ -312,9 +312,10 @@ def oracle_classifier(spec: ShiftSpec, mode: str = "core-only") -> ModelRecord:
 
 def write_model_store(records: list[ModelRecord], models_path: str | Path,
                       weights_path: str | Path) -> None:
-    """``models.csv`` (hyperparameters) and ``weights.csv`` (bias, weights),
-    one write each, every float at ``format_sig``'s 12 digits (``%.12g``).
-    A model ID that ``csv.writer`` would quote raises InvalidSpecError."""
+    """``models.csv`` (hyperparameters) in one write and ``weights.csv`` (bias,
+    weights) one record at a time, so no whole-file copy of the weights is
+    made; every float at ``format_sig``'s 12 digits (``%.12g``).  A model ID
+    that ``csv.writer`` would quote raises InvalidSpecError."""
     for r in records:
         if any(c in r.model_id for c in ',"\r\n'):
             raise InvalidSpecError(f"model ID {r.model_id!r} cannot be written to "
@@ -326,10 +327,11 @@ def write_model_store(records: list[ModelRecord], models_path: str | Path,
         fh.write("model_id,lr,l2,batch_size,epoch,seed,train_loss\n"
                  + "%s,%.12g,%.12g,%s,%s,%s,%.12g\n" * len(records) % models)
     d = records[0].weights.shape[0] if records else 0
-    weights = tuple(v for r in records for v in (r.model_id, r.bias, *r.weights.tolist()))
+    line = "%s" + ",%.12g" * (d + 1) + "\n"
     with open(weights_path, "w", newline="") as fh:
-        fh.write(",".join(["model_id", "b"] + [f"w{j}" for j in range(d)]) + "\n"
-                 + ("%s" + ",%.12g" * (d + 1) + "\n") * len(records) % weights)
+        fh.write(",".join(["model_id", "b"] + [f"w{j}" for j in range(d)]) + "\n")
+        for r in records:
+            fh.write(line % (r.model_id, r.bias, *r.weights.tolist()))
 
 
 def read_model_store(models_path: str | Path, weights_path: str | Path) -> list[ModelRecord]:

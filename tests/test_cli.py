@@ -322,7 +322,8 @@ def _write_half_then_fail(*args):
     (["plot"], (svg, "emit_plot"), ["moon.svg"]),
     (["theory", "--mc-samples", "10000"], (theory, "write_traversal_csv"),
      ["roc_traversal.csv", "theory_summary.json"]),
-    (["theory", "--mc-samples", "10000"], (analysis, "dump_json"), ["theory_summary.json"]),
+    (["theory", "--mc-samples", "10000"], (analysis, "dump_json"),
+     ["roc_traversal.csv", "theory_summary.json"]),
     (["sweep"], (trainer, "write_model_store"), ["models.csv", "weights.csv", "manifest.json"]),
 ])
 def test_failed_writer_leaves_no_partial_file(tmp_path, monkeypatch, command, patch,
@@ -594,6 +595,13 @@ def test_theory_non_finite_input_is_generation_error(tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert err.startswith("generation error:") and "finite" in err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_theory_tiny_sds_run_without_overflow_warnings(tmp_path):
+    # standardized scores near 1e300 once overflowed x * x inside the array CDF
+    assert main(["theory", "--mc-samples", "10000", "--s0=1e-300", "--s1=1e-300",
+                 "--out", str(tmp_path)]) == 0
 
 
 def test_theory_negative_seed_is_generation_error(tmp_path, capsys):

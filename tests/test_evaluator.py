@@ -2,15 +2,19 @@ import csv
 import zlib
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra.numpy import arrays
 
+from shiftlab import evaluator
 from shiftlab.datagen import Dataset, ShiftSpec, generate, generate_blocks
 from shiftlab.errors import DimensionMismatchError, EmptyGroupError, InvalidSpecError
 from shiftlab.config import GridSpec
 from shiftlab.evaluator import (bits_to_predictions, evaluate,
                                 evaluate_predictions, evaluate_snapshots,
-                                model_mixture,
+                                matching_counts, model_mixture,
                                 predictions_bits, read_preds_csv, read_preds_matrix,
                                 read_results_csv, write_preds_csv,
                                 write_results_csv)
@@ -21,6 +25,29 @@ def make_model(weights, bias=0.0, model_id="m"):
     return ModelRecord(model_id=model_id, weights=np.asarray(weights, dtype=float),
                        bias=bias, epoch=1, train_loss=0.0,
                        hyperparams=HyperParams(learning_rate=0.1))
+
+
+def packed(bits):
+    """A '0'/'1' string packed as ``evaluate_snapshots`` packs a row."""
+    return np.packbits(np.frombuffer(bits.encode(), dtype=np.uint8) == ord("1"))
+
+
+def bit_strings(pred_rows, n_rows):
+    """Packed ``(model_id, row)`` pairs as ``(model_id, '0'/'1' string)``, after
+    checking each row is ``ceil(n_rows / 8)`` bytes with zero padding bits."""
+    out = []
+    for model_id, row in pred_rows:
+        assert row.dtype == np.uint8 and row.shape == (-(-n_rows // 8),)
+        bits = np.unpackbits(row)
+        assert not bits[n_rows:].any()
+        out.append((model_id, "".join(map(str, bits[:n_rows].tolist()))))
+    return out
+
+
+def evaluate_as_text(records, test, r_tr, r_ts, n_rows):
+    """``evaluate_snapshots`` with its rows as ``bit_strings``."""
+    evals, rows = evaluate_snapshots(records, test, r_tr, r_ts)
+    return evals, bit_strings(rows, n_rows)
 
 
 def make_pool(labels, groups):
@@ -131,7 +158,7 @@ def integer_snapshots(n_distinct, d=6, seed=1):
 
 
 def assert_matches_per_record(records, pool, r_tr, r_ts):
-    evals, rows = evaluate_snapshots(records, pool, r_tr, r_ts)
+    evals, rows = evaluate_as_text(records, pool, r_tr, r_ts, pool.n_rows)
     assert len(evals) == len(rows) == len(records)
     for r, ev, (model_id, bits) in zip(records, evals, rows):
         preds = r.predict(pool.features)
@@ -181,8 +208,8 @@ def test_evaluate_snapshots_over_uneven_blocks_equals_one_block():
                       groups=pool.groups[a:b], split="ood_test", k_groups=3)
               for a, b in zip(edges, edges[1:]))
     # repr spells every float exactly and equates the nan of an empty cell
-    assert repr(evaluate_snapshots(records, blocks, r, r)) == repr(
-        evaluate_snapshots(records, pool, r, r))
+    assert repr(evaluate_as_text(records, blocks, r, r, pool.n_rows)) == repr(
+        evaluate_as_text(records, pool, r, r, pool.n_rows))
 
 
 @pytest.mark.parametrize("rows", [37, 1000, 5000])
@@ -193,8 +220,9 @@ def test_evaluate_snapshots_over_generated_blocks(rows):
     records = [make_model(rng.normal(size=7), bias=float(rng.normal()), model_id=f"m{i}")
                for i in range(20)]
     r_tr, r_ts = spec.train_weights(), spec.ood_weights()
-    want = evaluate_snapshots(records, generate(spec, "ood_test"), r_tr, r_ts)
-    got = evaluate_snapshots(records, generate_blocks(spec, "ood_test", rows), r_tr, r_ts)
+    n = spec.n_ood_test
+    want = evaluate_as_text(records, generate(spec, "ood_test"), r_tr, r_ts, n)
+    got = evaluate_as_text(records, generate_blocks(spec, "ood_test", rows), r_tr, r_ts, n)
     assert repr(got) == repr(want)
 
 
@@ -211,6 +239,34 @@ def test_evaluate_snapshots_errors():
         evaluate_snapshots(records, pool, (0.5, 0.4), (0.5, 0.5))
     with pytest.raises(InvalidSpecError):
         evaluate_snapshots(records, pool, (1.0,), (0.5, 0.5))
+
+
+def test_popcount_table_counts_the_set_bits_of_every_byte():
+    assert evaluator._POPCOUNT.tolist() == [bin(i).count("1") for i in range(256)]
+
+
+@st.composite
+def bool_rows(draw):
+    """Two ``(models x rows)`` bool matrices and up to three row masks, the
+    row count not a multiple of 8, so the packed rows carry padding bits."""
+    models = draw(st.integers(1, 5))
+    rows = draw(st.integers(1, 70).filter(lambda n: n % 8))
+    a, b = (draw(arrays(bool, (models, rows))) for _ in range(2))
+    masks = draw(st.lists(arrays(bool, rows), min_size=1, max_size=3))
+    return a, b, masks
+
+
+@settings(max_examples=100, deadline=None)
+@given(bool_rows())
+def test_matching_counts_equal_count_nonzero_on_unpacked_rows(drawn):
+    a, b, masks = drawn
+    cells = [np.packbits(m) for m in masks]
+    pa, pb = np.packbits(a, axis=1), np.packbits(b, axis=1)
+    want = np.stack([np.count_nonzero((a == b) & m, axis=1) for m in masks], axis=1)
+    assert matching_counts(pa, pb, cells).tolist() == want.tolist()
+    # one row broadcast against all, as agreement compares models with the labels
+    want = np.stack([np.count_nonzero((a == b[0]) & m, axis=1) for m in masks], axis=1)
+    assert matching_counts(pa, pb[0], cells).tolist() == want.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -330,33 +386,34 @@ def test_results_csv_round_trip(tmp_path):
 def test_preds_csv_round_trip(tmp_path):
     rows = [("a", "0101"), ("b", "1111")]
     path = tmp_path / "preds.csv"
-    write_preds_csv(rows, path)
+    write_preds_csv([(mid, packed(bits)) for mid, bits in rows], 4, path)
     assert read_preds_csv(path) == dict(rows)
 
 
 def test_preds_csv_matches_csv_writer(tmp_path):
     rng = np.random.default_rng(5)
-    rows = [(f"c{i:03d}_lr0.01 x'y;{i}", predictions_bits(rng.choice([-1, 1], size=n)))
-            for i, n in enumerate((0, 1, 7, 2500))]
-    path = tmp_path / "preds.csv"
-    write_preds_csv(rows, path)
-    ref = tmp_path / "ref.csv"
-    with open(ref, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model_id", "bits"])
-        writer.writerows(rows)
-    assert path.read_bytes() == ref.read_bytes()
+    for n in (0, 1, 7, 2500):  # one file per pool size
+        rows = [(f"c{i:03d}_lr0.01 x'y;{i}", predictions_bits(rng.choice([-1, 1], size=n)))
+                for i in range(3)]
+        path = tmp_path / f"preds_{n}.csv"
+        write_preds_csv([(mid, packed(bits)) for mid, bits in rows], n, path)
+        ref = tmp_path / f"ref_{n}.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["model_id", "bits"])
+            writer.writerows(rows)
+        assert path.read_bytes() == ref.read_bytes()
 
 
 def test_read_preds_matrix_fills_rows_and_returns_crc(tmp_path):
     rng = np.random.default_rng(3)
     rows = [(f"m{i}", predictions_bits(rng.choice([-1, 1], size=50))) for i in (3, 0, 4, 1)]
     path = tmp_path / "preds.csv"
-    write_preds_csv(rows, path)
+    write_preds_csv([(mid, packed(bits)) for mid, bits in rows], 50, path)
     ids, ones, crc = read_preds_matrix(path, 50)
     assert ids == ["m3", "m0", "m4", "m1"]  # file order
     assert crc == zlib.crc32(path.read_bytes())
-    assert np.array_equal(ones, [[c == "1" for c in bits] for _, bits in rows])
+    assert bit_strings(zip(ids, ones), 50) == rows
     with pytest.raises(InvalidSpecError, match="'m3' has 50 predictions, expected 51"):
         read_preds_matrix(path, 51)  # every bit-string one short
     with pytest.raises(InvalidSpecError, match="'m3' has 50 predictions, expected 49"):
@@ -377,5 +434,5 @@ def test_read_preds_matrix_fills_rows_and_returns_crc(tmp_path):
 def test_preds_csv_rejects_ids_csv_would_quote(tmp_path, model_id):
     path = tmp_path / "preds.csv"
     with pytest.raises(InvalidSpecError, match="preds.csv"):
-        write_preds_csv([("ok", "01"), (model_id, "10")], path)
+        write_preds_csv([("ok", packed("01")), (model_id, packed("10"))], 2, path)
     assert not path.exists()

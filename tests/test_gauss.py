@@ -16,6 +16,16 @@ def test_cdf_scalar_matches_array():
         assert normal_cdf(x) == normal_cdf_array(np.array([x]))[0]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cdf_array_equals_scalar_at_extremes_without_warnings():
+    xs = np.concatenate([[1e200, -1e200, np.inf, -np.inf, np.nan, 1.4e154, -1.4e154],
+                         np.linspace(-42.0, 42.0, 8401)])
+    got = normal_cdf_array(xs)
+    # repr equates the two nans, which == does not
+    assert [repr(v) for v in got.tolist()] == [repr(normal_cdf(x)) for x in xs.tolist()]
+    assert got[:4].tolist() == [1.0, 0.0, 1.0, 0.0]
+
+
 def test_cdf_reflection_exact():
     for x in (0.1, 0.7, 1.3, 2.9, 5.0):
         assert normal_cdf(-x) == 1.0 - normal_cdf(x)

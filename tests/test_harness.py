@@ -1,12 +1,14 @@
+import csv
 import json
 import tracemalloc
+import weakref
 import zlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from shiftlab import analysis, evaluator, harness
+from shiftlab import analysis, datagen, evaluator, harness
 from shiftlab.analysis import load_json
 from shiftlab.config import AnalysisOptions, ExperimentConfig, GridSpec
 from shiftlab.datagen import ShiftSpec, generate, read_dataset_csv, write_dataset_csv
@@ -112,9 +114,11 @@ def test_sweep_predicts_each_distinct_snapshot_once(tmp_path, monkeypatch):
     evaluator.write_results_csv(
         [(r, evaluator.evaluate(r, pool, r_tr, r_ts)) for r in out.records],
         ref / "results.csv")
-    evaluator.write_preds_csv(
-        [(r.model_id, evaluator.predictions_bits(r.predict(pool.features)))
-         for r in out.records], ref / "preds.csv")
+    with open(ref / "preds.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["model_id", "bits"])
+        writer.writerows((r.model_id, evaluator.predictions_bits(r.predict(pool.features)))
+                         for r in out.records)
     for name in ("results.csv", "preds.csv"):
         assert (config.out_dir / name).read_bytes() == (ref / name).read_bytes(), name
 
@@ -171,6 +175,56 @@ def test_sweep_memory_does_not_hold_the_pool(tmp_path):
             tracemalloc.stop()
 
     assert peak(4 * n) - peak(n) < 3 * n * 150 * 8 / 4
+
+
+def test_sweep_releases_the_training_split_before_the_pool_pass(tmp_path, monkeypatch):
+    generate, evaluate_snapshots = datagen.generate, evaluator.evaluate_snapshots
+    train = []
+
+    def generated(spec, split="train"):
+        dataset = generate(spec, split)
+        if split == "train":
+            train.append(weakref.ref(dataset))
+        return dataset
+
+    def scored(*args):
+        assert len(train) == 1 and train[0]() is None, "the training split is still held"
+        return evaluate_snapshots(*args)
+
+    monkeypatch.setattr(datagen, "generate", generated)
+    monkeypatch.setattr(evaluator, "evaluate_snapshots", scored)
+    config = tiny_config(tmp_path)
+    run_sweep_pipeline(config)
+    assert read_dataset_csv(config.out_dir / "train.csv").n_rows == config.shift.n_train
+
+
+def test_agreement_memory_holds_one_bit_per_prediction(tmp_path):
+    """From n_ood_test = N to 4N a bool prediction matrix would add
+    3N * n_models bytes to agreement's peak; packed bits add an eighth of
+    that, and everything agreement holds per pool row stays within a quarter."""
+    n = harness._BLOCK_ROWS
+    configs = []
+    for n_ood_test in (n, 4 * n):
+        config = tiny_config(tmp_path / str(n_ood_test), n_ood_test=n_ood_test)
+        # 600 full-batch models from 30 trainings: many prediction rows, cheaply
+        config = replace(config, grid=replace(config.grid, batch_sizes=("full",),
+                                              snapshot_epochs=tuple(range(1, 11)),
+                                              n_seeds=20))
+        run_sweep_pipeline(config)
+        configs.append(config)
+    n_models = configs[0].grid.n_snapshots
+    assert n_models == 600
+
+    def peak(config):
+        tracemalloc.start()
+        try:
+            run_agreement_pipeline(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_agreement_pipeline(configs[0])  # one-time allocations stay out of the peaks
+    assert peak(configs[1]) - peak(configs[0]) < 3 * n * n_models / 4
 
 
 def test_gen_data_streams_the_bytes_of_whole_splits(tmp_path, monkeypatch):
