@@ -9,7 +9,7 @@ closed-form subpopulation accuracy gap against Monte Carlo simulation.
 
 from .analysis import CurveReport, SmoothingSpline, fit_curves, probit
 from .config import AnalysisOptions, ExperimentConfig, GridSpec, load_config
-from .datagen import Dataset, MixtureTable, ShiftSpec, generate, mixture_table
+from .datagen import Dataset, ShiftSpec, generate, mixture_table
 from .evaluator import AgreementRecord, EvalRecord, evaluate, model_mixture
 from .harness import (run_agreement_pipeline, run_gen_data, run_spurious_series,
                       run_sweep_pipeline)
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgreementRecord", "AnalysisOptions", "CurveReport", "Dataset", "EvalRecord",
-    "ExperimentConfig", "GridSpec", "HyperParams", "MixtureTable", "ModelRecord",
+    "ExperimentConfig", "GridSpec", "HyperParams", "ModelRecord",
     "PopulationSpec", "RocPoint", "ScoreModel", "ShiftSpec", "SmoothingSpline",
     "SweepResult", "accuracy_gap", "evaluate", "fit_curves", "generate", "load_config",
     "mixture_table", "model_mixture", "monte_carlo_gap", "oracle_classifier", "probit",

@@ -94,6 +94,13 @@ def _knot_index(x: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(np.diff(x) > (x[-1] - x[0]) * 1e-5)])
 
 
+def spline_shortfall(x: np.ndarray) -> str | None:
+    """Why no smoothing spline can be fitted on ``x``, or None: it needs
+    5 knots (``_knot_index``)."""
+    n_knots = int(_knot_index(np.sort(x))[-1]) + 1 if x.size else 0
+    return f"smoothing spline needs >= 5 distinct x values, got {n_knots}" if n_knots < 5 else None
+
+
 def _reinsch(h: np.ndarray, w: np.ndarray, y: np.ndarray, lams: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Natural cubic smoothing splines for every penalty in ``lams`` at once.
@@ -236,12 +243,13 @@ class SmoothingSpline:
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise AnalysisError("spline inputs must be finite")
 
+        if shortfall := spline_shortfall(x):
+            raise AnalysisError(shortfall)
+
         order = np.argsort(x, kind="stable")
         x, y = x[order], y[order]
         idx = _knot_index(x)
         n_knots = int(idx[-1]) + 1
-        if n_knots < 5:
-            raise AnalysisError(f"smoothing spline needs >= 5 distinct x values, got {n_knots}")
         w = np.bincount(idx).astype(np.float64)
         xbar = np.bincount(idx, weights=x) / w
         ybar = np.bincount(idx, weights=y) / w
@@ -373,12 +381,8 @@ def fit_curves(points: list[tuple[float, float]] | np.ndarray,
     b_quad = _ols(design, y)
     quad_fitted = design @ b_quad
     ssr = float(np.sum((y - quad_fitted) ** 2))
-    dof = n - 3
-    if dof > 0:
-        cov = np.linalg.pinv(design.T @ design) * (ssr / dof)
-        se_beta2 = float(np.sqrt(max(cov[2, 2], 0.0)))
-    else:
-        se_beta2 = float("nan")
+    cov = np.linalg.pinv(design.T @ design) * (ssr / (n - 3))  # n >= 4, checked above
+    se_beta2 = float(np.sqrt(max(cov[2, 2], 0.0)))
     quad = QuadFit(beta0=float(b_quad[0]), beta1=float(b_quad[1]),
                    beta2=float(b_quad[2]), r2=_r2(y, quad_fitted), se_beta2=se_beta2)
 
@@ -389,7 +393,7 @@ def fit_curves(points: list[tuple[float, float]] | np.ndarray,
             phase = float(vertex)
 
     spline = None
-    if _knot_index(np.sort(x))[-1] >= 4:
+    if spline_shortfall(x) is None:
         spline = SmoothingSpline(x, y, lam=spline_lambda)
 
     return CurveReport(n_points=n, linear_fit=lin, probit_fit=pro, quad_fit=quad,

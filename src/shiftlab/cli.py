@@ -26,15 +26,16 @@ EXIT_ANALYSIS = 4
 EXIT_IO = 5
 
 
-def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
-    p.add_argument("--config", required=config_required, help="experiment config file")
+def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
+    p.add_argument("--config", required=True, help="experiment config file")
     p.add_argument("--out", default=None, help="output directory override")
-    p.add_argument("--seed", type=int, default=None, help="master seed override")
+    if seed:
+        p.add_argument("--seed", type=int, default=None, help="master seed override")
 
 
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config)
-    return cfg.with_overrides(out_dir=args.out, master_seed=args.seed)
+    return cfg.with_overrides(out_dir=args.out, master_seed=getattr(args, "seed", None))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("analyze", help="re-fit curves from an existing results.csv")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--results", default=None, help="results.csv path (default: <out>/results.csv)")
 
     p = sub.add_parser("series", help="run a knob series of sweeps")
@@ -63,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair-seed", type=int, default=None)
 
     p = sub.add_parser("theory", help="closed-form gap, Monte Carlo check, ROC traversal")
-    _add_common(p, config_required=False)
+    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
     p.add_argument("--p-y1", type=float, default=0.5)
     p.add_argument("--pi1", type=float, default=0.9)
     p.add_argument("--pi0", type=float, default=0.3)
@@ -76,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-samples", type=int, default=1_000_000)
 
     p = sub.add_parser("plot", help="moon.svg, with its curve fits, from an existing results.csv")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--results", default=None)
 
     return parser
@@ -155,11 +157,11 @@ def _cmd_agreement(args) -> int:
 def _cmd_theory(args) -> int:
     pop = theory.PopulationSpec(p_y1=args.p_y1, pi1=args.pi1, pi0=args.pi0)
     score = theory.ScoreModel(mu0=args.mu0, mu1=args.mu1, s0=args.s0, s1=args.s1)
+    theory.check_thresholds(args.n_thresholds)  # gap_summary checks the rest before its draw
     summary = theory.gap_summary(pop, score, args.threshold,
-                                 n_samples=args.mc_samples,
-                                 seed=args.seed if args.seed is not None else 0)
+                                 n_samples=args.mc_samples, seed=args.seed)
     points = theory.roc_traverse(pop, score, n_thresholds=args.n_thresholds)
-    out_dir = Path(args.out) if args.out else Path(".")
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def write_both(traversal: Path) -> None:

@@ -137,8 +137,9 @@ def _spec_for_knob(spec: ShiftSpec, knob: str, value: float) -> ShiftSpec:
             raise ConfigError("correlation_level series requires pi1/pi0 in the base spec")
         if not 0.0 <= value <= 1.0:
             raise InvalidSpecError(f"correlation_level must be in [0, 1], got {value}")
-        table = mixture_table(spec.n_train, spec.p_y1, spec.p_z1, float(value))
-        return replace(spec, pi1=table.pi1, pi0=table.pi0)
+        (c00, c01), (c10, c11) = mixture_table(spec.n_train, spec.p_y1, spec.p_z1,
+                                               float(value)).tolist()
+        return replace(spec, pi1=c11 / (c10 + c11), pi0=c01 / (c00 + c01))
     raise ConfigError(f"unknown series knob {knob!r}; expected one of {SERIES_KNOBS}")
 
 

@@ -310,55 +310,10 @@ def _draw_features(spec: ShiftSpec, labels: np.ndarray, attr: np.ndarray,
 # Fixed-marginals mixture tables (2 x 2)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MixtureTable:
-    """Training-sample counts for the (Y, Z) cells, indexed ``counts[y][z]``."""
-
-    counts: np.ndarray  # shape (2, 2), int64; rows Y=0/1, columns Z=0/1
-
-    def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
-        if c.shape != (2, 2):
-            raise InvalidSpecError("mixture table must be 2x2")
-        if (c < 0).any():
-            raise InvalidSpecError("mixture table cells must be non-negative")
-        object.__setattr__(self, "counts", c)
-        c.setflags(write=False)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def class_totals(self) -> tuple[int, int]:
-        """(Y=0 total, Y=1 total)."""
-        s = self.counts.sum(axis=1)
-        return int(s[0]), int(s[1])
-
-    @property
-    def attr_totals(self) -> tuple[int, int]:
-        """(Z=0 total, Z=1 total)."""
-        s = self.counts.sum(axis=0)
-        return int(s[0]), int(s[1])
-
-    @property
-    def p_y1(self) -> float:
-        return self.class_totals[1] / self.total
-
-    @property
-    def pi1(self) -> float:
-        """P(Z=1 | Y=1)."""
-        return int(self.counts[1, 1]) / self.class_totals[1]
-
-    @property
-    def pi0(self) -> float:
-        """P(Z=1 | Y=0)."""
-        return int(self.counts[0, 1]) / self.class_totals[0]
-
-
 def mixture_table(total: int, class_balance: float, attr_balance: float,
-                  correlation_level: float) -> MixtureTable:
-    """Build the 2x2 table with fixed marginals and one free correlation knob.
+                  correlation_level: float) -> np.ndarray:
+    """The 2x2 table of training-sample counts with fixed marginals and one
+    free correlation knob: a read-only int64 array indexed ``[y][z]``.
 
     With the grand total, the class marginal, and the attribute marginal all
     fixed, a single degree of freedom remains: the (Y=1, Z=1) cell.
@@ -387,7 +342,8 @@ def mixture_table(total: int, class_balance: float, attr_balance: float,
     c11 = min(max(int(np.floor(target + 0.5)), lo), hi)
     counts = np.array([[n_z0 - (n_y1 - c11), n_z1 - c11],
                        [n_y1 - c11, c11]], dtype=np.int64)
-    return MixtureTable(counts=counts)
+    counts.setflags(write=False)
+    return counts
 
 
 # ---------------------------------------------------------------------------

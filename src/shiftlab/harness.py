@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis, datagen, evaluator, svg, trainer
 from .config import AnalysisOptions, ExperimentConfig, SeriesSpec, _spec_for_knob
-from .datagen import Dataset, ShiftSpec, format_sig
+from .datagen import ShiftSpec, format_sig
 from .errors import ConfigError, InvalidSpecError, MissingInputsError
 from .rng import derive_stream
 
@@ -119,7 +119,6 @@ def moon_axis_groups(spec: ShiftSpec) -> tuple[int, int]:
 
 @dataclass
 class SweepOutputs:
-    config: ExperimentConfig
     records: list[trainer.ModelRecord]
     evals: list[evaluator.EvalRecord]
     report: analysis.CurveReport
@@ -207,7 +206,7 @@ def run_sweep_pipeline(config: ExperimentConfig) -> SweepOutputs:
         (out_dir / "failures.csv").unlink(missing_ok=True)
     _write_manifest(out_dir, written, spec)
 
-    return SweepOutputs(config=config, records=result.records, evals=evals,
+    return SweepOutputs(records=result.records, evals=evals,
                         report=report, points=points, out_dir=out_dir)
 
 
@@ -263,14 +262,16 @@ def run_spurious_series(config: ExperimentConfig, knob: str,
 
 def sample_pairs(n_models: int, n_pairs: int, seed: int) -> list[tuple[int, int]]:
     """Unordered (i < j) model pairs, drawn without replacement by flat index
-    into the row-major list of all pairs."""
-    first, second = np.triu_indices(n_models, 1)
+    into the row-major list of all pairs; each index is mapped to its pair
+    through the rows' start indexes, so the list itself is never built."""
+    starts = np.concatenate([[0], np.cumsum(np.arange(n_models - 1, 0, -1))])
+    total = int(starts[-1])
     rng = np.random.default_rng(seed)
-    if n_pairs >= first.size:
-        picks = np.arange(first.size)
-    else:
-        picks = np.sort(rng.choice(first.size, size=n_pairs, replace=False))
-    return list(zip(first[picks].tolist(), second[picks].tolist()))
+    picks = (np.arange(total) if n_pairs >= total else
+             np.sort(rng.choice(total, size=n_pairs, replace=False)))
+    first = np.searchsorted(starts, picks, side="right") - 1
+    second = picks - starts[first] + first + 1
+    return list(zip(first.tolist(), second.tolist()))
 
 
 @dataclass
@@ -278,11 +279,12 @@ class AgreementOutputs:
     verdict: dict
     accuracy_points: np.ndarray
     agreement_points: np.ndarray
-    out_dir: Path
 
 
-def overlay_cells(spec: ShiftSpec, pool: Dataset) -> tuple[list[np.ndarray], tuple[float, ...], tuple[float, ...]]:
-    """Row masks and (ID, OOD) mixture weights for the agreement overlay.
+def overlay_cells(spec: ShiftSpec, labels: np.ndarray, groups: np.ndarray
+                  ) -> tuple[list[np.ndarray], tuple[float, ...], tuple[float, ...]]:
+    """Row masks and (ID, OOD) mixture weights for the agreement overlay, given
+    the pool's per-row labels and groups.
 
     The overlay compares per-cell reweighted quantities between the training
     mixture (x axis) and the shifted mixture (y axis).  The cells are the
@@ -294,11 +296,10 @@ def overlay_cells(spec: ShiftSpec, pool: Dataset) -> tuple[list[np.ndarray], tup
     noise for these configurations.
     """
     if spec.mode == "attribute":
-        attr = 2 * pool.groups - 1
-        aligned = (attr * pool.labels) > 0
+        aligned = ((2 * groups - 1) * labels) > 0
         w_id = spec.pi1 * spec.p_y1 + (1.0 - spec.pi0) * (1.0 - spec.p_y1)
         return [~aligned, aligned], (1.0 - w_id, w_id), (0.5, 0.5)
-    masks = [pool.groups == g for g in range(spec.k_groups)]
+    masks = [groups == g for g in range(spec.k_groups)]
     return masks, spec.train_weights(), spec.ood_weights()
 
 
@@ -331,11 +332,9 @@ def run_agreement_pipeline(config: ExperimentConfig, n_pairs: int | None = None,
                                f"negatives] per group {counts} differ from the config's "
                                f"{expected}")
     labels, groups, _ = datagen.row_layout(config.shift, "ood_test")
-    pool = Dataset(features=np.empty((labels.size, 0)), labels=labels, groups=groups,
-                   split="ood_test", k_groups=config.shift.k_groups)
     model_ids, packed = _read_verified(out_dir, "preds.csv", lambda p: evaluator.read_preds_matrix(
-        p, pool.n_rows))
-    masks, w_id, w_ood = overlay_cells(config.shift, pool)
+        p, labels.size))
+    masks, w_id, w_ood = overlay_cells(config.shift, labels, groups)
     cells, cell_rows = [np.packbits(m) for m in masks], [np.count_nonzero(m) for m in masks]
 
     def reweight(counts: np.ndarray) -> np.ndarray:
@@ -346,7 +345,7 @@ def run_agreement_pipeline(config: ExperimentConfig, n_pairs: int | None = None,
                          sum(w * v for w, v in zip(w_ood, means))], axis=1)
 
     # Models and pairs are compared 64 at a time, so one chunk's temporaries stay small.
-    positive = np.packbits(pool.labels == 1)
+    positive = np.packbits(labels == 1)
     acc_points = np.empty((len(model_ids), 2))
     for start in range(0, len(model_ids), 64):
         acc_points[start:start + 64] = reweight(evaluator.matching_counts(
@@ -358,7 +357,7 @@ def run_agreement_pipeline(config: ExperimentConfig, n_pairs: int | None = None,
         counts = evaluator.matching_counts(packed[first], packed[second], cells)
         agr_points[start:start + 64] = reweight(counts)
         # the cells partition the pool, so their counts add up to all its rows
-        agreement[start:start + 64] = counts.sum(axis=1) / pool.n_rows
+        agreement[start:start + 64] = counts.sum(axis=1) / labels.size
     agreement_records = [evaluator.AgreementRecord(model_ids[i], model_ids[j], a)
                          for (i, j), a in zip(pairs, agreement.tolist())]
 
@@ -372,26 +371,26 @@ def run_agreement_pipeline(config: ExperimentConfig, n_pairs: int | None = None,
         "margin": opts.margin,
         "alignment_band": 0.03,
     }
-    acc_spline = agr_spline = None
-    try:
-        acc_spline = analysis.SmoothingSpline(acc_points[:, 0], acc_points[:, 1],
-                                              lam=opts.spline_lambda)
-        agr_spline = analysis.SmoothingSpline(agr_points[:, 0], agr_points[:, 1],
-                                              lam=opts.spline_lambda)
-    except analysis.AnalysisError as exc:
-        warnings.warn(f"agreement overlay spline skipped: {exc}")
-        verdict["verdict"] = "insufficient-points"
-        verdict["reason"] = str(exc)
-
+    # Both clouds' knot counts, then their x ranges, are checked before any fit.
+    shortfall = (analysis.spline_shortfall(acc_points[:, 0])
+                 or analysis.spline_shortfall(agr_points[:, 0]))
     overlays = []
-    if acc_spline is not None and agr_spline is not None:
+    if shortfall:
+        warnings.warn(f"agreement overlay spline skipped: {shortfall}")
+        verdict["verdict"] = "insufficient-points"
+        verdict["reason"] = shortfall
+    else:
         lo = max(float(acc_points[:, 0].min()), float(agr_points[:, 0].min()))
         hi = min(float(acc_points[:, 0].max()), float(agr_points[:, 0].max()))
         if hi <= lo:
             verdict["verdict"] = "disjoint-ranges"
         else:
+            acc_spline, agr_spline = (analysis.SmoothingSpline(
+                points[:, 0], points[:, 1], lam=opts.spline_lambda)
+                for points in (acc_points, agr_points))
             xs = np.linspace(lo, hi, 101)
-            gap = agr_spline.predict(xs) - acc_spline.predict(xs)
+            acc_ys, agr_ys = acc_spline.predict(xs), agr_spline.predict(xs)
+            gap = agr_ys - acc_ys
             above = float(np.mean(gap >= opts.margin))
             max_abs = float(np.max(np.abs(gap)))
             verdict.update({
@@ -410,14 +409,9 @@ def run_agreement_pipeline(config: ExperimentConfig, n_pairs: int | None = None,
                 verdict["verdict"] = "aligned"
             else:
                 verdict["verdict"] = "mixed"
-            overlays = [
-                svg.Overlay("accuracy spline",
-                            list(zip(xs.tolist(), acc_spline.predict(xs).tolist())),
-                            "#1f77b4"),
-                svg.Overlay("agreement spline",
-                            list(zip(xs.tolist(), agr_spline.predict(xs).tolist())),
-                            "#d62728"),
-            ]
+            overlays = [svg.Overlay(label, list(zip(xs.tolist(), ys.tolist())), color)
+                        for label, ys, color in (("accuracy spline", acc_ys, "#1f77b4"),
+                                                 ("agreement spline", agr_ys, "#d62728"))]
 
     style = svg.PlotStyle(title="accuracy vs agreement", x_label="ID value",
                           y_label="OOD value", point_color="#1f77b4")
@@ -427,8 +421,7 @@ def run_agreement_pipeline(config: ExperimentConfig, n_pairs: int | None = None,
     _atomic_text(out_dir / "agreement_overlay.svg", content)
     _atomic(out_dir / "agreement_report.json", lambda p: analysis.dump_json(verdict, p))
 
-    return AgreementOutputs(verdict=verdict, accuracy_points=acc_points,
-                            agreement_points=agr_points, out_dir=out_dir)
+    return AgreementOutputs(verdict=verdict, accuracy_points=acc_points, agreement_points=agr_points)
 
 
 def run_gen_data(config: ExperimentConfig) -> list[Path]:

@@ -178,6 +178,11 @@ class RocPoint:
     gap: float
 
 
+def check_thresholds(n_thresholds: int) -> None:
+    if not 3 <= n_thresholds < 2**63:
+        raise InvalidSpecError(f"need at least 3 thresholds and below 2**63, got {n_thresholds}")
+
+
 def roc_traverse(pop: PopulationSpec, score: ScoreModel,
                  n_thresholds: int = 101) -> list[RocPoint]:
     """Trace the analytic accuracy curve obtained by sweeping the threshold.
@@ -190,8 +195,7 @@ def roc_traverse(pop: PopulationSpec, score: ScoreModel,
     """
     pop.validate()
     score.validate()
-    if not 3 <= n_thresholds < 2**63:
-        raise InvalidSpecError(f"need at least 3 thresholds and below 2**63, got {n_thresholds}")
+    check_thresholds(n_thresholds)
 
     def component_cdfs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """F_0(x) and F_1(x), from one ``normal_cdf_array`` call."""

@@ -72,17 +72,13 @@ class ModelRecord:
     def __post_init__(self):
         self.weights.setflags(write=False)
 
-    def decision_values(self, features: np.ndarray) -> np.ndarray:
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        """Labels in {-1, +1}; the tie at the boundary resolves to +1."""
         if features.shape[1] != self.weights.shape[0]:
             raise DimensionMismatchError(
                 f"model {self.model_id} has {self.weights.shape[0]} weights, "
                 f"data has {features.shape[1]} features")
-        return features @ self.weights + self.bias
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Labels in {-1, +1}; the tie at the boundary resolves to +1."""
-        f = self.decision_values(features)
-        return np.where(f >= 0.0, 1, -1).astype(np.int64)
+        return np.where(features @ self.weights + self.bias >= 0.0, 1, -1).astype(np.int64)
 
 
 def _softplus(v: np.ndarray) -> np.ndarray:

@@ -622,6 +622,35 @@ def test_theory_count_of_2_to_63_is_generation_error(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stage,flag", [
+    ("monte_carlo_gap", "--n-thresholds=2"), ("roc_traverse", "--threshold=nan"),
+    ("roc_traverse", "--seed=-1"), ("roc_traverse", "--mc-samples=5")])
+def test_theory_checks_every_input_before_either_computation(tmp_path, capsys, monkeypatch,
+                                                              stage, flag):
+    def no_compute(*args, **kwargs):
+        raise AssertionError(f"{stage} ran before {flag} was checked")
+
+    monkeypatch.setattr(theory, stage, no_compute)
+    out = tmp_path / "theory"
+    assert main(["theory", "--out", str(out), flag]) == 2
+    assert capsys.readouterr().err.startswith("generation error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,option", [("theory", "--config"), ("analyze", "--seed"),
+                                            ("plot", "--seed")])
+def test_options_a_command_does_not_read_are_rejected(tmp_path, capsys, command, option):
+    cfg, _ = make_config(tmp_path)
+    argv = [command] + (["--config", str(cfg)] if command != "theory" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, str(cfg) if option == "--config" else "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main([command, "-h"])
+    assert option not in capsys.readouterr().out
+
+
 def test_exit_code_2_generation(tmp_path):
     # degenerate population reaches the generation layer through `theory`
     assert main(["theory", "--pi1", "1.0", "--pi0", "1.0",

@@ -3,8 +3,8 @@ import pytest
 from pathlib import Path
 
 from shiftlab.config import (AnalysisOptions, ExperimentConfig, GridSpec,
-                             SeriesSpec, load_config)
-from shiftlab.datagen import ShiftSpec
+                             SeriesSpec, _spec_for_knob, load_config)
+from shiftlab.datagen import ShiftSpec, mixture_table
 from shiftlab.errors import ConfigError
 
 GOOD_CONFIG = """\
@@ -193,3 +193,15 @@ def test_overrides():
     assert str(out.out_dir) == "elsewhere"
     assert out.shift.master_seed == 99
     assert cfg.shift.master_seed == 1  # original untouched
+
+
+@pytest.mark.parametrize("n_train, p_y1, pi1, pi0", [
+    (3000, 0.5, 0.9, 0.3), (9973, 0.4, 0.7, 0.45), (301, 0.65, 0.8, 0.1)])
+def test_correlation_level_spec_reproduces_the_mixture_table(n_train, p_y1, pi1, pi0):
+    base = ShiftSpec(d_core=10, d_spu=2, sigma_core=1.0, sigma_spu=1.0,
+                     n_train=n_train, p_y1=p_y1, pi1=pi1, pi0=pi0, master_seed=1)
+    for level in (0.0, 0.1, 0.25, 0.5, 0.8, 0.97, 1.0):
+        table = mixture_table(n_train, p_y1, base.p_z1, level)
+        counts = _spec_for_knob(base, "correlation_level", level).group_label_counts("train")
+        # group_label_counts is [z] -> (positives, negatives); the table is [y][z]
+        assert counts == [(int(table[1, z]), int(table[0, z])) for z in (0, 1)], level

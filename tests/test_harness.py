@@ -305,6 +305,31 @@ def test_agreement_single_pair_warns_without_spline(sweep_out):
     assert out.agreement_points.shape == (1, 2)
 
 
+def test_agreement_checks_disjoint_ranges_before_fitting(tmp_path, monkeypatch):
+    config = tiny_config(tmp_path, master_seed=1)  # whose clouds do not overlap in x
+    run_sweep_pipeline(config)
+    fits = []
+
+    class CountedSpline(analysis.SmoothingSpline):
+        def __init__(self, *args, **kwargs):
+            fits.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "SmoothingSpline", CountedSpline)
+    out = run_agreement_pipeline(config)
+    assert out.verdict["verdict"] == "disjoint-ranges"
+    assert len(fits) == 0
+
+
+def test_agreement_reason_names_the_first_cloud_short_of_knots(sweep_out):
+    config, _ = sweep_out
+    with pytest.warns(UserWarning, match="got 1$"):
+        out = run_agreement_pipeline(config, n_pairs=1)
+    assert out.verdict["reason"] == "smoothing spline needs >= 5 distinct x values, got 1"
+    with pytest.raises(AnalysisError, match=out.verdict["reason"]):
+        analysis.SmoothingSpline(out.agreement_points[:, 0], out.agreement_points[:, 1])
+
+
 def test_agreement_pipeline_deterministic(sweep_out):
     config, _ = sweep_out
     a = run_agreement_pipeline(config)
@@ -332,7 +357,7 @@ def test_overlay_cells_majority_mode(tmp_path):
     config = tiny_config(tmp_path)
     from shiftlab.datagen import generate
     test_pool = generate(config.shift, "ood_test")
-    masks, w_id, w_ood = overlay_cells(config.shift, test_pool)
+    masks, w_id, w_ood = overlay_cells(config.shift, test_pool.labels, test_pool.groups)
     assert w_id == (1 - 0.9, 0.9)
     assert w_ood == (0.5, 0.5)
     assert np.array_equal(masks[1], test_pool.groups == 1)
@@ -343,7 +368,7 @@ def test_overlay_cells_attribute_mode_uses_alignment(tmp_path):
     spec = ShiftSpec(d_core=12, d_spu=4, sigma_core=4.0, sigma_spu=1.0,
                      n_train=300, pi1=0.9, pi0=0.3, n_ood_test=1500, master_seed=5)
     pool = generate(spec, "ood_test")
-    masks, w_id, w_ood = overlay_cells(spec, pool)
+    masks, w_id, w_ood = overlay_cells(spec, pool.labels, pool.groups)
     # train alignment fraction: pi1*p_y1 + (1-pi0)*(1-p_y1) = 0.45 + 0.35
     assert w_id == pytest.approx((0.2, 0.8), abs=1e-12)
     assert w_ood == (0.5, 0.5)
@@ -411,6 +436,20 @@ def test_sample_pairs_match_flat_index_reference():
     assert sample_pairs(1, 5, 0) == []
 
 
+def test_sample_pairs_memory_does_not_grow_with_all_pairs():
+    """1,050 models have 550,725 pairs: two int64 arrays of them take 8.8 MB,
+    while drawing 500 needs only the 1,050 row starts and the draw itself."""
+    sample_pairs(1050, 500, 0)  # one-time allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        pairs = sample_pairs(1050, 500, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 500
+    assert peak < 1_000_000
+
+
 def test_agreement_matches_per_pair_reference(sweep_out, tmp_path):
     # 150 pairs span two full chunks of 64 and a partial one.
     config, _ = sweep_out
@@ -420,7 +459,7 @@ def test_agreement_matches_per_pair_reference(sweep_out, tmp_path):
     bits = evaluator.read_preds_csv(d / "preds.csv")
     preds = {mid: evaluator.bits_to_predictions(bits[mid]) for mid in ids}
     pool = read_dataset_csv(d / "ood_test.csv", split="ood_test")
-    masks, w_id, w_ood = overlay_cells(config.shift, pool)
+    masks, w_id, w_ood = overlay_cells(config.shift, pool.labels, pool.groups)
 
     def reweight(values):
         means = [float(np.mean(values[m])) for m in masks]
