@@ -10,17 +10,18 @@ accuracies:
 so the two views differ only through the mixture weights, never through
 sampling noise.
 
-A sweep's snapshots are scored together, one block of pool rows at a time:
-each chunk of at most 16 distinct weight vectors is one GEMM per block,
-thresholded into a ``(rows x chunk)`` bool block whose per-(group, label)
-counts are added up across blocks into every column's record.  A GEMM may
-round a decision value differently from one model's GEMV, so, as for
-training, prediction bytes are promised per machine and BLAS kernel.
+A sweep's snapshots are scored together in one pass over the pool, one
+block of rows at a time: each chunk of at most 16 distinct weight vectors is
+one GEMM per block, thresholded and packed, and the block's (group, label)
+cell masks are packed alongside.  Every count is taken once, after the pass.
+A GEMM may round a decision value differently from one model's GEMV, so, as
+for training, prediction bytes are promised per machine and BLAS kernel.
 
 Predictions are held packed, one bit per pool row (``np.packbits`` order:
 row 0 in the high bit of byte 0, zero bits padding the last byte), from
-scoring to ``preds.csv`` and back to the agreement counts, which are
-popcounts of ``~(a ^ b) & cell`` over packed rows.
+scoring to ``preds.csv`` and back to the agreement counts.  Every count,
+of correct rows and of agreeing pairs alike, is a popcount of
+``~(a ^ b) & cell`` over packed rows (``matching_counts``).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import os
 import zlib
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -82,32 +84,27 @@ _CHUNK = 16
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
-def _group_cells(test: Dataset) -> tuple[list[np.ndarray], list[int], list[int]]:
-    """The (positive, negative) row masks of each group in group order, the row
-    count per group and the row count per mask."""
-    sizes, cells = [], []
-    for g in range(test.k_groups):
-        idx = test.groups == g
-        sizes.append(int(np.count_nonzero(idx)))
-        cells += [idx & (test.labels == 1), idx & (test.labels == -1)]
-    return cells, sizes, [int(np.count_nonzero(cell)) for cell in cells]
+def _cell_masks(test: Dataset) -> np.ndarray:
+    """``(2k x rows)`` bool masks of the (group, label) cells, labels in
+    {-1, +1}: group 0's positives, group 0's negatives, group 1's positives
+    and so on."""
+    cell = 2 * test.groups + (test.labels != 1)
+    return cell == np.arange(2 * test.k_groups)[:, None]
 
 
-def _check_pool(sizes: list[int], r_tr: tuple[float, ...], r_ts: tuple[float, ...]) -> None:
-    """InvalidSpecError on bad mixture weights for the pool's groups (``sizes``
-    holds each group's rows), EmptyGroupError on a group with no rows."""
+def _pool_counts(cells: np.ndarray, r_tr: tuple[float, ...], r_ts: tuple[float, ...]
+                 ) -> tuple[np.ndarray, list[int], list[int]]:
+    """The packed positive rows, the rows per group and the rows per cell of the
+    packed ``_cell_masks`` ``cells``.  InvalidSpecError on bad mixture weights
+    for the pool's groups, EmptyGroupError on a group with no rows."""
+    totals = _POPCOUNT[cells].sum(axis=1, dtype=np.int64)
+    sizes = (totals[0::2] + totals[1::2]).tolist()
     _check_weights(r_tr, len(sizes), "r_tr")
     _check_weights(r_ts, len(sizes), "r_ts")
     for g, n_g in enumerate(sizes):
         if n_g == 0:
             raise EmptyGroupError(f"group {g} has no rows in the test pool")
-
-
-def _column_counts(correct: np.ndarray, cells: list[np.ndarray]) -> np.ndarray:
-    """Correct rows of each cell (columns), per column of a ``(rows x columns)``
-    bool block (rows)."""
-    return np.stack([np.count_nonzero(correct & cell[:, None], axis=0) for cell in cells],
-                    axis=1)
+    return np.bitwise_or.reduce(cells[0::2], axis=0), sizes, totals.tolist()
 
 
 def _record(model_id: str, epoch: int, correct: list[int], sizes: list[int],
@@ -132,16 +129,16 @@ def evaluate_predictions(model_id: str, preds: np.ndarray, test: Dataset,
                          r_tr: tuple[float, ...], r_ts: tuple[float, ...],
                          epoch: int = 0) -> EvalRecord:
     """Score fixed predictions (labels in {-1,+1}) against the test pool."""
-    cells, sizes, totals = _group_cells(test)
-    _check_pool(sizes, r_tr, r_ts)
-    correct = _column_counts((preds == test.labels)[:, None], cells)[0].tolist()
+    cells = np.packbits(_cell_masks(test), axis=1)
+    positive, sizes, totals = _pool_counts(cells, r_tr, r_ts)
+    correct = matching_counts(np.packbits(preds == 1), positive, cells).tolist()
     return _record(model_id, epoch, correct, sizes, totals, r_tr, r_ts)
 
 
-def _predict_chunk(features: np.ndarray, chunk: list[ModelRecord]) -> np.ndarray:
-    """``(rows x len(chunk))`` bool block, True where w . x + b >= 0: one GEMM."""
-    weights = np.stack([r.weights for r in chunk], axis=1)
-    return features @ weights + np.array([r.bias for r in chunk]) >= 0.0
+def _predict_chunk(features: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``(rows x columns)`` bool block, True where x . w + b >= 0, for the
+    stacked ``(features x columns)`` weights and their biases: one GEMM."""
+    return features @ weights + bias >= 0.0
 
 
 def evaluate_snapshots(records: list[ModelRecord], test: Dataset | Iterable[Dataset],
@@ -155,11 +152,12 @@ def evaluate_snapshots(records: list[ModelRecord], test: Dataset | Iterable[Data
     ``test`` is the pool, or consecutive blocks of it as
     ``datagen.generate_blocks`` yields them; a whole pool is the one-block
     case.  Records sharing one weights array and bias (full-batch copies
-    across seeds) are predicted once.  The distinct snapshots are predicted
-    ``_CHUNK`` at a time, one GEMM per chunk and block; only integer
-    (group, label) counts and packed prediction bits are kept from block to
-    block.  A block's last ``rows % 8`` decisions are carried into the next
-    block's bytes, so the bits do not depend on where the blocks end.
+    across seeds) are predicted once.  The distinct snapshots are stacked
+    ``_CHUNK`` at a time once per pass, and each block is one GEMM per chunk;
+    a block's decisions and its (group, label) cell masks are only packed,
+    and every count is taken from the packed bits after the pass.  A block's
+    last ``rows % 8`` bits are carried into the next block's bytes, so the
+    bits do not depend on where the blocks end.
     """
     column: dict[tuple[int, float], int] = {}
     distinct: list[ModelRecord] = []
@@ -170,44 +168,45 @@ def evaluate_snapshots(records: list[ModelRecord], test: Dataset | Iterable[Data
             distinct.append(r)
     chunks = [distinct[start:start + _CHUNK] for start in range(0, len(distinct), _CHUNK)]
 
-    sizes = totals = counts = None
-    packed: list[list[np.ndarray]] = [[] for _ in chunks]
-    tails = [np.zeros((len(chunk), 0), dtype=bool) for chunk in chunks]
+    # packed parts and carried tail of each chunk's rows, then of the cell masks
+    stacked, parts, tails = None, [[] for _ in range(len(chunks) + 1)], []
     for block in [test] if isinstance(test, Dataset) else test:
-        cells, block_sizes, block_totals = _group_cells(block)
-        if counts is None:
+        if stacked is None:
             for r in distinct:
                 if r.weights.shape[0] != block.n_features:
                     raise DimensionMismatchError(
                         f"model {r.model_id} has {r.weights.shape[0]} weights, "
                         f"data has {block.n_features} features")
-            sizes, totals = np.zeros(len(block_sizes), np.int64), np.zeros(len(cells), np.int64)
-            counts = np.zeros((len(distinct), len(cells)), np.int64)
-        sizes += block_sizes
-        totals += block_totals
-        positive = block.labels == 1
-        for c, chunk in enumerate(chunks):
-            ones = _predict_chunk(block.features, chunk)
-            counts[c * _CHUNK:c * _CHUNK + len(chunk)] += _column_counts(
-                ones == positive[:, None], cells)
-            pending = np.concatenate([tails[c], ones.T], axis=1)
+            stacked = [(np.stack([r.weights for r in chunk], axis=1),
+                        np.array([r.bias for r in chunk])) for chunk in chunks]
+            tails = [np.zeros((n, 0), bool) for n in [b.size for _, b in stacked]
+                     + [2 * block.k_groups]]
+        decisions = (_predict_chunk(block.features, w, b).T for w, b in stacked)
+        for c, rows in enumerate(chain(decisions, [_cell_masks(block)])):
+            pending = np.concatenate([tails[c], rows], axis=1)
             whole = pending.shape[1] - pending.shape[1] % 8
-            packed[c].append(np.packbits(pending[:, :whole], axis=1))
-            tails[c] = pending[:, whole:]
-    if counts is None:
+            parts[c].append(np.packbits(pending[:, :whole], axis=1))
+            tails[c] = pending[:, whole:].copy()
+    if stacked is None:
         raise EmptyGroupError("the test pool has no rows")
-    sizes, totals = sizes.tolist(), totals.tolist()
-    _check_pool(sizes, r_tr, r_ts)
 
+    def packed(c: int) -> np.ndarray:
+        rows = np.concatenate([*parts[c], np.packbits(tails[c], axis=1)], axis=1)
+        parts[c].clear()
+        return rows
+
+    cells = packed(-1)
+    positive, sizes, totals = _pool_counts(cells, r_tr, r_ts)
     bits: list[np.ndarray] = []
-    for parts, tail in zip(packed, tails):
-        bits += list(np.concatenate([*parts, np.packbits(tail, axis=1)], axis=1))
-        parts.clear()
+    counts: list[list[int]] = []
+    for c in range(len(chunks)):
+        rows = packed(c)
+        bits += list(rows)
+        counts += matching_counts(rows, positive, cells).tolist()
     evals, pred_rows = [], []
     for r in records:
         j = column[(id(r.weights), r.bias)]
-        evals.append(_record(r.model_id, r.epoch, counts[j].tolist(), sizes, totals,
-                             r_tr, r_ts))
+        evals.append(_record(r.model_id, r.epoch, counts[j], sizes, totals, r_tr, r_ts))
         pred_rows.append((r.model_id, bits[j]))
     return evals, pred_rows
 

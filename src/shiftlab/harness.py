@@ -3,8 +3,9 @@
 A sweep trains on the training split in memory, writes it to ``train.csv``
 and releases it, then makes one pass over the OOD pool in blocks of
 ``_BLOCK_ROWS`` rows: each block is drawn, appended to ``ood_test.csv`` and
-scored against every snapshot, so the pool's feature matrix never exists
-whole and its predictions are kept as one bit per row and distinct snapshot.
+predicted for every snapshot, so the pool's feature matrix never exists
+whole and its predictions are kept as one bit per row and distinct snapshot,
+counted once the pass ends.
 Every file is written through a temp-name-plus-rename step from a single
 place, so an interrupted run never leaves truncated artifacts behind and
 reruns with the same configuration overwrite each file with identical bytes.
@@ -32,10 +33,11 @@ SWEEP_ARTIFACTS = ("train.csv", "ood_test.csv", "models.csv", "weights.csv",
 
 
 # Rows per block of a split streamed from generation to its file (and, for
-# the OOD pool, to scoring): 2.4 MB of features at 150 columns.  Scoring's
-# packed bits do not depend on it: a block's trailing rows % 8 decisions
-# are carried into the next block's bytes.
-_BLOCK_ROWS = 2048
+# the OOD pool, to scoring): 0.6 MB of features at 150 columns.  A block is
+# only predicted and packed, one GEMM and one pack per chunk of snapshots,
+# and the packed bits do not depend on it: a block's trailing rows % 8
+# decisions are carried into the next block's bytes.
+_BLOCK_ROWS = 512
 
 
 def _atomic(path: Path, writer):

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 import zlib
 from fractions import Fraction
 
@@ -199,14 +200,18 @@ def test_evaluate_snapshots_on_a_trained_sweep(gaussian_pool):
     assert_matches_per_record(records, gaussian_pool, spec.train_weights(), spec.ood_weights())
 
 
+def blocks_of(pool, edges):
+    """Dataset views of ``pool``'s rows between consecutive ``edges``."""
+    return [Dataset(features=pool.features[a:b], labels=pool.labels[a:b],
+                    groups=pool.groups[a:b], split="ood_test", k_groups=pool.k_groups)
+            for a, b in zip(edges, edges[1:])]
+
+
 def test_evaluate_snapshots_over_uneven_blocks_equals_one_block():
     pool = integer_pool(3)
     records = integer_snapshots(33)
     r = (0.5, 0.3, 0.2)
-    edges = [0, 0, 1, 8, 150, 151, pool.n_rows]
-    blocks = (Dataset(features=pool.features[a:b], labels=pool.labels[a:b],
-                      groups=pool.groups[a:b], split="ood_test", k_groups=3)
-              for a, b in zip(edges, edges[1:]))
+    blocks = blocks_of(pool, [0, 0, 1, 8, 150, 151, pool.n_rows])
     # repr spells every float exactly and equates the nan of an empty cell
     assert repr(evaluate_as_text(records, blocks, r, r, pool.n_rows)) == repr(
         evaluate_as_text(records, pool, r, r, pool.n_rows))
@@ -224,6 +229,62 @@ def test_evaluate_snapshots_over_generated_blocks(rows):
     want = evaluate_as_text(records, generate(spec, "ood_test"), r_tr, r_ts, n)
     got = evaluate_as_text(records, generate_blocks(spec, "ood_test", rows), r_tr, r_ts, n)
     assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_evaluate_snapshots_counts_equal_count_nonzero_over_cell_masks(k, seed):
+    """Every count against ``np.count_nonzero`` over the unpacked (group, label)
+    masks, on a pool in random row order with one cell empty, cut at random
+    block edges (most not multiples of 8)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(100, 400))
+    groups = rng.permutation(np.arange(n) % k)
+    labels = rng.choice([-1, 1], size=n)
+    labels[groups == rng.integers(k)] = rng.choice([-1, 1])
+    pool = Dataset(features=rng.integers(-2, 3, size=(n, 6)).astype(float), labels=labels,
+                   groups=groups, split="ood_test", k_groups=k)
+    edges = [0, *np.sort(rng.integers(0, n, size=6)).tolist(), n]
+    assert any(b % 8 for b in edges)
+    records = integer_snapshots(int(rng.integers(1, 40)))
+    r = tuple([1.0 / k] * k)
+    evals, rows = evaluate_snapshots(records, blocks_of(pool, edges), r, r)
+    masks = [(groups == g) & (labels == y) for g in range(k) for y in (1, -1)]
+    totals = [np.count_nonzero(m) for m in masks]
+    assert 0 in totals
+    for rec, ev, (model_id, packed_row) in zip(records, evals, rows):
+        ones = pool.features @ rec.weights + rec.bias >= 0.0  # exact on integer features
+        assert model_id == rec.model_id
+        assert np.array_equal(np.unpackbits(packed_row, count=n).astype(bool), ones)
+        correct = [np.count_nonzero(m & (ones == (y == 1)))
+                   for m, y in zip(masks, [1, -1] * k)]
+        assert list(ev.correct_pos) == correct[0::2] and list(ev.correct_neg) == correct[1::2]
+        assert list(ev.n_pos) == totals[0::2] and list(ev.n_neg) == totals[1::2]
+
+
+def test_evaluate_snapshots_memory_per_pool_row():
+    """8 distinct snapshots on a pool of N and of 4N rows, fed as 512-row views:
+    the pass's peak grows by under 8 bytes per added row (its packed bits and
+    cell masks and their counting), where an int64 copy of the pool's labels
+    and groups alone would add 16."""
+    rng = np.random.default_rng(3)
+    records = [make_model(rng.normal(size=4), bias=float(rng.normal()), model_id=f"m{i}")
+               for i in range(8)]
+    n = 8192
+
+    def peak(rows):
+        pool = Dataset(features=rng.normal(size=(rows, 4)), labels=rng.choice([-1, 1], rows),
+                       groups=rng.integers(0, 2, rows), split="ood_test", k_groups=2)
+        blocks = blocks_of(pool, list(range(0, rows, 512)) + [rows])
+        tracemalloc.start()
+        try:
+            evaluate_snapshots(records, blocks, (0.5, 0.5), (0.5, 0.5))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(n)  # one-time allocations stay out of the peaks
+    assert peak(4 * n) - peak(n) < 8 * 3 * n
 
 
 def test_evaluate_snapshots_errors():

@@ -91,21 +91,30 @@ def test_results_row_order_matches_model_ids(sweep_out):
 
 def test_sweep_predicts_each_distinct_snapshot_once(tmp_path, monkeypatch):
     config = tiny_config(tmp_path)
-    columns = []
+    calls = []
     predict_chunk = evaluator._predict_chunk
 
-    def counted(features, chunk):
-        columns.append([id(r.weights) for r in chunk])
-        return predict_chunk(features, chunk)
+    def counted(features, weights, bias):
+        calls.append((features.shape[0], [w.tobytes() for w in weights.T]))
+        return predict_chunk(features, weights, bias)
 
     monkeypatch.setattr(evaluator, "_predict_chunk", counted)
     out = run_sweep_pipeline(config)
-    distinct = {id(r.weights) for r in out.records}
+    distinct = {id(r.weights): r.weights.tobytes() for r in out.records}
     # two seeds of the full-batch cells share one weights array per snapshot
     assert len(distinct) < len(out.records)
-    # one GEMM column per distinct weights array, at most _CHUNK per GEMM
-    assert sorted(i for chunk in columns for i in chunk) == sorted(distinct)
-    assert all(len(chunk) <= evaluator._CHUNK for chunk in columns)
+    assert len(set(distinct.values())) == len(distinct)
+    # at most _CHUNK columns per GEMM
+    assert all(len(columns) <= evaluator._CHUNK for _, columns in calls)
+    # within each block, one GEMM column per distinct weights array
+    n, n_chunks = harness._BLOCK_ROWS, -(-len(distinct) // evaluator._CHUNK)
+    sizes = [min(n, config.shift.n_ood_test - start)
+             for start in range(0, config.shift.n_ood_test, n)]
+    assert len(sizes) > 1 and len(calls) == len(sizes) * n_chunks
+    for b, rows in enumerate(sizes):
+        block = calls[b * n_chunks:(b + 1) * n_chunks]
+        assert all(r == rows for r, _ in block)
+        assert sorted(w for _, columns in block for w in columns) == sorted(distinct.values())
 
     pool = generate(config.shift, "ood_test")
     r_tr, r_ts = config.shift.train_weights(), config.shift.ood_weights()
@@ -123,7 +132,7 @@ def test_sweep_predicts_each_distinct_snapshot_once(tmp_path, monkeypatch):
         assert (config.out_dir / name).read_bytes() == (ref / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("rows", [1, 7, 1500, 4096])
+@pytest.mark.parametrize("rows", [1, 7, 1500, 2048, 4096])
 def test_sweep_bytes_do_not_depend_on_pool_block_rows(sweep_out, tmp_path, monkeypatch, rows):
     config, out = sweep_out
     monkeypatch.setattr(harness, "_BLOCK_ROWS", rows)
