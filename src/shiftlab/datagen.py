@@ -252,10 +252,22 @@ def row_layout(spec: ShiftSpec, split: str) -> tuple[np.ndarray, np.ndarray, np.
     ``spec.group_label_counts(split)`` gives.  The layout holds no randomness,
     so a split's row order follows from its spec alone."""
     spec.validate()
-    counts = spec.group_label_counts(split)
-    labels = np.repeat(np.tile(np.array([1, -1], np.int64), len(counts)),
-                       [c for cell in counts for c in cell])
-    groups = np.repeat(np.arange(len(counts), dtype=np.int64), [p + q for p, q in counts])
+    ends = _cell_ends(spec, split)
+    return _layout_rows(spec, ends, 0, int(ends[-1]))
+
+
+def _cell_ends(spec: ShiftSpec, split: str) -> np.ndarray:
+    """One past the last row of each (group, label) cell of ``split``, in
+    ``row_layout``'s order."""
+    return np.cumsum([c for cell in spec.group_label_counts(split) for c in cell])
+
+
+def _layout_rows(spec: ShiftSpec, ends: np.ndarray, start: int, stop: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``row_layout`` of rows ``start`` to ``stop`` alone: each row's cell is
+    found among the cell ``ends``, so no row outside them is laid out."""
+    cell = np.searchsorted(ends, np.arange(start, stop), side="right").astype(np.int64)
+    labels, groups = 1 - 2 * (cell & 1), cell >> 1
     if spec.mode == "majority":
         attr = np.where(groups == 1, labels, -labels).astype(np.float64)
     elif spec.mode == "attribute":
@@ -269,21 +281,22 @@ def generate_blocks(spec: ShiftSpec, split: str, rows: int | None = None) -> Ite
     """The rows of ``generate(spec, split)`` as consecutive Datasets of at most
     ``rows`` rows (all rows in one block when None), laid out by ``row_layout``.
 
-    Every block's features are drawn into one buffer, reused from block to
+    Each block's layout and row streams are computed for its own rows, and
+    every block's features are drawn into one buffer, reused from block to
     block, so a block is valid only until the next one is drawn and memory
-    stays at about one block.  Since every row has its own stream, the bytes
-    do not depend on the block size.
+    stays at about one block, whatever the split's size.  Since every row has
+    its own stream, the bytes do not depend on the block size.
     """
-    labels, groups, attr = row_layout(spec, split)
-    n = labels.shape[0]
+    spec.validate()
+    ends = _cell_ends(spec, split)
+    n = int(ends[-1])
     rows = n if rows is None else rows
-    streams = row_streams(spec.master_seed, _SPLIT_SCOPE[split], n)
     buffer = np.empty((min(rows, n), spec.d_total))
     for start in range(0, n, rows):
-        sl = slice(start, start + rows)
-        features = _draw_features(spec, labels[sl], attr[sl], streams[sl],
-                                  buffer[:labels[sl].shape[0]])
-        yield Dataset(features=features, labels=labels[sl], groups=groups[sl],
+        labels, groups, attr = _layout_rows(spec, ends, start, min(start + rows, n))
+        streams = row_streams(spec.master_seed, _SPLIT_SCOPE[split], labels.shape[0], start)
+        features = _draw_features(spec, labels, attr, streams, buffer[:labels.shape[0]])
+        yield Dataset(features=features, labels=labels, groups=groups,
                       split=split, k_groups=spec.k_groups)
 
 
@@ -468,42 +481,35 @@ def write_dataset_csv(dataset: Dataset | Iterable[Dataset], path: str | Path) ->
     ``dataset`` is one Dataset or consecutive blocks of one, as
     ``generate_blocks`` yields them; the bytes are the same either way.
     Every field is ``"%.9g" % v`` (labels and groups print as ``%d`` would),
-    ``_CSV_CHUNK_ROWS`` rows at a time.  ``_g9_fields`` lays out zeros and each
-    value whose rounding it can prove: finite, in [1e-14, 1e17), no near-tie
-    in the 9th digit.  The rest (ties, nan, inf, subnormals) go through
-    ``"%.9g" % v`` itself, so the bytes equal ``%``'s.  The text round-trips
-    exactly: ``read_dataset_csv`` returns the doubles it denotes.
+    ``_CSV_CHUNK_ROWS`` rows at a time, and one scratch serves every chunk of
+    every block.  ``_g9_fields`` lays out zeros and each value whose rounding
+    it can prove: finite, in [1e-14, 1e17), no near-tie in the 9th digit.
+    The rest (ties, nan, inf, subnormals) go through ``"%.9g" % v`` itself,
+    so the bytes equal ``%``'s.  The text round-trips exactly:
+    ``read_dataset_csv`` returns the doubles it denotes.
     """
     blocks = [dataset] if isinstance(dataset, Dataset) else dataset
-    with open(path, "wb") as fh:
-        for _ in csv_rows(blocks, fh):
-            pass
-
-
-def csv_rows(blocks: Iterable[Dataset], fh) -> Iterator[Dataset]:
-    """Append each block's rows to the binary file ``fh`` as
-    ``write_dataset_csv`` writes them (the header before the first block),
-    then yield the block; one scratch serves every chunk of every block."""
     s = None
-    for block in blocks:
-        width = block.n_features + 2
-        if s is None:
-            fh.write(("y,z," + ",".join(f"x{j}" for j in range(width - 2)) + "\n").encode())
-            s = _G9Scratch(_CSV_CHUNK_ROWS * width)
-        for start in range(0, block.n_rows, _CSV_CHUNK_ROWS):
-            sl = slice(start, start + _CSV_CHUNK_ROWS)
-            rows = s.values[:block.labels[sl].shape[0] * width].reshape(-1, width)
-            rows[:, 0], rows[:, 1] = block.labels[sl], block.groups[sl]
-            rows[:, 2:] = block.features[sl]
-            values = rows.ravel()
-            fields, fallback = _g9_fields(values, s)
-            fields.reshape(-1, width * 16)[:, -1] = ord("\n")
-            text = fields[np.not_equal(fields, 0, out=s.nonzero[:values.size])]
-            if fallback.size:
-                exact = [("%.9g" % v).encode() for v in values[fallback].tolist()]
-                text = b"".join(p + e for p, e in zip(text.tobytes().split(b"\1"), exact + [b""]))
-            fh.write(text)
-        yield block
+    with open(path, "wb") as fh:
+        for block in blocks:
+            width = block.n_features + 2
+            if s is None:
+                fh.write(("y,z," + ",".join(f"x{j}" for j in range(width - 2)) + "\n").encode())
+                s = _G9Scratch(_CSV_CHUNK_ROWS * width)
+            for start in range(0, block.n_rows, _CSV_CHUNK_ROWS):
+                sl = slice(start, start + _CSV_CHUNK_ROWS)
+                rows = s.values[:block.labels[sl].shape[0] * width].reshape(-1, width)
+                rows[:, 0], rows[:, 1] = block.labels[sl], block.groups[sl]
+                rows[:, 2:] = block.features[sl]
+                values = rows.ravel()
+                fields, fallback = _g9_fields(values, s)
+                fields.reshape(-1, width * 16)[:, -1] = ord("\n")
+                text = fields[np.not_equal(fields, 0, out=s.nonzero[:values.size])]
+                if fallback.size:
+                    exact = [("%.9g" % v).encode() for v in values[fallback].tolist()]
+                    text = b"".join(p + e for p, e in
+                                    zip(text.tobytes().split(b"\1"), exact + [b""]))
+                fh.write(text)
 
 
 def read_dataset_csv(path: str | Path, split: str = "train") -> Dataset:

@@ -1,11 +1,12 @@
 """Experiment pipelines: generate, sweep, evaluate, analyze, render.
 
-A sweep trains on the training split in memory, writes it to ``train.csv``
-and releases it, then makes one pass over the OOD pool in blocks of
-``_BLOCK_ROWS`` rows: each block is drawn, appended to ``ood_test.csv`` and
-predicted for every snapshot, so the pool's feature matrix never exists
-whole and its predictions are kept as one bit per row and distinct snapshot,
-counted once the pass ends.
+A sweep trains on the training split in memory and releases it, then makes
+one pass over the OOD pool in blocks of ``_BLOCK_ROWS`` rows: each block is
+drawn and predicted for every snapshot, so the pool's feature matrix never
+exists whole and its predictions are kept as one bit per row and distinct
+snapshot, counted once the pass ends.  A sweep writes only what its config
+alone cannot rebuild: both splits are functions of the ``[shift]`` section,
+and ``gen-data`` writes them.
 Every file is written through a temp-name-plus-rename step from a single
 place, so an interrupted run never leaves truncated artifacts behind and
 reruns with the same configuration overwrite each file with identical bytes.
@@ -28,26 +29,24 @@ from .datagen import ShiftSpec, format_sig
 from .errors import ConfigError, InvalidSpecError, MissingInputsError
 from .rng import derive_stream
 
-SWEEP_ARTIFACTS = ("train.csv", "ood_test.csv", "models.csv", "weights.csv",
-                   "results.csv", "preds.csv", "report.json", "moon.svg", "manifest.json")
+SWEEP_ARTIFACTS = ("models.csv", "weights.csv", "results.csv", "preds.csv",
+                   "report.json", "moon.svg", "manifest.json")
 
 
-# Rows per block of a split streamed from generation to its file (and, for
-# the OOD pool, to scoring): 0.6 MB of features at 150 columns.  A block is
+# Rows per block of a split streamed from generation to its file or, for a
+# sweep's OOD pool, to scoring: 0.6 MB of features at 150 columns.  A block is
 # only predicted and packed, one GEMM and one pack per chunk of snapshots,
 # and the packed bits do not depend on it: a block's trailing rows % 8
 # decisions are carried into the next block's bytes.
 _BLOCK_ROWS = 512
 
 
-def _atomic(path: Path, writer):
-    """Run ``writer(tmp_path)``, rename the result into place and return what
-    ``writer`` returned."""
+def _atomic(path: Path, writer) -> None:
+    """Run ``writer(tmp_path)`` and rename the result into place."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        result = writer(tmp)
+        writer(tmp)
         os.replace(tmp, path)
-        return result
     finally:
         if tmp.exists():
             tmp.unlink()
@@ -156,38 +155,20 @@ def run_sweep_pipeline(config: ExperimentConfig) -> SweepOutputs:
     spec = config.shift
     out_dir = config.out_dir
 
-    train_set = datagen.generate(spec, "train")
-    grid = config.grid.build(spec.master_seed)
-    result = trainer.sweep(train_set, grid)
+    # The training split is held only while the grid trains.
+    result = trainer.sweep(datagen.generate(spec, "train"),
+                           config.grid.build(spec.master_seed))
     if not result.records:
         raise trainer.DivergenceError(0, "every grid cell diverged")
 
-    def evaluate_and_fit(path: Path):
-        """One pass over the OOD pool (draw each block, append it to ``path``,
-        score it against every snapshot), then the curve fits: a failed fit
-        renames no ``ood_test.csv`` into place."""
-        blocks = datagen.generate_blocks(spec, "ood_test", _BLOCK_ROWS)
-        with open(path, "wb") as fh:
-            evals, pred_rows = evaluator.evaluate_snapshots(
-                result.records, datagen.csv_rows(blocks, fh),
-                spec.train_weights(), spec.ood_weights())
-        points = _moon_points(spec, evals)
-        report = analysis.fit_curves(points, probit_eps=config.analysis.probit_eps,
-                                     spline_lambda=config.analysis.spline_lambda)
-        return evals, pred_rows, points, report
-
-    def write_train_then_pool(path: Path):
-        """``train.csv`` to its temp name, then the pool pass with the training
-        split released, so the two are never held together; the pool pass
-        runs inside this write, so a failed fit renames neither file."""
-        nonlocal train_set
-        datagen.write_dataset_csv(train_set, path)
-        train_set = None
-        return _atomic(out_dir / "ood_test.csv", evaluate_and_fit)
-
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").unlink(missing_ok=True)
-    evals, pred_rows, points, report = _atomic(out_dir / "train.csv", write_train_then_pool)
+    evals, pred_rows = evaluator.evaluate_snapshots(
+        result.records, datagen.generate_blocks(spec, "ood_test", _BLOCK_ROWS),
+        spec.train_weights(), spec.ood_weights())
+    points = _moon_points(spec, evals)
+    report = analysis.fit_curves(points, probit_eps=config.analysis.probit_eps,
+                                 spline_lambda=config.analysis.spline_lambda)
     _write_model_store_atomic(result.records, out_dir)
     _atomic(out_dir / "results.csv",
             lambda p: evaluator.write_results_csv(list(zip(result.records, evals)), p))
@@ -325,7 +306,7 @@ def run_agreement_pipeline(config: ExperimentConfig, n_pairs: int | None = None,
         if not (out_dir / name).exists():
             raise MissingInputsError(f"{name} not found in {out_dir}; run the sweep first")
 
-    # preds.csv's bits follow the pool rows the sweep wrote, laid out by
+    # preds.csv's bits follow the pool rows the sweep scored, laid out by
     # row_layout from the pool's counts: the config must give the same counts.
     expected = [list(cell) for cell in config.shift.group_label_counts("ood_test")]
     counts = _from_manifest(out_dir, "ood_test_counts", lambda m: m["ood_test_counts"])

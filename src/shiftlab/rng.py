@@ -92,8 +92,9 @@ def stream_normals(streams: np.ndarray, n_draws: int) -> np.ndarray:
     return out[:, :n_draws]
 
 
-def row_streams(master_seed: int, scope: int, n_rows: int) -> np.ndarray:
-    """Per-row stream ids for a dataset scope (split), as uint64 array."""
+def row_streams(master_seed: int, scope: int, n_rows: int, start: int = 0) -> np.ndarray:
+    """Stream ids of rows ``start`` to ``start + n_rows`` of a dataset scope
+    (split), as uint64 array."""
     base = derive_stream(master_seed, scope)
-    idx = np.arange(n_rows, dtype=np.uint64)
+    idx = np.arange(start, start + n_rows, dtype=np.uint64)
     return _mix64_array(np.uint64(base) + (idx + np.uint64(1)) * _U64_GOLDEN)

@@ -14,8 +14,8 @@ from shiftlab.analysis import fit_curves, load_json
 from shiftlab.config import AnalysisOptions, ExperimentConfig, GridSpec
 from shiftlab.datagen import ShiftSpec
 from shiftlab.evaluator import evaluate, model_mixture
-from shiftlab.harness import (run_agreement_pipeline, run_spurious_series,
-                              run_sweep_pipeline)
+from shiftlab.harness import (run_agreement_pipeline, run_gen_data,
+                              run_spurious_series, run_sweep_pipeline)
 from shiftlab.theory import (PopulationSpec, ScoreModel, accuracy_gap,
                              monte_carlo_gap, moon_arm, roc_traverse,
                              subpop_accuracy)
@@ -326,8 +326,10 @@ def test_criterion_10_determinism_round_trip(tmp_path_factory):
                     for n in ("results.csv", "models.csv", "weights.csv",
                               "preds.csv", "report.json", "moon.svg"))
 
-    # CSV and JSON round trips are byte-stable
+    # CSV and JSON round trips are byte-stable; a sweep writes no dataset
+    # CSV, so the round trip reads the training split gen-data writes
     from shiftlab import datagen, analysis
+    run_gen_data(cfg_a)
     ds = datagen.read_dataset_csv(out_a / "train.csv")
     datagen.write_dataset_csv(ds, out_a / "train2.csv")
     csv_ok = (out_a / "train.csv").read_bytes() == (out_a / "train2.csv").read_bytes()

@@ -342,6 +342,7 @@ def test_failed_writer_leaves_no_partial_file(tmp_path, monkeypatch, command, pa
 
 
 def _corrupted_pool(cfg, out_dir):
+    assert main(["gen-data", "--config", str(cfg)]) == 0
     pool = out_dir / "ood_test.csv"
     lines = pool.read_text().splitlines()
     lines[5] = lines[5].rsplit(",", 1)[0] + ",oops"
@@ -349,6 +350,7 @@ def _corrupted_pool(cfg, out_dir):
 
 
 def _reordered_pool(cfg, out_dir):
+    assert main(["gen-data", "--config", str(cfg)]) == 0
     pool = out_dir / "ood_test.csv"
     header, *rows = pool.read_text().splitlines()
     pool.write_text("\n".join([header, *reversed(rows)]) + "\n")
@@ -370,8 +372,9 @@ def _reseeded_pool(cfg, out_dir):
 
 
 def _only_manifest_and_preds(cfg, out_dir):
-    for name in ("train.csv", "ood_test.csv", "results.csv", "models.csv", "weights.csv"):
-        (out_dir / name).unlink()
+    for path in out_dir.iterdir():
+        if path.name not in ("manifest.json", "preds.csv"):
+            path.unlink()
 
 
 @pytest.mark.parametrize("fault", [_corrupted_pool, _reordered_pool, _reversed_results,
@@ -435,8 +438,10 @@ def _pool_counts(rows):
 def test_agreement_on_pool_off_the_config_counts_is_generation_error(tmp_path, capsys, fault):
     # The manifest records a pool whose per-(group, label) counts the config
     # does not give, so preds.csv's bits are not aligned with its layout.
+    # The pool's rows are the ones gen-data writes for the sweep's config.
     cfg, out_dir = make_config(tmp_path)
     assert main(["sweep", "--config", str(cfg)]) == 0
+    assert main(["gen-data", "--config", str(cfg)]) == 0
     header, *rows = (out_dir / "ood_test.csv").read_text().splitlines()
     manifest = out_dir / "manifest.json"
     recorded = json.loads(manifest.read_text())

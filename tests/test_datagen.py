@@ -2,6 +2,7 @@ from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 import tracemalloc
+from itertools import product
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -251,8 +252,10 @@ def test_blocked_generation_matches_one_shot_draw(n, d_spu, make):
 
 @pytest.mark.parametrize("rows", [1, 7, _B, 1000, None])
 def test_generate_blocks_concatenate_to_generate(rows):
-    spec = majority_spec(d_core=5, d_spu=3, n_train=300, n_ood_test=1000, n_id_test=77)
-    for split in SPLITS:
+    sizes = dict(d_core=5, d_spu=3, n_train=300, n_ood_test=1000, n_id_test=77)
+    # attribute mode at pi1 = 1 leaves group 0 with no positives: an empty cell
+    for spec, split in product((majority_spec(**sizes), attribute_spec(pi1=1.0, **sizes)),
+                               SPLITS):
         whole = generate(spec, split)
         # each block's features live in a buffer the next block reuses: copy them
         blocks = [(b.features.copy(), b.labels, b.groups) for b in generate_blocks(spec, split, rows)]
@@ -266,7 +269,8 @@ def test_generate_blocks_concatenate_to_generate(rows):
 @pytest.mark.parametrize("make", [
     majority_spec, lambda **kw: attribute_spec(r_ts=(0.3, 0.7), **kw),
     lambda **kw: majority_spec(k_groups=3, p_maj=None, r_tr=(0.5, 0.3, 0.2), **kw),
-], ids=["majority", "attribute", "kgroup"])
+    lambda **kw: attribute_spec(pi1=1.0, **kw),  # group 0 has no positives
+], ids=["majority", "attribute", "kgroup", "empty-cell"])
 def test_row_layout_is_the_layout_of_generate(make):
     spec = make(d_core=5, d_spu=3, n_train=301, n_id_test=77, n_ood_test=1001)
     for split in SPLITS:
@@ -300,6 +304,25 @@ def test_generation_memory_is_the_dataset_plus_one_block():
         tracemalloc.stop()
     assert ds.features.shape == (5000, 150)
     assert peak <= 1.2 * ds.features.nbytes
+
+
+def test_block_memory_does_not_grow_with_the_split():
+    """From N to 4N pool rows a whole-split layout and its row streams would
+    add about 34 bytes a row (2.0 MB here); drawing each block's own rows
+    keeps the growth within one block of features."""
+    def peak(n_ood_test):
+        spec = majority_spec(d_core=100, d_spu=50, n_ood_test=n_ood_test)
+        tracemalloc.start()
+        try:
+            for _ in generate_blocks(spec, "ood_test", 512):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    n = 20_000
+    peak(n)  # one-time allocations stay out of the peaks
+    assert peak(4 * n) - peak(n) < 512 * 150 * 8
 
 
 # ---------------------------------------------------------------------------

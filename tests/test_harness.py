@@ -204,6 +204,8 @@ def test_sweep_releases_the_training_split_before_the_pool_pass(tmp_path, monkey
     monkeypatch.setattr(evaluator, "evaluate_snapshots", scored)
     config = tiny_config(tmp_path)
     run_sweep_pipeline(config)
+    # the sweep writes no train.csv; gen-data rebuilds the split from the config
+    run_gen_data(config)
     assert read_dataset_csv(config.out_dir / "train.csv").n_rows == config.shift.n_train
 
 
@@ -243,6 +245,44 @@ def test_gen_data_streams_the_bytes_of_whole_splits(tmp_path, monkeypatch):
         ref = tmp_path / f"ref_{path.name}"
         write_dataset_csv(generate(config.shift, path.stem), ref)
         assert path.read_bytes() == ref.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("shift_kw", [
+    {}, {"p_maj": None, "pi1": 0.9, "pi0": 0.3, "r_ts": (0.3, 0.7)},
+    {"p_maj": None, "k_groups": 3, "r_tr": (0.6, 0.3, 0.1)},
+], ids=["majority", "attribute", "kgroup"])
+def test_gen_data_rebuilds_the_splits_a_sweep_uses(tmp_path, shift_kw):
+    # A sweep writes no dataset CSV: gen-data on its config writes the
+    # training split it trained on and the pool its manifest counts.
+    config = tiny_config(tmp_path, **shift_kw)
+    run_sweep_pipeline(config)
+    assert not any((config.out_dir / f"{split}.csv").exists() for split in datagen.SPLITS)
+    run_gen_data(config)
+    for split in ("train", "ood_test"):
+        ref = tmp_path / f"ref_{split}.csv"
+        write_dataset_csv(generate(config.shift, split), ref)
+        assert (config.out_dir / f"{split}.csv").read_bytes() == ref.read_bytes(), split
+    pool = read_dataset_csv(config.out_dir / "ood_test.csv", split="ood_test")
+    labels, groups, _ = datagen.row_layout(config.shift, "ood_test")
+    assert pool.labels.tobytes() == labels.tobytes()
+    assert pool.groups.tobytes() == groups.tobytes()
+    counts = load_json(config.out_dir / "manifest.json")["ood_test_counts"]
+    assert counts == [[int(np.sum((pool.groups == g) & (pool.labels == y))) for y in (1, -1)]
+                      for g in range(config.shift.k_groups)]
+
+
+def test_sweep_after_gen_data_leaves_its_files_out_and_intact(tmp_path):
+    # gen-data and a sweep share one [output] dir.
+    config = tiny_config(tmp_path)
+    paths = run_gen_data(config)
+    written = {path.name: path.read_bytes() for path in paths}
+    run_sweep_pipeline(config)
+    assert {path.name: path.read_bytes() for path in paths} == written
+    assert not set(written) & set(load_json(config.out_dir / "manifest.json")["files"])
+    alone = replace(config, out_dir=tmp_path / "alone")
+    run_sweep_pipeline(alone)
+    assert ((config.out_dir / "manifest.json").read_bytes()
+            == (alone.out_dir / "manifest.json").read_bytes())
 
 
 def test_gen_data_writes_three_splits_and_spec(tmp_path):
@@ -352,6 +392,7 @@ def test_agreement_is_at_least_the_accuracy_bound(sweep_out):
     # Two models agree at least where both are right: a_ij >= acc_i + acc_j - 1.
     config, _ = sweep_out
     run_agreement_pipeline(config, n_pairs=300)
+    run_gen_data(config)  # the pool the sweep scored, rebuilt from its config
     d = config.out_dir
     labels = read_dataset_csv(d / "ood_test.csv", split="ood_test").labels
     acc = {mid: float(np.mean(evaluator.bits_to_predictions(bits) == labels))
@@ -463,6 +504,7 @@ def test_agreement_matches_per_pair_reference(sweep_out, tmp_path):
     # 150 pairs span two full chunks of 64 and a partial one.
     config, _ = sweep_out
     out = run_agreement_pipeline(config, n_pairs=150, pair_seed=17)
+    run_gen_data(config)  # the pool the sweep scored, rebuilt from its config
     d = config.out_dir
     ids = [r["model_id"] for r in evaluator.read_results_csv(d / "results.csv")]
     bits = evaluator.read_preds_csv(d / "preds.csv")

@@ -101,6 +101,12 @@ def test_normals_match_out_of_place_reference(n_draws):
         assert got.tobytes() == _normals_reference(streams, n_draws).tobytes()
 
 
+def test_row_streams_from_an_offset_are_a_slice_of_the_whole():
+    whole = row_streams(9, 0x4F4F, 1000)
+    for start, n in ((0, 1000), (1, 5), (512, 488), (999, 1), (300, 0)):
+        assert row_streams(9, 0x4F4F, n, start).tobytes() == whole[start:start + n].tobytes()
+
+
 def test_row_streams_distinct_across_seeds_and_scopes():
     a = row_streams(1, 0x5452, 100)
     b = row_streams(2, 0x5452, 100)
