@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import PROBIT_EPS_DEFAULT
-from .datagen import ShiftSpec, mixture_table, parse_spec_items
+from .datagen import ShiftSpec, format_sig, mixture_table, parse_spec_items
 from .errors import ConfigError, InfeasibleMarginalsError, InvalidSpecError
 from .rng import derive_stream
 from .trainer import FULL_BATCH, HyperParams, check_grid
@@ -118,11 +118,20 @@ class ExperimentConfig:
             values = list(self.series.values) if self.series else []
             if not np.all(np.isfinite(values)) or sorted(values) != values:
                 raise ConfigError(f"[series] values must be finite and ascending, got {values}")
+            tags = [_knob_tag(v) for v in values]
+            if len(set(tags)) != len(tags):
+                raise ConfigError("[series] values must differ in the 6 significant digits "
+                                  f"their output directories are named by, got {values}")
             for value in values:  # an empty list is left to the series command
                 label = f"[series] {self.series.knob}={value:g}:"
                 _spec_for_knob(self.shift, self.series.knob, value).validate()
         except (InvalidSpecError, InfeasibleMarginalsError) as exc:
             raise type(exc)(f"{label} {exc}") from exc
+
+
+def _knob_tag(value: float) -> str:
+    """The name a series value's output directory ends in, as in ``p_maj_0p7``."""
+    return format_sig(value, 6).replace(".", "p").replace("-", "m")
 
 
 def _spec_for_knob(spec: ShiftSpec, knob: str, value: float) -> ShiftSpec:
@@ -179,7 +188,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     parser = _parser()
     try:
         parser.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if "shift" not in parser:
         raise ConfigError(f"{path} is missing the [shift] section")

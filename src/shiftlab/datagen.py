@@ -368,111 +368,10 @@ def format_sig(x: float, digits: int = 12) -> str:
     return format(float(x), f".{digits}g")
 
 
-# Rows formatted per write: bounds the writer's scratch, allocated once per file
-# and reused (274 bytes a value, 2.7 MB at 152 columns; 128 of them are the
-# index array of 16 intp).  Smaller chunks also stay in cache.
+# Rows formatted per ``%`` and write.  Longer texts format slower: a 25k x 150
+# pool took 1.80 s at 64 rows, 1.83 s at 256 and 1.91 s at 1,024, and 16 rows
+# gained little (1.74 s; 2-vCPU host, median of 3).
 _CSV_CHUNK_ROWS = 64
-
-# "%.9g" of a nonzero value lays out its 9-digit mantissa by (sign, exponent,
-# significant digits).  Each layout is read off "%.9g" of the digits 123456789:
-# digit k there is byte k of "ddd\0ddd\0ddd\0", any other byte a _G9_CONST one.
-_G9_CONST = "\0\1,.-e+0123456789\0\0\0"
-_G9_POW10 = np.array([float(10 ** k) for k in range(23)])  # exact doubles
-_G9_TRIPLES = np.frombuffer("".join(f"{i:03d}\0" for i in range(1000)).encode(), np.uint32)
-_G9_TRAILING = sum(np.arange(1000) % 10 ** k == 0 for k in (1, 2, 3))  # zeros ending "ddd"
-_G9_AT = {c: 12 + i for i, c in enumerate(_G9_CONST)}
-_G9_DIGIT_AT = _G9_AT | {str(k + 1): k // 3 * 4 + k % 3 for k in range(9)}
-
-
-def _g9_layout(text: str) -> list[int]:
-    mantissa, e, exponent = text.partition("e")
-    constants = e + exponent + "\0" * (15 - len(text)) + ","
-    return [_G9_DIGIT_AT[c] for c in mantissa] + [_G9_AT[c] for c in constants]
-
-
-# Rows: (sign, x in [-14, 17], digits 1..9), then from _G9_ZERO on "0", "-0"
-# and the "\1" placeholder of a value that "%.9g" prints itself.
-_G9_ZERO = 2 * 32 * 9
-_G9_LAYOUTS = np.frombuffer(b"".join(
-    [bytes(_g9_layout("%.9g" % float(f"{sign}{'123456789'[:s]}e{x - s + 1}")))
-     for sign in ("", "-") for x in range(-14, 18) for s in range(1, 10)]
-    + [bytes(_g9_layout(t)) for t in ("0", "-0", "\1")]), np.uint8).reshape(-1, 16)
-
-
-class _G9Scratch:
-    """Arrays ``_g9_fields`` works in, for up to ``n`` values; reused from chunk
-    to chunk so a file's write maps its scratch once."""
-
-    def __init__(self, n: int):
-        self.values, self.a, self.t, self.q = (np.empty(n) for _ in range(4))
-        self.ok, self.no = np.empty(n, bool), np.empty(n, bool)
-        self.x, self.m, self.tz, self.g0, self.g1, self.g2 = (
-            np.empty(n, np.intp) for _ in range(6))
-        self.src = np.tile(np.frombuffer(b"\0" * 12 + _G9_CONST.encode(), np.uint32), (n, 1))
-        self.layouts = _G9_LAYOUTS.astype(np.intp)
-        self.index = np.empty((n, 16), np.intp)
-        self.offsets = np.arange(0, 32 * n, 32)[:, None]
-        self.fields = np.empty((n, 16), np.uint8)
-        self.nonzero = np.empty((n, 16), bool)
-
-
-def _g9_fields(v: np.ndarray, s: _G9Scratch | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Each value's "%.9g" text, NUL-padded to 15 bytes and a comma, and the
-    indexes of the values left to "%.9g" (their field is the "\\1" placeholder).
-
-    ``q = |v| * 10**(8 - x)`` takes one rounding by an exact power of ten, so
-    it is within 2**-24 of the exact product: in [1e8, 1e9) with a fraction
-    more than 2**-20 from one half, ``rint(q)`` is the mantissa "%.9g" rounds
-    to.  A wrong ``x`` from ``log10`` puts ``q`` out of that range.  The
-    fields are a view of ``s`` (new scratch when None).
-    """
-    n = len(v)
-    s = _G9Scratch(n) if s is None else s
-    a, t, q, ok, no = s.a[:n], s.t[:n], s.q[:n], s.ok[:n], s.no[:n]
-    x, m, tz, g0, g1, g2 = s.x[:n], s.m[:n], s.tz[:n], s.g0[:n], s.g1[:n], s.g2[:n]
-    np.abs(v, out=a)
-    np.greater_equal(a, 1e-14, out=ok)
-    ok &= np.less(a, 1e17, out=no)  # false for nan and inf
-    a[np.logical_not(ok, out=no)] = 1.0
-    np.floor(np.log10(a, out=t), out=t)
-    np.clip(t, -14, 16, out=x, casting="unsafe")
-    np.take(_G9_POW10, np.clip(np.subtract(8, x, out=m), 0, 22, out=m), out=q, mode="clip")
-    q *= a
-    big = np.flatnonzero(x > 8)
-    q[big] = a[big] / _G9_POW10[x[big] - 8]
-    ok &= np.greater_equal(q, 1e8, out=no)
-    ok &= np.less(q, 1e9, out=no)
-    np.subtract(q, np.floor(q, out=t), out=t)
-    t -= 0.5
-    ok &= np.greater(np.abs(t, out=t), 2.0 ** -20, out=no)
-    np.rint(q, out=t)
-    t[np.logical_not(ok, out=no)] = 1e8
-    np.copyto(m, t, casting="unsafe")
-    carry = np.equal(m, 1_000_000_000, out=no)
-    m[carry] = 100_000_000
-    x += carry
-    np.floor_divide(m, 1_000_000, out=g0)
-    np.remainder(np.floor_divide(m, 1000, out=g1), 1000, out=g1)
-    np.remainder(m, 1000, out=g2)
-    src = s.src[:n]
-    for j, g in enumerate((g0, g1, g2)):
-        src[:, j] = _G9_TRIPLES.take(g)
-    np.take(_G9_TRAILING, g2, out=tz, mode="clip")
-    low0 = np.flatnonzero(g2 == 0)  # few values but integral ones
-    mid, top = g1[low0], g0[low0]
-    tz[low0] += _G9_TRAILING.take(mid) + (mid == 0) * _G9_TRAILING.take(top)
-    key = np.multiply(np.signbit(v, out=no), 32, out=m)
-    key += x
-    key += 14
-    key *= 9
-    key += 8
-    key -= tz
-    bad = np.flatnonzero(np.logical_not(ok, out=no))
-    key[bad] = np.where(v[bad] == 0, _G9_ZERO + np.signbit(v[bad]), _G9_ZERO + 2)
-    index = np.take(s.layouts, key, axis=0, out=s.index[:n], mode="clip")
-    index += s.offsets[:n]
-    fields = np.take(src.view(np.uint8).ravel(), index, out=s.fields[:n], mode="clip")
-    return fields, np.flatnonzero(key == _G9_ZERO + 2)
 
 
 def write_dataset_csv(dataset: Dataset | Iterable[Dataset], path: str | Path) -> None:
@@ -481,45 +380,31 @@ def write_dataset_csv(dataset: Dataset | Iterable[Dataset], path: str | Path) ->
     ``dataset`` is one Dataset or consecutive blocks of one, as
     ``generate_blocks`` yields them; the bytes are the same either way.
     Every field is ``"%.9g" % v`` (labels and groups print as ``%d`` would),
-    ``_CSV_CHUNK_ROWS`` rows at a time, and one scratch serves every chunk of
-    every block.  ``_g9_fields`` lays out zeros and each value whose rounding
-    it can prove: finite, in [1e-14, 1e17), no near-tie in the 9th digit.
-    The rest (ties, nan, inf, subnormals) go through ``"%.9g" % v`` itself,
-    so the bytes equal ``%``'s.  The text round-trips exactly:
-    ``read_dataset_csv`` returns the doubles it denotes.
+    formatted ``_CSV_CHUNK_ROWS`` rows at a time by one ``%`` over a repeated
+    row format, as ``trainer.write_model_store`` does.  The text round-trips
+    exactly: ``read_dataset_csv`` returns the doubles it denotes.
     """
     blocks = [dataset] if isinstance(dataset, Dataset) else dataset
-    s = None
-    with open(path, "wb") as fh:
+    line = None
+    with open(path, "w", newline="") as fh:
         for block in blocks:
-            width = block.n_features + 2
-            if s is None:
-                fh.write(("y,z," + ",".join(f"x{j}" for j in range(width - 2)) + "\n").encode())
-                s = _G9Scratch(_CSV_CHUNK_ROWS * width)
+            if line is None:
+                fh.write("y,z," + ",".join(f"x{j}" for j in range(block.n_features)) + "\n")
+                line = "%.9g," * (block.n_features + 1) + "%.9g\n"
             for start in range(0, block.n_rows, _CSV_CHUNK_ROWS):
                 sl = slice(start, start + _CSV_CHUNK_ROWS)
-                rows = s.values[:block.labels[sl].shape[0] * width].reshape(-1, width)
-                rows[:, 0], rows[:, 1] = block.labels[sl], block.groups[sl]
-                rows[:, 2:] = block.features[sl]
-                values = rows.ravel()
-                fields, fallback = _g9_fields(values, s)
-                fields.reshape(-1, width * 16)[:, -1] = ord("\n")
-                text = fields[np.not_equal(fields, 0, out=s.nonzero[:values.size])]
-                if fallback.size:
-                    exact = [("%.9g" % v).encode() for v in values[fallback].tolist()]
-                    text = b"".join(p + e for p, e in
-                                    zip(text.tobytes().split(b"\1"), exact + [b""]))
-                fh.write(text)
+                rows = np.column_stack((block.labels[sl], block.groups[sl], block.features[sl]))
+                fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
 
 
 def read_dataset_csv(path: str | Path, split: str = "train") -> Dataset:
     """Parse a ``write_dataset_csv`` file back into a Dataset.
 
     Each feature is the double its ``%.9g`` text denotes, so the round trip is
-    exact; the features are a read-only view of the parsed block.  A bad
-    header, a blank line, a ragged row, a non-numeric field, a non-integer
-    label or group, a label outside {-1, +1} or a negative group raises
-    InvalidSpecError naming ``path``.
+    exact; the features are a read-only view of the parsed block.  Bytes that
+    are not UTF-8, a bad header, a blank line, a ragged row, a non-numeric
+    field, a non-integer label or group, a label outside {-1, +1} or a
+    negative group raises InvalidSpecError naming ``path``.
     """
     def rows(fh):
         # np.loadtxt skips blank lines; a dataset file has none.
@@ -529,13 +414,13 @@ def read_dataset_csv(path: str | Path, split: str = "train") -> Dataset:
             yield line
 
     with open(path) as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if header[:2] != ["y", "z"]:
-            raise InvalidSpecError(f"unexpected dataset header in {path}")
-        body_start = fh.tell()
-        empty = not fh.readline()
-        fh.seek(body_start)
-        try:
+        try:  # ValueError: a non-numeric field, or bytes that are not UTF-8
+            header = fh.readline().rstrip("\n").split(",")
+            if header[:2] != ["y", "z"]:
+                raise InvalidSpecError(f"unexpected dataset header in {path}")
+            body_start = fh.tell()
+            empty = not fh.readline()
+            fh.seek(body_start)
             body = (np.empty((0, len(header))) if empty
                     else np.loadtxt(rows(fh), delimiter=",", comments=None, ndmin=2))
         except ValueError as exc:

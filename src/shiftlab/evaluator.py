@@ -301,13 +301,16 @@ def write_results_csv(records: list[tuple[ModelRecord, EvalRecord]],
 
 def read_results_csv(path: str | Path, columns: tuple[str, ...] = ()) -> list[dict[str, str]]:
     """Rows of a results.csv; InvalidSpecError naming ``path`` if its header
-    lacks one of ``columns``."""
+    lacks one of ``columns`` or the file is not UTF-8 text."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise InvalidSpecError(f"{path} has no {missing[0]!r} column")
-        return list(reader)
+        try:
+            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            if missing:
+                raise InvalidSpecError(f"{path} has no {missing[0]!r} column")
+            return list(reader)
+        except UnicodeDecodeError as exc:
+            raise InvalidSpecError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def predictions_bits(preds: np.ndarray) -> str:

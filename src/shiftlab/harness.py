@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, datagen, evaluator, svg, trainer
-from .config import AnalysisOptions, ExperimentConfig, SeriesSpec, _spec_for_knob
+from .config import AnalysisOptions, ExperimentConfig, SeriesSpec, _knob_tag, _spec_for_knob
 from .datagen import ShiftSpec, format_sig
 from .errors import ConfigError, InvalidSpecError, MissingInputsError
 from .rng import derive_stream
@@ -204,10 +204,6 @@ def _write_model_store_atomic(records, out_dir: Path) -> None:
 # ---------------------------------------------------------------------------
 # Knob series
 # ---------------------------------------------------------------------------
-
-def _knob_tag(value: float) -> str:
-    return format_sig(value, 6).replace(".", "p").replace("-", "m")
-
 
 def run_spurious_series(config: ExperimentConfig, knob: str,
                         values: list[float]) -> dict:

@@ -120,12 +120,17 @@ def test_theory_subcommand(tmp_path):
     assert summary["verdict"] == "consistent"
 
 
-def test_exit_code_1_config(tmp_path):
+def test_exit_code_1_config(tmp_path, capsys):
     assert main(["sweep", "--config", str(tmp_path / "missing.ini")]) == 1
     bad = tmp_path / "bad.ini"
     bad.write_text("[shift]\nd_core=0\nd_spu=1\nsigma_core=1\nsigma_spu=1\n"
                    "n_train=10\np_maj=0.5\n")
     assert main(["sweep", "--config", str(bad)]) == 1
+    capsys.readouterr()
+    bad.write_bytes(b"\xff[shift]\nd_core=1\n")
+    assert main(["sweep", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot parse") and "Traceback" not in err
 
 
 def test_empty_grid_is_config_error(tmp_path, capsys):
@@ -219,7 +224,7 @@ def test_bad_agreement_override_is_config_error(tmp_path, capsys, flag):
     assert not (out_dir / "agreement.csv").exists()
 
 
-@pytest.mark.parametrize("values", ["0.7,1.5", "0.9,0.7", "0.7,nan"])
+@pytest.mark.parametrize("values", ["0.7,1.5", "0.9,0.7", "0.7,nan", "0.7,0.7", "0.7,0.7000001"])
 def test_bad_series_section_fails_every_command_at_load(tmp_path, capsys, values):
     body = TINY_SHIFT + f"\n[series]\nknob=p_maj\nvalues={values}\n"
     cfg, out_dir = make_config(tmp_path, body)
@@ -559,21 +564,28 @@ def _short_row(header, row):
     return header, ",".join(row.split(",")[:6])  # no accuracy fields
 
 
+def _non_utf8(header, row):
+    return header, row + "\xff"  # written as the byte 0xff
+
+
 @pytest.mark.parametrize("command,fault", [
     ("analyze", _renamed("group_acc_0")),
     ("plot", _renamed("group_acc_0")),
     ("analyze", _non_numeric),
     ("plot", _non_numeric),
     ("analyze", _short_row),
+    ("analyze", _non_utf8),
+    ("plot", _non_utf8),
 ], ids=["analyze-no-group_acc_0", "plot-no-group_acc_0",
-        "analyze-non-numeric", "plot-non-numeric", "analyze-short-row"])
+        "analyze-non-numeric", "plot-non-numeric", "analyze-short-row",
+        "analyze-non-utf8", "plot-non-utf8"])
 def test_malformed_results_csv_is_generation_error(tmp_path, capsys, command, fault):
     cfg, out_dir = make_config(tmp_path)
     assert main(["sweep", "--config", str(cfg)]) == 0
     results = out_dir / "results.csv"
     header, first, *rest = results.read_text().splitlines()
     header, first = fault(header, first)
-    results.write_text("\n".join([header, first, *rest]) + "\n")
+    results.write_bytes(("\n".join([header, first, *rest]) + "\n").encode("latin-1"))
     capsys.readouterr()
     assert main([command, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err

@@ -1,5 +1,4 @@
 from dataclasses import replace
-from decimal import Decimal
 from fractions import Fraction
 import tracemalloc
 from itertools import product
@@ -591,31 +590,6 @@ def test_writer_exact_on_random_draws(tmp_path):
     log_uniform = np.exp(rng.uniform(np.log(1e-16), np.log(1e19), 500_000))
     log_uniform *= rng.choice([-1.0, 1.0], size=log_uniform.size)
     _assert_values_match_format(tmp_path, np.concatenate([normal, log_uniform]), n_cols=125)
-    # The fast path carries the draws: only 9th-digit near-ties fall back.
-    assert datagen._g9_fields(normal)[1].size < 1e-5 * normal.size
-
-
-def _is_ninth_digit_near_tie(v: float) -> bool:
-    """True when the exact ``|v| * 10**(8 - x)`` is within 2**-20 + 2**-24
-    (the fast path's window plus its rounding) of a half-integer."""
-    q = abs(Fraction(v)) * Fraction(10) ** (8 - Decimal(v).adjusted())
-    return abs(q - int(q) - Fraction(1, 2)) <= Fraction(1, 2 ** 20) + Fraction(1, 2 ** 24)
-
-
-@pytest.mark.parametrize("split", ["train", "ood_test"])
-def test_fast_path_carries_generated_data(split):
-    # The acceptance BASE_SHIFT (tests/test_acceptance.py).
-    spec = majority_spec(master_seed=2)
-    ds = generate(spec, split)
-    fallback = []
-    for start in range(0, ds.n_rows, datagen._CSV_CHUNK_ROWS):
-        sl = slice(start, start + datagen._CSV_CHUNK_ROWS)
-        values = np.column_stack((ds.labels[sl], ds.groups[sl], ds.features[sl])).ravel()
-        fallback += values[datagen._g9_fields(values)[1]].tolist()
-    # Every value the kernel leaves to "%.9g" is a true near-tie in its 9th
-    # digit (about one value in 2**19 is), never a range or log10 miss.
-    assert all(_is_ninth_digit_near_tie(v) for v in fallback)
-    assert len(fallback) <= 1e-5 * ds.features.size
 
 
 @settings(max_examples=200, deadline=None)
@@ -657,8 +631,8 @@ def test_malformed_dataset_csv_names_path(tmp_path, body):
     path.write_text("y,z,x0,x1\n" + body)
     with pytest.raises(InvalidSpecError, match="bad.csv"):
         read_dataset_csv(path)
-    for header in ("", "x,y,x0,x1\n"):
-        path.write_text(header)
+    for text in ("", "x,y,x0,x1\n", "y,z,x0,x1\n\xff,0,0.5,0.25\n"):
+        path.write_bytes(text.encode("latin-1"))  # "\xff" as the byte 0xff
         with pytest.raises(InvalidSpecError, match="bad.csv"):
             read_dataset_csv(path)
 
