@@ -434,7 +434,3 @@ def dump_json(obj: dict, path: str | Path) -> None:
 
 def load_json(path: str | Path) -> dict:
     return json.loads(Path(path).read_text())
-
-
-def write_report(report: CurveReport, path: str | Path) -> None:
-    dump_json(report.to_dict(), path)

@@ -123,7 +123,7 @@ def _cmd_analyze(args) -> int:
     _, report = _results_fit(config, args)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     harness._atomic(config.out_dir / "report.json",
-                    lambda p: analysis.write_report(report, p))
+                    lambda p: analysis.dump_json(report.to_dict(), p))
     print(config.out_dir / "report.json")
     return 0
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import PROBIT_EPS_DEFAULT
-from .datagen import ShiftSpec, format_sig, mixture_table, parse_spec_items
+from .datagen import ShiftSpec, format_sig, mixture_table
 from .errors import ConfigError, InfeasibleMarginalsError, InvalidSpecError
 from .rng import derive_stream
 from .trainer import FULL_BATCH, HyperParams, check_grid
@@ -112,6 +112,10 @@ class ExperimentConfig:
         label = "[shift]"
         try:
             self.shift.validate()
+            for g, cell in enumerate(self.shift.group_label_counts("ood_test")):
+                if sum(cell) == 0:
+                    raise InvalidSpecError(f"group {g} gets no rows of the OOD pool "
+                                           f"(n_ood_test={self.shift.n_ood_test})")
             label = "[grid]"
             check_grid(self.grid.build(self.shift.master_seed))
             self.analysis.validate()
@@ -157,14 +161,14 @@ def _listed(parse):
     return lambda raw: tuple(parse(v.strip()) for v in raw.split(",") if v.strip())
 
 
-parse_floats = _listed(float)  # [grid] float lists, [series] values and series --values
+parse_floats = _listed(float)  # weight and [grid] float lists, [series] values and --values
 
-
-def _parser() -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
-                                       comment_prefixes=("#",))
-    parser.optionxform = str  # keep key case
-    return parser
+_SHIFT_READERS = {
+    **dict.fromkeys(("d_core", "d_spu", "n_train", "n_id_test", "n_ood_test", "k_groups",
+                     "master_seed"), int),
+    **dict.fromkeys(("sigma_core", "sigma_spu", "p_maj", "pi1", "pi0", "p_y1"), float),
+    "r_tr": parse_floats, "r_ts": parse_floats,
+}
 
 
 def _read_section(parser: configparser.ConfigParser, name: str, path: Path,
@@ -185,7 +189,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    parser = _parser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), comment_prefixes=("#",))
+    parser.optionxform = str  # keep key case
     try:
         parser.read(path)
     except (configparser.Error, UnicodeDecodeError) as exc:
@@ -194,8 +199,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"{path} is missing the [shift] section")
 
     try:
-        spec = parse_spec_items(dict(parser["shift"]))
-    except (InvalidSpecError, ValueError, TypeError) as exc:  # TypeError: a missing key
+        spec = ShiftSpec(**_read_section(parser, "shift", path, _SHIFT_READERS))
+    except TypeError as exc:  # a missing key
         raise ConfigError(f"bad [shift] {exc} (in {path})") from exc
 
     grid = GridSpec(**_read_section(parser, "grid", path, {

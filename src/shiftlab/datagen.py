@@ -30,7 +30,7 @@ deterministic and order-independent.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -368,6 +368,13 @@ def format_sig(x: float, digits: int = 12) -> str:
     return format(float(x), f".{digits}g")
 
 
+def check_unquoted(ids: Iterable[str], path: str | Path) -> None:
+    """InvalidSpecError on the first ID ``csv.writer`` would quote (``,``, ``"``, CR, LF)."""
+    for mid in ids:
+        if "," in mid or '"' in mid or "\r" in mid or "\n" in mid:
+            raise InvalidSpecError(f"model ID {mid!r} cannot be written to {path} unquoted")
+
+
 # Rows formatted per ``%`` and write.  Longer texts format slower: a 25k x 150
 # pool took 1.80 s at 64 rows, 1.83 s at 256 and 1.91 s at 1,024, and 16 rows
 # gained little (1.74 s; 2-vCPU host, median of 3).
@@ -440,42 +447,16 @@ def read_dataset_csv(path: str | Path, split: str = "train") -> Dataset:
                    split=split, k_groups=max(k, 2))
 
 
-_SPEC_INT_FIELDS = {"d_core", "d_spu", "n_train", "n_id_test", "n_ood_test",
-                    "k_groups", "master_seed"}
-_SPEC_FLOAT_FIELDS = {"sigma_core", "sigma_spu", "p_maj", "pi1", "pi0", "p_y1"}
-_SPEC_WEIGHT_FIELDS = {"r_tr", "r_ts"}
-
-
 def write_spec_file(spec: ShiftSpec, path: str | Path) -> None:
-    """``key=value`` lines, floats at 12 digits: a record the package does not read back."""
+    """Sorted ``key=value`` lines of the fields that are set, floats at 12
+    digits: a ``[shift]`` section body, which ``config.load_config`` reads."""
     lines = []
-    for name in (*_SPEC_INT_FIELDS, *_SPEC_FLOAT_FIELDS, *_SPEC_WEIGHT_FIELDS):
-        value = getattr(spec, name)
-        if value is None:
-            continue
-        if name in _SPEC_WEIGHT_FIELDS:
-            rendered = ",".join(format_sig(v) for v in value)
-        elif name in _SPEC_INT_FIELDS:
-            rendered = str(int(value))
-        else:
-            rendered = format_sig(value)
-        lines.append(f"{name}={rendered}")
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, tuple):
+            value = ",".join(format_sig(v) for v in value)
+        elif isinstance(value, float):
+            value = format_sig(value)
+        if value is not None:
+            lines.append(f"{f.name}={value}")
     Path(path).write_text("\n".join(sorted(lines)) + "\n")
-
-
-def parse_spec_items(items: dict[str, str]) -> ShiftSpec:
-    """Build a ShiftSpec from raw key/value strings (file or config section)."""
-    kwargs = {}
-    for key, raw in items.items():
-        raw = raw.strip()
-        if key in _SPEC_INT_FIELDS:
-            kwargs[key] = int(raw)
-        elif key in _SPEC_FLOAT_FIELDS:
-            kwargs[key] = float(raw)
-        elif key in _SPEC_WEIGHT_FIELDS:
-            kwargs[key] = tuple(float(v) for v in raw.split(","))
-        else:
-            raise InvalidSpecError(f"unknown spec key {key!r}")
-    spec = ShiftSpec(**kwargs)
-    spec.validate()
-    return spec

@@ -36,9 +36,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import Dataset, format_sig
+from .datagen import Dataset, check_unquoted, format_sig
 from .errors import DimensionMismatchError, EmptyGroupError, InvalidSpecError
-from .trainer import FULL_BATCH, ModelRecord
+from .trainer import ModelRecord
 
 
 @dataclass(frozen=True)
@@ -269,34 +269,25 @@ def model_mixture(model_a: ModelRecord, model_b: ModelRecord, p: float,
 # Results / predictions files
 # ---------------------------------------------------------------------------
 
-def results_header(k_groups: int) -> list[str]:
-    return (["model_id", "epoch", "lr", "l2", "batch_size", "seed"]
-            + [f"group_acc_{g}" for g in range(k_groups)]
-            + [f"tpr_{g}" for g in range(k_groups)]
-            + [f"tnr_{g}" for g in range(k_groups)]
-            + ["id_acc", "ood_acc"])
-
-
 def write_results_csv(records: list[tuple[ModelRecord, EvalRecord]],
                       path: str | Path) -> None:
+    """One row per (model, evaluation) pair, in one write, every float at
+    ``%.12g``; InvalidSpecError on a model ID ``csv.writer`` would quote."""
     if not records:
         raise InvalidSpecError("no evaluation records to write")
+    check_unquoted((ev.model_id for _, ev in records), path)
     k = records[0][1].k_groups
+    header = ["model_id", "epoch", "lr", "l2", "batch_size", "seed",
+              *(f"{name}_{g}" for name in ("group_acc", "tpr", "tnr") for g in range(k)),
+              "id_acc", "ood_acc"]
+    values = tuple(v for model, ev in records for v in (
+        ev.model_id, model.epoch, model.hyperparams.learning_rate, model.hyperparams.l2,
+        model.hyperparams.batch_size, model.hyperparams.seed,
+        *ev.group_acc, *ev.tpr, *ev.tnr, ev.id_acc, ev.ood_acc))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(results_header(k))
-        for model, ev in records:
-            hp = model.hyperparams
-            writer.writerow(
-                [ev.model_id, model.epoch,
-                 format_sig(hp.learning_rate) if hp else "",
-                 format_sig(hp.l2) if hp else "",
-                 (hp.batch_size if hp.batch_size == FULL_BATCH else str(hp.batch_size)) if hp else "",
-                 hp.seed if hp else ""]
-                + [format_sig(v) for v in ev.group_acc]
-                + [format_sig(v) for v in ev.tpr]
-                + [format_sig(v) for v in ev.tnr]
-                + [format_sig(ev.id_acc), format_sig(ev.ood_acc)])
+        fh.write(",".join(header) + "\n"
+                 + ("%s,%s,%.12g,%.12g,%s,%s" + ",%.12g" * (3 * k + 2) + "\n")
+                 * len(records) % values)
 
 
 def read_results_csv(path: str | Path, columns: tuple[str, ...] = ()) -> list[dict[str, str]]:
@@ -327,11 +318,8 @@ def write_preds_csv(rows: list[tuple[str, np.ndarray]], n_rows: int,
     """``model_id,bits`` lines, as ``csv.writer`` would write them, one write
     per row: each row's first ``n_rows`` packed bits (``evaluate_snapshots``'
     rows) spelled as '1' for +1 and '0' for -1, expanded one row at a time.
-    A model ID that ``csv.writer`` would quote (one holding ``,``, ``"``, CR
-    or LF) raises InvalidSpecError instead."""
-    for mid, _ in rows:
-        if any(c in mid for c in ',"\r\n'):
-            raise InvalidSpecError(f"model ID {mid!r} cannot be written to {path} unquoted")
+    A model ID that ``csv.writer`` would quote raises InvalidSpecError instead."""
+    check_unquoted((mid for mid, _ in rows), path)
     with open(path, "w", newline="") as fh:
         fh.write("model_id,bits\n")
         for mid, packed in rows:
@@ -377,8 +365,9 @@ def read_preds_matrix(path: str | Path, n_rows: int) -> tuple[list[str], np.ndar
 
 
 def write_agreement_csv(records: list[AgreementRecord], path: str | Path) -> None:
+    """One row per pair, in one write, the agreement at ``%.12g``;
+    InvalidSpecError on a model ID ``csv.writer`` would quote."""
+    check_unquoted((mid for r in records for mid in (r.model_a, r.model_b)), path)
+    values = tuple(v for r in records for v in (r.model_a, r.model_b, r.agreement))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model_a", "model_b", "agreement"])
-        for r in records:
-            writer.writerow([r.model_a, r.model_b, format_sig(r.agreement)])
+        fh.write("model_a,model_b,agreement\n" + "%s,%s,%.12g\n" * len(records) % values)

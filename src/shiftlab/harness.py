@@ -7,9 +7,10 @@ exists whole and its predictions are kept as one bit per row and distinct
 snapshot, counted once the pass ends.  A sweep writes only what its config
 alone cannot rebuild: both splits are functions of the ``[shift]`` section,
 and ``gen-data`` writes them.
-Every file is written through a temp-name-plus-rename step from a single
-place, so an interrupted run never leaves truncated artifacts behind and
-reruns with the same configuration overwrite each file with identical bytes.
+Every file is written by its format's one writer, path last, through
+``_atomic``'s temp-name-plus-rename step, so an interrupted run never leaves
+truncated artifacts behind and reruns with the same configuration overwrite
+each file with identical bytes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import analysis, datagen, evaluator, svg, trainer
 from .config import AnalysisOptions, ExperimentConfig, SeriesSpec, _knob_tag, _spec_for_knob
-from .datagen import ShiftSpec, format_sig
+from .datagen import ShiftSpec
 from .errors import ConfigError, InvalidSpecError, MissingInputsError
 from .rng import derive_stream
 
@@ -53,6 +54,7 @@ def _atomic(path: Path, writer) -> None:
 
 
 def _atomic_text(path: Path, text: str) -> None:
+    """Unused by the pipelines; kept while ``perfbench/spans.py`` traces it."""
     _atomic(path, lambda p: p.write_text(text))
 
 
@@ -144,8 +146,7 @@ def write_moon_svg(out_dir: Path, points: np.ndarray, report: analysis.CurveRepo
                 for label, ys, color in fits]
     style = svg.PlotStyle(title=f"model sweep ({len(points)} snapshots)")
     path = out_dir / "moon.svg"
-    _atomic(path, lambda p: svg.emit_plot([tuple(pt) for pt in points.tolist()],
-                                          overlays, style, p))
+    _atomic(path, lambda p: svg.emit_plot(points.tolist(), overlays, style, p))
     return path
 
 
@@ -174,15 +175,12 @@ def run_sweep_pipeline(config: ExperimentConfig) -> SweepOutputs:
             lambda p: evaluator.write_results_csv(list(zip(result.records, evals)), p))
     _atomic(out_dir / "preds.csv",
             lambda p: evaluator.write_preds_csv(pred_rows, spec.n_ood_test, p))
-    _atomic(out_dir / "report.json", lambda p: analysis.write_report(report, p))
+    _atomic(out_dir / "report.json", lambda p: analysis.dump_json(report.to_dict(), p))
     write_moon_svg(out_dir, points, report)
     written = [name for name in SWEEP_ARTIFACTS if name != "manifest.json"]
     if result.failures:
-        lines = ["cell,lr,l2,batch_size,seed,error"]
-        for cell, hp, msg in result.failures:
-            lines.append(f"{cell},{format_sig(hp.learning_rate)},{format_sig(hp.l2)},"
-                         f"{hp.batch_size},{hp.seed},{msg}")
-        _atomic_text(out_dir / "failures.csv", "\n".join(lines) + "\n")
+        _atomic(out_dir / "failures.csv",
+                lambda p: trainer.write_failures_csv(result.failures, p))
         written.append("failures.csv")
     else:
         # A previous run's failures.csv names cells this run did not fail.
@@ -394,10 +392,9 @@ def run_agreement_pipeline(config: ExperimentConfig, n_pairs: int | None = None,
 
     style = svg.PlotStyle(title="accuracy vs agreement", x_label="ID value",
                           y_label="OOD value", point_color="#1f77b4")
-    content = svg.render_scatter([tuple(p) for p in acc_points.tolist()], overlays, style,
-                                 extra_groups=[([tuple(p) for p in agr_points.tolist()],
-                                                "#d62728", "agreement pairs")])
-    _atomic_text(out_dir / "agreement_overlay.svg", content)
+    _atomic(out_dir / "agreement_overlay.svg", lambda p: svg.emit_plot(
+        acc_points.tolist(), overlays, style, p,
+        extra_groups=[(agr_points.tolist(), "#d62728", "agreement pairs")]))
     _atomic(out_dir / "agreement_report.json", lambda p: analysis.dump_json(verdict, p))
 
     return AgreementOutputs(verdict=verdict, accuracy_points=acc_points, agreement_points=agr_points)

@@ -122,5 +122,6 @@ def render_scatter(points: list[tuple[float, float]],
 
 
 def emit_plot(points: list[tuple[float, float]], overlays: list[Overlay] | None,
-              style: PlotStyle | None, path: str | Path) -> None:
-    Path(path).write_text(render_scatter(points, overlays, style))
+              style: PlotStyle | None, path: str | Path, *, extra_groups=None) -> None:
+    """``render_scatter``'s text written to ``path``."""
+    Path(path).write_text(render_scatter(points, overlays, style, extra_groups))

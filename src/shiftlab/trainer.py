@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import Dataset, ShiftSpec
+from .datagen import Dataset, ShiftSpec, check_unquoted
 from .errors import DimensionMismatchError, DivergenceError, InvalidSpecError
 from .rng import derive_stream
 
@@ -312,10 +312,7 @@ def write_model_store(records: list[ModelRecord], models_path: str | Path,
     weights) one record at a time, so no whole-file copy of the weights is
     made; every float at ``format_sig``'s 12 digits (``%.12g``).  A model ID
     that ``csv.writer`` would quote raises InvalidSpecError."""
-    for r in records:
-        if any(c in r.model_id for c in ',"\r\n'):
-            raise InvalidSpecError(f"model ID {r.model_id!r} cannot be written to "
-                                   f"{models_path} unquoted")
+    check_unquoted((r.model_id for r in records), models_path)
     models = tuple(v for r in records for v in (
         r.model_id, r.hyperparams.learning_rate, r.hyperparams.l2, r.hyperparams.batch_size,
         r.epoch, r.hyperparams.seed, r.train_loss))
@@ -328,6 +325,15 @@ def write_model_store(records: list[ModelRecord], models_path: str | Path,
         fh.write(",".join(["model_id", "b"] + [f"w{j}" for j in range(d)]) + "\n")
         for r in records:
             fh.write(line % (r.model_id, r.bias, *r.weights.tolist()))
+
+
+def write_failures_csv(failures: list[tuple[str, HyperParams, str]], path: str | Path) -> None:
+    """One row per ``SweepResult.failures`` entry, in one write, rates at ``%.12g``."""
+    values = tuple(v for cell, hp, msg in failures
+                   for v in (cell, hp.learning_rate, hp.l2, hp.batch_size, hp.seed, msg))
+    with open(path, "w", newline="") as fh:
+        fh.write("cell,lr,l2,batch_size,seed,error\n"
+                 + "%s,%.12g,%.12g,%s,%s,%s\n" * len(failures) % values)
 
 
 def read_model_store(models_path: str | Path, weights_path: str | Path) -> list[ModelRecord]:

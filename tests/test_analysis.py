@@ -7,7 +7,7 @@ from scipy.interpolate import make_smoothing_spline
 from scipy.linalg import solveh_banded
 
 from shiftlab.analysis import (GCV_GRID, SmoothingSpline, _probit_clamped, dump_json,
-                               fit_curves, load_json, probit, write_report)
+                               fit_curves, load_json, probit)
 from shiftlab.errors import AnalysisError
 
 
@@ -347,7 +347,7 @@ def test_report_json_round_trip(tmp_path):
     minority = 0.8 - (maj - 0.7) ** 2 + 0.01 * rng.standard_normal(50)
     rep = fit_curves(np.column_stack([maj, minority]))
     p1 = tmp_path / "report.json"
-    write_report(rep, p1)
+    dump_json(rep.to_dict(), p1)
     data = load_json(p1)
     assert data["n_points"] == 50
     assert set(data["linear_fit"]) == {"slope", "intercept", "r2"}

@@ -204,12 +204,22 @@ def test_non_finite_margin_fails_at_load(tmp_path, capsys, margin):
 
 @pytest.mark.parametrize("old,new", [
     ("sigma_core=3", "sigma_core=nan"), ("sigma_core=3", "sigma_core=inf"),
-    ("sigma_spu=1", "sigma_spu=nan"),
+    ("sigma_spu=1", "sigma_spu=nan"), ("n_ood_test=800", "n_ood_test=1"),
 ])
 def test_non_finite_noise_scale_fails_at_load(tmp_path, capsys, old, new):
     cfg, out_dir = make_config(tmp_path, TINY_SHIFT.replace(old, new))
     assert main(["sweep", "--config", str(cfg)]) == 1
     assert "config error: bad [shift]" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_empty_ood_group_fails_every_command_at_load(tmp_path, capsys):
+    body = TINY_SHIFT.replace("p_maj=0.9", "k_groups=3\nr_tr=0.5,0.3,0.2\nr_ts=0.5,0.5,0")
+    cfg, out_dir = make_config(tmp_path, body)
+    for command in ("gen-data", "sweep", "series", "agreement", "analyze", "plot"):
+        assert main([command, "--config", str(cfg)]) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad [shift] group 2 gets no rows of the OOD pool")
     assert not out_dir.exists()
 
 
@@ -316,20 +326,21 @@ def test_any_shift_or_series_value_fails_at_load_or_runs(tmp_path_factory, data)
     assert code != 1 or not out_dir.exists()
 
 
-def _write_half_then_fail(*args):
+def _write_half_then_fail(*args, **kwargs):
     with open(args[-1], "w") as fh:  # every patched writer takes the path last
         fh.write("partial")
     raise OSError("disk full")
 
 
 @pytest.mark.parametrize("command,patch,outputs", [
-    (["analyze"], (analysis, "write_report"), ["report.json"]),
+    (["analyze"], (analysis, "dump_json"), ["report.json"]),
     (["plot"], (svg, "emit_plot"), ["moon.svg"]),
     (["theory", "--mc-samples", "10000"], (theory, "write_traversal_csv"),
      ["roc_traversal.csv", "theory_summary.json"]),
     (["theory", "--mc-samples", "10000"], (analysis, "dump_json"),
      ["roc_traversal.csv", "theory_summary.json"]),
     (["sweep"], (trainer, "write_model_store"), ["models.csv", "weights.csv", "manifest.json"]),
+    (["agreement"], (svg, "emit_plot"), ["agreement_overlay.svg", "agreement_report.json"]),
 ])
 def test_failed_writer_leaves_no_partial_file(tmp_path, monkeypatch, command, patch,
                                               outputs):

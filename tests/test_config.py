@@ -161,8 +161,17 @@ def test_unknown_keys_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_config(path)
     path.write_text(GOOD_CONFIG.replace("master_seed=42", "master_seed=42\nbogus_key=1"))
-    with pytest.raises(ConfigError, match="unknown spec key 'bogus_key'"):
+    with pytest.raises(ConfigError, match=r"unknown \[shift\] key 'bogus_key'"):
         load_config(path)
+
+
+def test_shift_values_are_read_as_in_every_section(tmp_path):
+    path = tmp_path / "c.ini"
+    path.write_text(GOOD_CONFIG.replace("d_core=100", "d_core=1e2"))
+    with pytest.raises(ConfigError, match=r"bad \[shift\] value for 'd_core'"):
+        load_config(path)
+    path.write_text(GOOD_CONFIG.replace("master_seed=42", "master_seed=42\nr_ts=0.25,0.75,"))
+    assert load_config(path).shift.r_ts == (0.25, 0.75)
 
 
 @pytest.mark.parametrize("section", [

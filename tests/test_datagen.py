@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 
 from shiftlab import datagen
+from shiftlab.config import load_config
 from shiftlab.datagen import (SPLITS, Dataset, ShiftSpec, generate, generate_blocks,
-                              mixture_table, parse_spec_items, read_dataset_csv,
-                              write_dataset_csv, write_spec_file)
+                              mixture_table, read_dataset_csv, write_dataset_csv,
+                              write_spec_file)
 from shiftlab.errors import (DegenerateDimensionError, InfeasibleMarginalsError,
                              InvalidSpecError)
 from shiftlab.rng import row_streams, stream_normals
@@ -625,16 +626,21 @@ _LABEL_GROUP_FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("body", _FEATURE_FAULTS + _LABEL_GROUP_FAULTS)
-def test_malformed_dataset_csv_names_path(tmp_path, body):
+_WHOLE_FILE_FAULTS = [
+    pytest.param("", id="empty-file"),
+    pytest.param("x,y,x0,x1\n", id="header-not-y-z"),
+    pytest.param("y,z,x0,x1\n\xff,0,0.5,0.25\n", id="byte-0xff"),
+]
+
+
+@pytest.mark.parametrize("text", _WHOLE_FILE_FAULTS + [
+    pytest.param("y,z,x0,x1\n" + body, id=body)
+    for body in _FEATURE_FAULTS + _LABEL_GROUP_FAULTS])
+def test_malformed_dataset_csv_names_path(tmp_path, text):
     path = tmp_path / "bad.csv"
-    path.write_text("y,z,x0,x1\n" + body)
+    path.write_bytes(text.encode("latin-1"))  # "\xff" as the byte 0xff
     with pytest.raises(InvalidSpecError, match="bad.csv"):
         read_dataset_csv(path)
-    for text in ("", "x,y,x0,x1\n", "y,z,x0,x1\n\xff,0,0.5,0.25\n"):
-        path.write_bytes(text.encode("latin-1"))  # "\xff" as the byte 0xff
-        with pytest.raises(InvalidSpecError, match="bad.csv"):
-            read_dataset_csv(path)
 
 
 @pytest.mark.parametrize("body", ["abc,0,0.5\n", "1,,0.5\n", "1\n"])
@@ -660,6 +666,6 @@ def test_spec_file_round_trip(tmp_path):
                  majority_spec(k_groups=3, p_maj=None, r_tr=(0.5, 0.3, 0.2))):
         path = tmp_path / "spec.txt"
         write_spec_file(spec, path)
-        back = parse_spec_items(dict(line.split("=", 1)
-                                     for line in path.read_text().splitlines()))
-        assert back == spec
+        ini = tmp_path / "spec.ini"
+        ini.write_text("[shift]\n" + path.read_text())
+        assert load_config(ini).shift == spec

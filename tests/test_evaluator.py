@@ -10,16 +10,16 @@ from hypothesis import given, settings
 from hypothesis.extra.numpy import arrays
 
 from shiftlab import evaluator
-from shiftlab.datagen import Dataset, ShiftSpec, generate, generate_blocks
+from shiftlab.datagen import Dataset, ShiftSpec, format_sig, generate, generate_blocks
 from shiftlab.errors import DimensionMismatchError, EmptyGroupError, InvalidSpecError
 from shiftlab.config import GridSpec
-from shiftlab.evaluator import (bits_to_predictions, evaluate,
+from shiftlab.evaluator import (AgreementRecord, EvalRecord, bits_to_predictions, evaluate,
                                 evaluate_predictions, evaluate_snapshots,
                                 matching_counts, model_mixture,
                                 predictions_bits, read_preds_csv, read_preds_matrix,
-                                read_results_csv, write_preds_csv,
+                                read_results_csv, write_agreement_csv, write_preds_csv,
                                 write_results_csv)
-from shiftlab.trainer import HyperParams, ModelRecord, sweep
+from shiftlab.trainer import FULL_BATCH, HyperParams, ModelRecord, sweep
 
 
 def make_model(weights, bias=0.0, model_id="m"):
@@ -421,7 +421,8 @@ def test_predictions_bits_matches_per_value_join():
     assert predictions_bits(preds[:0]) == ""
 
 
-def test_results_csv_round_trip(tmp_path):
+@pytest.fixture
+def results_records():
     spec = ShiftSpec(d_core=5, d_spu=2, sigma_core=2.0, sigma_spu=1.0,
                      n_train=200, p_maj=0.8, n_ood_test=500, master_seed=3)
     train = generate(spec, "train")
@@ -432,8 +433,13 @@ def test_results_csv_round_trip(tmp_path):
                                     snapshot_epochs=(1, 2)).build(3)).records
     evals = [evaluate(m, pool, spec.train_weights(), spec.ood_weights())
              for m in records]
+    return list(zip(records, evals))
+
+
+def test_results_csv_round_trip(tmp_path, results_records):
+    records, evals = zip(*results_records)
     path = tmp_path / "results.csv"
-    write_results_csv(list(zip(records, evals)), path)
+    write_results_csv(results_records, path)
     rows = read_results_csv(path)
     assert len(rows) == len(records)
     assert rows[0]["model_id"] == records[0].model_id
@@ -497,3 +503,83 @@ def test_preds_csv_rejects_ids_csv_would_quote(tmp_path, model_id):
     with pytest.raises(InvalidSpecError, match="preds.csv"):
         write_preds_csv([("ok", packed("01")), (model_id, packed("10"))], 2, path)
     assert not path.exists()
+    # results.csv and agreement.csv refuse the same IDs
+    ok, bad = (_results_record(mid, HyperParams(0.1), 2) for mid in ("ok", model_id))
+    path = tmp_path / "results.csv"
+    with pytest.raises(InvalidSpecError, match="results.csv"):
+        write_results_csv([ok, bad], path)
+    assert not path.exists()
+    path = tmp_path / "agreement.csv"
+    for pair in (("ok", model_id), (model_id, "ok")):
+        with pytest.raises(InvalidSpecError, match="agreement.csv"):
+            write_agreement_csv([AgreementRecord("ok", "ok", 1.0), AgreementRecord(*pair, 0.5)],
+                                path)
+        assert not path.exists()
+
+
+def _results_record(model_id, hp, k, values=(0.5,)):
+    """A (ModelRecord, EvalRecord) pair whose accuracies cycle through ``values``."""
+    v = np.resize(np.array(values, dtype=float), 3 * k + 2).tolist()
+    model = ModelRecord(model_id=model_id, weights=np.zeros(2), bias=0.0, epoch=7,
+                        train_loss=0.0, hyperparams=hp)
+    ev = EvalRecord(model_id=model_id, group_acc=tuple(v[:k]), tpr=tuple(v[k:2 * k]),
+                    tnr=tuple(v[2 * k:3 * k]), id_acc=v[-2], ood_acc=v[-1], epoch=7)
+    return model, ev
+
+
+def _csv_writer_results(records, path):
+    """Reference: the ``csv.writer`` rows results.csv was first written with,
+    every float through format_sig."""
+    k = records[0][1].k_groups
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["model_id", "epoch", "lr", "l2", "batch_size", "seed"]
+                        + [f"group_acc_{g}" for g in range(k)]
+                        + [f"tpr_{g}" for g in range(k)]
+                        + [f"tnr_{g}" for g in range(k)]
+                        + ["id_acc", "ood_acc"])
+        for model, ev in records:
+            hp = model.hyperparams
+            writer.writerow(
+                [ev.model_id, model.epoch,
+                 format_sig(hp.learning_rate) if hp else "",
+                 format_sig(hp.l2) if hp else "",
+                 (hp.batch_size if hp.batch_size == FULL_BATCH else str(hp.batch_size)) if hp else "",
+                 hp.seed if hp else ""]
+                + [format_sig(v) for v in ev.group_acc]
+                + [format_sig(v) for v in ev.tpr]
+                + [format_sig(v) for v in ev.tnr]
+                + [format_sig(ev.id_acc), format_sig(ev.ood_acc)])
+
+
+_EDGE_VALUES = (1 / 3, 0.0, -0.0, 1.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324, 0.1 + 0.2,
+                123456789012.5, 0.9999999999995)
+
+
+def test_results_csv_matches_csv_writer(tmp_path, results_records):
+    hps = [HyperParams(1e-7, l2=2.5e-9, batch_size=FULL_BATCH, seed=2**64 - 1),
+           HyperParams(0.1, batch_size=32), HyperParams(1 / 3, l2=1e-2, batch_size=1, seed=5)]
+    edge = {k: [_results_record(f"e{i}_lr0.01 x'y;", hp, k, _EDGE_VALUES[i:])
+                for i, hp in enumerate(hps)] for k in (2, 3)}
+    for name, records in (("trained", results_records), ("edge2", edge[2]),
+                          ("edge3", edge[3])):
+        path, ref = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
+        write_results_csv(records, path)
+        _csv_writer_results(records, ref)
+        assert path.read_bytes() == ref.read_bytes(), name
+
+
+def test_agreement_csv_matches_csv_writer(tmp_path):
+    rng = np.random.default_rng(8)
+    values = [*_EDGE_VALUES, *rng.random(500).tolist()]
+    for n in (0, 1, len(values)):
+        records = [AgreementRecord(f"a{i}_lr0.01 x'y;", f"b{i}-s{i:016x}", v)
+                   for i, v in enumerate(values[:n])]
+        path, ref = tmp_path / f"agreement_{n}.csv", tmp_path / f"ref_{n}.csv"
+        write_agreement_csv(records, path)
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["model_a", "model_b", "agreement"])
+            for r in records:
+                writer.writerow([r.model_a, r.model_b, format_sig(r.agreement)])
+        assert path.read_bytes() == ref.read_bytes(), n

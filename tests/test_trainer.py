@@ -13,7 +13,7 @@ from shiftlab.rng import derive_stream
 from shiftlab.trainer import (FULL_BATCH, HyperParams, ModelRecord,
                               gradient_lipschitz_bound, mean_logistic_loss,
                               oracle_classifier, read_model_store, sweep, train,
-                              write_model_store)
+                              write_failures_csv, write_model_store)
 
 
 def small_spec(**kw) -> ShiftSpec:
@@ -282,6 +282,19 @@ def test_model_store_bytes_match_csv_writer(tmp_path, train_set, trained):
     _csv_writer_model_store(records, tmp_path / "m_ref.csv", tmp_path / "w_ref.csv")
     assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "m_ref.csv").read_bytes()
     assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "w_ref.csv").read_bytes()
+
+
+def test_failures_csv_matches_per_row_text(tmp_path):
+    failures = [("c1", HyperParams(1e200, l2=1 / 3, seed=2**64 - 1), "non-finite loss at epoch 1"),
+                ("c2", HyperParams(0.1, batch_size=32), "every cell, all of them, %s 100%")]
+    for rows in ([], failures):
+        path = tmp_path / f"failures_{len(rows)}.csv"
+        write_failures_csv(rows, path)
+        # the per-row f-string the sweep first wrote failures.csv with
+        lines = ["cell,lr,l2,batch_size,seed,error"] + [
+            f"{cell},{format_sig(hp.learning_rate)},{format_sig(hp.l2)},"
+            f"{hp.batch_size},{hp.seed},{msg}" for cell, hp, msg in rows]
+        assert path.read_text() == "\n".join(lines) + "\n"
 
 
 def test_model_store_rejects_ids_csv_would_quote(tmp_path, train_set):
