@@ -128,9 +128,17 @@ class ExperimentConfig:
                                   f"their output directories are named by, got {values}")
             for value in values:  # an empty list is left to the series command
                 label = f"[series] {self.series.knob}={value:g}:"
-                _spec_for_knob(self.shift, self.series.knob, value).validate()
+                self.series_sweep(value).shift.validate()
         except (InvalidSpecError, InfeasibleMarginalsError) as exc:
             raise type(exc)(f"{label} {exc}") from exc
+
+    def series_sweep(self, value: float) -> "ExperimentConfig":
+        """The sweep config of one ``[series]`` value, unchecked: the knob set to
+        ``value`` in ``[shift]``, no series, and the output subdirectory
+        ``<knob>_<tag>``."""
+        knob = self.series.knob
+        return replace(self, shift=_spec_for_knob(self.shift, knob, value), series=None,
+                       out_dir=self.out_dir / f"{knob}_{_knob_tag(value)}")
 
 
 def _knob_tag(value: float) -> str:

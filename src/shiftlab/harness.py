@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, datagen, evaluator, svg, trainer
-from .config import AnalysisOptions, ExperimentConfig, SeriesSpec, _knob_tag, _spec_for_knob
+from .config import AnalysisOptions, ExperimentConfig, SeriesSpec
 from .datagen import ShiftSpec
 from .errors import ConfigError, InvalidSpecError, MissingInputsError
 from .rng import derive_stream
@@ -213,9 +213,7 @@ def run_spurious_series(config: ExperimentConfig, knob: str,
     config.validate()
     rows = []
     for value in values:
-        out = run_sweep_pipeline(replace(
-            config, shift=_spec_for_knob(config.shift, knob, value), series=None,
-            out_dir=config.out_dir / f"{knob}_{_knob_tag(value)}"))
+        out = run_sweep_pipeline(config.series_sweep(value))
         rows.append({
             "value": value,
             "out_dir": str(out.out_dir),
@@ -338,10 +336,6 @@ def run_agreement_pipeline(config: ExperimentConfig, n_pairs: int | None = None,
     agreement_records = [evaluator.AgreementRecord(model_ids[i], model_ids[j], a)
                          for (i, j), a in zip(pairs, agreement.tolist())]
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic(out_dir / "agreement.csv",
-            lambda p: evaluator.write_agreement_csv(agreement_records, p))
-
     verdict: dict = {
         "n_pairs": len(pairs),
         "pair_seed": pair_seed,
@@ -392,10 +386,18 @@ def run_agreement_pipeline(config: ExperimentConfig, n_pairs: int | None = None,
 
     style = svg.PlotStyle(title="accuracy vs agreement", x_label="ID value",
                           y_label="OOD value", point_color="#1f77b4")
-    _atomic(out_dir / "agreement_overlay.svg", lambda p: svg.emit_plot(
-        acc_points.tolist(), overlays, style, p,
-        extra_groups=[(agr_points.tolist(), "#d62728", "agreement pairs")]))
-    _atomic(out_dir / "agreement_report.json", lambda p: analysis.dump_json(verdict, p))
+
+    def write_all(table: Path, overlay: Path, report: Path) -> None:
+        evaluator.write_agreement_csv(agreement_records, table)
+        svg.emit_plot(acc_points.tolist(), overlays, style, overlay,
+                      extra_groups=[(agr_points.tolist(), "#d62728", "agreement pairs")])
+        analysis.dump_json(verdict, report)
+
+    # None of the three files is renamed into place until all are written.
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _atomic(out_dir / "agreement.csv", lambda table: _atomic(
+        out_dir / "agreement_overlay.svg", lambda overlay: _atomic(
+            out_dir / "agreement_report.json", lambda report: write_all(table, overlay, report))))
 
     return AgreementOutputs(verdict=verdict, accuracy_points=acc_points, agreement_points=agr_points)
 

@@ -15,6 +15,8 @@ _MARGIN = 60
 _PLOT = _SIZE - 2 * _MARGIN
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_POINT_RADIUS = 3.0
+_POINT_OPACITY = 0.45
 
 
 @dataclass
@@ -30,8 +32,6 @@ class PlotStyle:
     x_label: str = "majority accuracy"
     y_label: str = "minority accuracy"
     point_color: str = "#1f77b4"
-    point_radius: float = 3.0
-    point_opacity: float = 0.45
 
 
 def _sx(x: float) -> float:
@@ -96,14 +96,14 @@ def render_scatter(points: list[tuple[float, float]],
 
     for x, y in points:
         parts.append(f'<circle cx="{_sx(x):.2f}" cy="{_sy(y):.2f}" '
-                     f'r="{style.point_radius}" fill="{style.point_color}" '
-                     f'fill-opacity="{style.point_opacity}"/>')
+                     f'r="{_POINT_RADIUS}" fill="{style.point_color}" '
+                     f'fill-opacity="{_POINT_OPACITY}"/>')
 
     for gi, (gpoints, color, label) in enumerate(extra_groups):
         for x, y in gpoints:
             parts.append(f'<circle cx="{_sx(x):.2f}" cy="{_sy(y):.2f}" '
-                         f'r="{style.point_radius}" fill="{color}" '
-                         f'fill-opacity="{style.point_opacity}"/>')
+                         f'r="{_POINT_RADIUS}" fill="{color}" '
+                         f'fill-opacity="{_POINT_OPACITY}"/>')
         parts.append(f'<text x="{_SIZE - _MARGIN - 6}" y="{_MARGIN - 8 - 16 * gi}" '
                      f'font-size="12" text-anchor="end" fill="{color}">{label}</text>')
 

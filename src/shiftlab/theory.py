@@ -197,14 +197,14 @@ def roc_traverse(pop: PopulationSpec, score: ScoreModel,
     score.validate()
     check_thresholds(n_thresholds)
 
-    def component_cdfs(x: np.ndarray, exp=None) -> tuple[np.ndarray, np.ndarray]:
+    def component_cdfs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """F_0(x) and F_1(x), from one ``normal_cdf_array`` call."""
         c = normal_cdf_array(np.concatenate(((x - score.mu0) / score.s0,
-                                             (x - score.mu1) / score.s1)), exp)
+                                             (x - score.mu1) / score.s1)))
         return c[:x.size], c[x.size:]
 
-    def mixture_cdf(x: np.ndarray, exp=None) -> np.ndarray:
-        f0, f1 = component_cdfs(x, exp)
+    def mixture_cdf(x: np.ndarray) -> np.ndarray:
+        f0, f1 = component_cdfs(x)
         return (1.0 - pop.p_y1) * f0 + pop.p_y1 * f1
 
     t = bisect(mixture_cdf, np.linspace(_GRID_CLIP[0], _GRID_CLIP[1], n_thresholds),

@@ -357,6 +357,18 @@ def test_failed_writer_leaves_no_partial_file(tmp_path, monkeypatch, command, pa
     assert list(out_dir.glob("*.tmp")) == []
 
 
+def test_failed_agreement_write_keeps_the_previous_run_whole(tmp_path, monkeypatch):
+    cfg, out_dir = make_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert main(["agreement", "--config", str(cfg), "--pairs", "40"]) == 0
+    outputs = ("agreement.csv", "agreement_overlay.svg", "agreement_report.json")
+    first = {name: (out_dir / name).read_bytes() for name in outputs}
+    monkeypatch.setattr(svg, "emit_plot", _write_half_then_fail)
+    assert main(["agreement", "--config", str(cfg), "--pairs", "20"]) == 5
+    assert {name: (out_dir / name).read_bytes() for name in outputs} == first
+    assert list(out_dir.glob("*.tmp")) == []
+
+
 def _corrupted_pool(cfg, out_dir):
     assert main(["gen-data", "--config", str(cfg)]) == 0
     pool = out_dir / "ood_test.csv"

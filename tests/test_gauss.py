@@ -1,8 +1,24 @@
+import math
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy import stats
 
 from shiftlab.gauss import normal_cdf, normal_cdf_array, normal_quantile, normal_quantile_array
+
+
+def _reference_cdf(x: float) -> float:
+    """The scalar CDF this module once had: Abramowitz & Stegun 26.2.17 in
+    Python floats, with libm's ``exp``."""
+    def upper(x):
+        t = 1.0 / (1.0 + 0.2316419 * x)
+        poly = t * (0.319381530 + t * (-0.356563782 + t * (1.781477937
+                                                           + t * (-1.821255978 + t * 1.330274429))))
+        return 1.0 - 1.0 / math.sqrt(2.0 * math.pi) * math.exp(-0.5 * x * x) * poly
+
+    return upper(x) if x >= 0.0 else 1.0 - upper(-x)
 
 
 def test_cdf_absolute_error_bound():
@@ -75,8 +91,8 @@ def test_quantile_rejects_boundary():
 
 
 def test_cdf_array_equals_scalar_bitwise():
-    # The array form takes its exponential from libm, as the scalar form does,
-    # so the two agree in every bit, not just to within rounding.
+    # The scalar form is a one-element call of the array form, so a value's
+    # bits do not depend on the array it is evaluated in.
     rng = np.random.default_rng(2024)
     magnitudes = 10.0 ** rng.uniform(-320, 2, 20_000)
     xs = np.concatenate([
@@ -93,19 +109,39 @@ def test_cdf_array_equals_scalar_bitwise():
     assert np.array_equal(normal_cdf_array(xs.reshape(-1, 10)), got.reshape(-1, 10))
 
 
-def test_cdf_array_with_numpy_exp_stays_within_bisect_margin():
-    # bisect decides a comparison on the numpy-exp CDF when it lies further
-    # than 2**-44 from the target, which is sound while the two CDFs differ
-    # by less than 2**-48
+def test_cdf_array_within_2_pow_48_of_the_libm_formula():
+    # np.exp may round differently from libm's exp in the last bit; the formula
+    # amplifies that to no more than 2**-48, far inside scipy's 1e-7 check above
     xs = np.linspace(-40.0, 40.0, 800_001)
-    fast = normal_cdf_array(xs, np.exp)
-    assert np.abs(fast - normal_cdf_array(xs)).max() < 2.0**-48
+    reference = np.fromiter(map(_reference_cdf, xs.tolist()), np.float64, xs.size)
+    assert np.abs(normal_cdf_array(xs) - reference).max() < 2.0**-48
 
 
 def test_quantile_array_equals_scalar_bitwise():
+    # normal_quantile is a one-element call of the array form, so this checks
+    # that an element's bits do not depend on its neighbours: on the whole draw
+    # reversed, and one element at a time on the edges and every 40th draw
     rng = np.random.default_rng(7)
-    ps = np.concatenate([rng.uniform(0.0, 1.0, 20_000), 10.0 ** rng.uniform(-300, 0, 2_000),
-                         [0.5, 0.001, 0.999, 1e-300, 1.0 - 2.0**-53]])
+    edges = np.array([0.5, 0.001, 0.999, 1e-300, 1.0 - 2.0**-53])
+    ps = np.concatenate([edges, rng.uniform(0.0, 1.0, 20_000), 10.0 ** rng.uniform(-300, 0, 2_000)])
     ps = ps[(ps > 0.0) & (ps < 1.0)]
-    expected = np.array([normal_quantile(p) for p in ps.tolist()])
-    assert np.array_equal(normal_quantile_array(ps).view(np.int64), expected.view(np.int64))
+    got = normal_quantile_array(ps).view(np.int64)
+    assert np.array_equal(normal_quantile_array(ps[::-1])[::-1].view(np.int64), got)
+    alone = np.concatenate([edges, ps[edges.size::40]])
+    expected = np.array([normal_quantile(p) for p in alone.tolist()])
+    assert np.array_equal(normal_quantile_array(alone).view(np.int64), expected.view(np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=40))
+def test_quantile_array_antisymmetric_and_increasing(ps):
+    p = np.sort(np.array(ps))
+    x = normal_quantile_array(p)
+    # exact wherever 1 - p is: its complement is p again
+    c = 1.0 - p
+    exact = (c < 1.0) & (1.0 - c == p)
+    assert np.array_equal(normal_quantile_array(c[exact]), -x[exact])
+    # probabilities closer than 2**-40 may share their target's rounding or
+    # the CDF's last bits, and tie
+    assert np.all(np.diff(x) >= 0.0)
+    assert np.all(np.diff(x)[np.diff(p) > 2.0**-40] > 0.0)
