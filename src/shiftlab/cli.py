@@ -15,14 +15,8 @@ import numpy as np
 
 from . import analysis, evaluator, harness, theory
 from .config import SERIES_KNOBS, ExperimentConfig, load_config, parse_floats
-from .errors import (AnalysisError, ConfigError, DegeneratePopulationError,
-                     DimensionMismatchError, DivergenceError, EmptyGroupError,
-                     InfeasibleMarginalsError, InvalidSpecError, MissingInputsError)
+from .errors import AnalysisError, ConfigError, InvalidSpecError, MissingInputsError, ShiftLabError
 
-EXIT_CONFIG = 1
-EXIT_GENERATION = 2
-EXIT_TRAINING = 3
-EXIT_ANALYSIS = 4
 EXIT_IO = 5
 
 
@@ -34,8 +28,9 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
 
 
 def _load(args) -> ExperimentConfig:
-    cfg = load_config(args.config)
-    return cfg.with_overrides(out_dir=args.out, master_seed=getattr(args, "seed", None))
+    return load_config(args.config).with_overrides(
+        out_dir=args.out, master_seed=getattr(args, "seed", None),
+        n_pairs=getattr(args, "pairs", None), pair_seed=getattr(args, "pair_seed", None))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,7 +90,7 @@ def _results_fit(config: ExperimentConfig, args) -> tuple[np.ndarray, analysis.C
         raise AnalysisError(f"{results_path} has no rows")
     try:
         points = np.array([[float(r[c]) for c in columns] for r in rows])
-    except (TypeError, ValueError) as exc:  # TypeError: a short row's None
+    except ValueError as exc:
         raise InvalidSpecError(f"{results_path}: bad accuracy value: {exc}") from exc
     return points, analysis.fit_curves(points, probit_eps=config.analysis.probit_eps,
                                        spline_lambda=config.analysis.spline_lambda)
@@ -147,9 +142,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_agreement(args) -> int:
-    config = _load(args)
-    out = harness.run_agreement_pipeline(config, n_pairs=args.pairs,
-                                         pair_seed=args.pair_seed)
+    out = harness.run_agreement_pipeline(_load(args))
     print(f"agreement verdict: {out.verdict.get('verdict')}")
     return 0
 
@@ -203,18 +196,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (InvalidSpecError, InfeasibleMarginalsError, DegeneratePopulationError) as exc:
-        print(f"generation error: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
-    except (DivergenceError, DimensionMismatchError) as exc:
-        print(f"training error: {exc}", file=sys.stderr)
-        return EXIT_TRAINING
-    except (AnalysisError, EmptyGroupError, MissingInputsError) as exc:
-        print(f"analysis error: {exc}", file=sys.stderr)
-        return EXIT_ANALYSIS
+    except ShiftLabError as exc:
+        print(f"{exc.label} error: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

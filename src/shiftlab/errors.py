@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes (see ``shiftlab.cli``), so new error
-conditions should subclass one of the categories below rather than raising
-bare ValueError.
+Each class carries the exit code and stderr label of its category (1 config,
+2 generation, 3 training, 4 analysis), which the CLI reports it with, so new
+error conditions should subclass one of them rather than raise ValueError.
 """
 
 
@@ -12,10 +12,12 @@ class ShiftLabError(Exception):
 
 class ConfigError(ShiftLabError):
     """Malformed or inconsistent experiment configuration."""
+    exit_code, label = 1, "config"
 
 
 class InvalidSpecError(ShiftLabError):
     """A ShiftSpec invariant is violated."""
+    exit_code, label = 2, "generation"
 
 
 class DegenerateDimensionError(InvalidSpecError):
@@ -24,10 +26,12 @@ class DegenerateDimensionError(InvalidSpecError):
 
 class InfeasibleMarginalsError(ShiftLabError):
     """No non-negative integer contingency table satisfies the marginals."""
+    exit_code, label = 2, "generation"
 
 
 class DivergenceError(ShiftLabError):
     """Training encountered a non-finite loss."""
+    exit_code, label = 3, "training"
 
     def __init__(self, epoch: int, message: str | None = None):
         self.epoch = epoch
@@ -36,19 +40,24 @@ class DivergenceError(ShiftLabError):
 
 class DimensionMismatchError(ShiftLabError):
     """Model weight length does not match the dataset feature dimension."""
+    exit_code, label = 3, "training"
 
 
 class EmptyGroupError(ShiftLabError):
     """A subpopulation received no samples where some were required."""
+    exit_code, label = 4, "analysis"
 
 
 class DegeneratePopulationError(ShiftLabError):
     """P(Z=1) is 0 or 1, so conditional quantities are undefined."""
+    exit_code, label = 2, "generation"
 
 
 class AnalysisError(ShiftLabError):
     """Curve fitting failed (too few points, degenerate design, bad input)."""
+    exit_code, label = 4, "analysis"
 
 
 class MissingInputsError(ShiftLabError):
     """A pipeline stage requires artifacts that are not on disk."""
+    exit_code, label = 4, "analysis"

@@ -292,16 +292,26 @@ def write_results_csv(records: list[tuple[ModelRecord, EvalRecord]],
 
 def read_results_csv(path: str | Path, columns: tuple[str, ...] = ()) -> list[dict[str, str]]:
     """Rows of a results.csv; InvalidSpecError naming ``path`` if its header
-    lacks one of ``columns`` or the file is not UTF-8 text."""
+    lacks one of ``columns``, a row's field count differs from the header's,
+    or the file is not UTF-8 text that the csv module can parse."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            header = next(reader, [])
+            missing = [c for c in columns if c not in header]
             if missing:
                 raise InvalidSpecError(f"{path} has no {missing[0]!r} column")
-            return list(reader)
+            rows = []
+            for row in filter(None, reader):  # a blank line is no row
+                if len(row) != len(header):
+                    raise InvalidSpecError(f"{path}, line {reader.line_num}: {len(row)} fields "
+                                           f"under a {len(header)}-field header")
+                rows.append(dict(zip(header, row)))
+            return rows
         except UnicodeDecodeError as exc:
             raise InvalidSpecError(f"{path} is not UTF-8 text: {exc}") from exc
+        except csv.Error as exc:
+            raise InvalidSpecError(f"{path}, line {reader.line_num}: {exc}") from exc
 
 
 def predictions_bits(preds: np.ndarray) -> str:

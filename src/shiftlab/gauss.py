@@ -67,8 +67,10 @@ def normal_quantile_array(p: np.ndarray) -> np.ndarray:
     if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError("quantile requires every p in (0, 1)")
     upper = p > 0.5
-    x = bisect(normal_cdf_array, np.where(upper, p, 1.0 - p), 0.0, 13.0)
-    return np.where(p == 0.5, 0.0, np.where(upper, x, -x))
+    target = np.where(upper, p, 1.0 - p)
+    x = bisect(normal_cdf_array, target, 0.0, 13.0)
+    # a p just below 0.5 reflects onto target 0.5, whose quantile is exactly 0
+    return np.where(target == 0.5, 0.0, np.where(upper, x, -x))
 
 
 def normal_quantile(p: float) -> float:

@@ -249,6 +249,12 @@ def sample_pairs(n_models: int, n_pairs: int, seed: int) -> list[tuple[int, int]
     return list(zip(first.tolist(), second.tolist()))
 
 
+# Verdict thresholds: the share of the common range where agreement must clear
+# accuracy by ``margin``, and the widest gap at which the splines are aligned.
+_OVERESTIMATE_SHARE = 0.8
+_ALIGNMENT_BAND = 0.03
+
+
 @dataclass
 class AgreementOutputs:
     verdict: dict
@@ -278,16 +284,16 @@ def overlay_cells(spec: ShiftSpec, labels: np.ndarray, groups: np.ndarray
     return masks, spec.train_weights(), spec.ood_weights()
 
 
-def run_agreement_pipeline(config: ExperimentConfig, n_pairs: int | None = None,
-                           pair_seed: int | None = None) -> AgreementOutputs:
+def run_agreement_pipeline(config: ExperimentConfig) -> AgreementOutputs:
     """Compare paired-model agreement with accuracy in (ID, OOD) coordinates.
 
-    Requires a completed sweep in the config's output directory.  Both clouds
-    are reduced the same way: the x value reweights per-group means by the
-    training mixture, the y value by the shifted mixture.  Cubic smoothing
-    splines are fitted to each cloud and compared over the common x range.
+    Requires a completed sweep in the config's output directory, and takes
+    the pair count and seed from its ``[analysis]`` section.  Accuracy is
+    agreement with the labels, so both clouds are counted and reduced alike:
+    x reweights per-cell means by the training mixture, y by the shifted one.
+    Cubic smoothing splines fitted to each cloud are compared over the
+    common x range.
     """
-    config = config.with_overrides(n_pairs=n_pairs, pair_seed=pair_seed)
     config.validate()
     opts: AnalysisOptions = config.analysis
     out_dir = config.out_dir
@@ -312,44 +318,35 @@ def run_agreement_pipeline(config: ExperimentConfig, n_pairs: int | None = None,
     masks, w_id, w_ood = overlay_cells(config.shift, labels, groups)
     cells, cell_rows = [np.packbits(m) for m in masks], [np.count_nonzero(m) for m in masks]
 
-    def reweight(counts: np.ndarray) -> np.ndarray:
-        """ID and OOD reweighted cell means of each row of ``(rows x cells)``
-        match counts."""
-        means = [counts[:, i] / n for i, n in enumerate(cell_rows)]
-        return np.stack([sum(w * v for w, v in zip(w_id, means)),
-                         sum(w * v for w, v in zip(w_ood, means))], axis=1)
+    def cloud(n: int, rows) -> tuple[np.ndarray, np.ndarray]:
+        """(ID, OOD) reweighted cell means of ``n`` packed-row pairs and each pair's
+        matching share of the pool; ``rows(s)`` gives pairs s to s + 64 as ``(a, b)``."""
+        points, share = np.empty((n, 2)), np.empty(n)
+        for s in range(0, n, 64):
+            counts = evaluator.matching_counts(*rows(s), cells)
+            means = [counts[:, i] / size for i, size in enumerate(cell_rows)]
+            points[s:s + 64] = np.stack([sum(w * v for w, v in zip(w_id, means)),
+                                         sum(w * v for w, v in zip(w_ood, means))], axis=1)
+            # the cells partition the pool, so their counts add up to all its rows
+            share[s:s + 64] = counts.sum(axis=1) / labels.size
+        return points, share
 
-    # Models and pairs are compared 64 at a time, so one chunk's temporaries stay small.
     positive = np.packbits(labels == 1)
-    acc_points = np.empty((len(model_ids), 2))
-    for start in range(0, len(model_ids), 64):
-        acc_points[start:start + 64] = reweight(evaluator.matching_counts(
-            packed[start:start + 64], positive, cells))
+    acc_points, _ = cloud(len(model_ids), lambda s: (packed[s:s + 64], positive))
     pairs = sample_pairs(len(model_ids), opts.n_pairs, pair_seed)
-    agr_points, agreement = np.empty((len(pairs), 2)), np.empty(len(pairs))
-    for start in range(0, len(pairs), 64):
-        first, second = np.array(pairs[start:start + 64]).T
-        counts = evaluator.matching_counts(packed[first], packed[second], cells)
-        agr_points[start:start + 64] = reweight(counts)
-        # the cells partition the pool, so their counts add up to all its rows
-        agreement[start:start + 64] = counts.sum(axis=1) / labels.size
+    agr_points, agreement = cloud(len(pairs), lambda s: packed[np.array(pairs[s:s + 64]).T])
     agreement_records = [evaluator.AgreementRecord(model_ids[i], model_ids[j], a)
                          for (i, j), a in zip(pairs, agreement.tolist())]
 
-    verdict: dict = {
-        "n_pairs": len(pairs),
-        "pair_seed": pair_seed,
-        "margin": opts.margin,
-        "alignment_band": 0.03,
-    }
+    verdict: dict = {"n_pairs": len(pairs), "pair_seed": pair_seed, "margin": opts.margin,
+                     "alignment_band": _ALIGNMENT_BAND}
     # Both clouds' knot counts, then their x ranges, are checked before any fit.
     shortfall = (analysis.spline_shortfall(acc_points[:, 0])
                  or analysis.spline_shortfall(agr_points[:, 0]))
     overlays = []
     if shortfall:
         warnings.warn(f"agreement overlay spline skipped: {shortfall}")
-        verdict["verdict"] = "insufficient-points"
-        verdict["reason"] = shortfall
+        verdict.update(verdict="insufficient-points", reason=shortfall)
     else:
         lo = max(float(acc_points[:, 0].min()), float(agr_points[:, 0].min()))
         hi = min(float(acc_points[:, 0].max()), float(agr_points[:, 0].max()))
@@ -371,15 +368,11 @@ def run_agreement_pipeline(config: ExperimentConfig, n_pairs: int | None = None,
                 "fraction_above_margin": above,
                 "mean_gap": float(np.mean(gap)),
                 "max_abs_gap": max_abs,
-                "overestimates": above >= 0.8,
-                "aligned": max_abs <= 0.03,
+                "overestimates": above >= _OVERESTIMATE_SHARE,
+                "aligned": max_abs <= _ALIGNMENT_BAND,
             })
-            if above >= 0.8:
-                verdict["verdict"] = "agreement-overestimates"
-            elif max_abs <= 0.03:
-                verdict["verdict"] = "aligned"
-            else:
-                verdict["verdict"] = "mixed"
+            verdict["verdict"] = ("agreement-overestimates" if verdict["overestimates"]
+                                  else "aligned" if verdict["aligned"] else "mixed")
             overlays = [svg.Overlay(label, list(zip(xs.tolist(), ys.tolist())), color)
                         for label, ys, color in (("accuracy spline", acc_ys, "#1f77b4"),
                                                  ("agreement spline", agr_ys, "#d62728"))]

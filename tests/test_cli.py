@@ -1,12 +1,13 @@
 import json
 import re
 import zlib
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from shiftlab import analysis, svg, theory, trainer
+from shiftlab import analysis, errors, svg, theory, trainer
 from shiftlab.cli import main
 
 TINY_SHIFT = """\
@@ -591,6 +592,15 @@ def _non_utf8(header, row):
     return header, row + "\xff"  # written as the byte 0xff
 
 
+def _long_field(header, row):
+    # a model ID past the csv module's 131,072-character field limit
+    return header, "m" * 131_073 + row[row.index(","):]
+
+
+def _extra_field(header, row):
+    return header, row + ",0.5"  # one field more than the header
+
+
 @pytest.mark.parametrize("command,fault", [
     ("analyze", _renamed("group_acc_0")),
     ("plot", _renamed("group_acc_0")),
@@ -599,9 +609,11 @@ def _non_utf8(header, row):
     ("analyze", _short_row),
     ("analyze", _non_utf8),
     ("plot", _non_utf8),
+    ("analyze", _long_field),
+    ("analyze", _extra_field),
 ], ids=["analyze-no-group_acc_0", "plot-no-group_acc_0",
         "analyze-non-numeric", "plot-non-numeric", "analyze-short-row",
-        "analyze-non-utf8", "plot-non-utf8"])
+        "analyze-non-utf8", "plot-non-utf8", "analyze-long-field", "analyze-extra-field"])
 def test_malformed_results_csv_is_generation_error(tmp_path, capsys, command, fault):
     cfg, out_dir = make_config(tmp_path)
     assert main(["sweep", "--config", str(cfg)]) == 0
@@ -689,6 +701,29 @@ def test_options_a_command_does_not_read_are_rejected(tmp_path, capsys, command,
     with pytest.raises(SystemExit):
         main([command, "-h"])
     assert option not in capsys.readouterr().out
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_class_reports_its_readme_exit_code():
+    # README: "Exit codes: 1 configuration, 2 data generation, 3 training, 4 analysis, 5 I/O."
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = re.search(r"^Exit codes: (.*)\.$", readme, re.M).group(1)
+    names = {int(code): name for code, name in re.findall(r"(\d) ([a-zA-Z/ ]+)", table)}
+    expected = {errors.ConfigError: 1, errors.InvalidSpecError: 2,
+                errors.DegenerateDimensionError: 2, errors.InfeasibleMarginalsError: 2,
+                errors.DegeneratePopulationError: 2, errors.DivergenceError: 3,
+                errors.DimensionMismatchError: 3, errors.AnalysisError: 4,
+                errors.EmptyGroupError: 4, errors.MissingInputsError: 4}
+    found = list(_subclasses(errors.ShiftLabError))
+    assert set(found) == set(expected)
+    for cls in found:
+        assert cls.exit_code == expected[cls], cls
+        assert cls.label in names[cls.exit_code], cls  # "config" in "configuration"
 
 
 def test_exit_code_2_generation(tmp_path):

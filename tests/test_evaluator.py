@@ -450,6 +450,18 @@ def test_results_csv_round_trip(tmp_path, results_records):
                           "tnr_0", "tnr_1", "id_acc", "ood_acc"]
 
 
+def test_results_csv_row_off_the_header_names_its_line(tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_text("model_id,epoch,id_acc\na,1,0.5\n\nb,2,0.6,0.7\n")
+    with pytest.raises(InvalidSpecError, match=r"results.csv, line 4: 4 fields under a 3-field"):
+        read_results_csv(path)
+    path.write_text("model_id,epoch,id_acc\na,1\n")
+    with pytest.raises(InvalidSpecError, match="line 2: 2 fields"):
+        read_results_csv(path)
+    path.write_text("model_id,epoch,id_acc\na,1,0.5\n\nb,2,0.6\n")
+    assert [r["model_id"] for r in read_results_csv(path)] == ["a", "b"]  # blank line skipped
+
+
 def test_preds_csv_round_trip(tmp_path):
     rows = [("a", "0101"), ("b", "1111")]
     path = tmp_path / "preds.csv"

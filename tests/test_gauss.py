@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from scipy import stats
 
+from shiftlab.analysis import probit
 from shiftlab.gauss import normal_cdf, normal_cdf_array, normal_quantile, normal_quantile_array
 
 
@@ -145,3 +146,12 @@ def test_quantile_array_antisymmetric_and_increasing(ps):
     # the CDF's last bits, and tie
     assert np.all(np.diff(x) >= 0.0)
     assert np.all(np.diff(x)[np.diff(p) > 2.0**-40] > 0.0)
+
+
+def test_quantile_antisymmetric_where_the_complement_rounds_to_half():
+    # 1 - p rounds to 0.5, whose quantile is exactly 0, so q(p) must be 0 too
+    p = 0.5 - 2.0**-54
+    assert 1.0 - p == 0.5
+    assert normal_quantile(1.0 - p) == -normal_quantile(p) == 0.0
+    assert np.array_equal(normal_quantile_array(np.array([p, 1.0 - p])), [0.0, 0.0])
+    assert probit(1.0 - p) == -probit(p)

@@ -349,7 +349,7 @@ def test_agreement_pipeline_outputs(sweep_out):
 def test_agreement_single_pair_warns_without_spline(sweep_out):
     config, _ = sweep_out
     with pytest.warns(UserWarning):
-        out = run_agreement_pipeline(config, n_pairs=1)
+        out = run_agreement_pipeline(config.with_overrides(n_pairs=1))
     assert out.verdict["verdict"] == "insufficient-points"
     assert out.agreement_points.shape == (1, 2)
 
@@ -373,10 +373,38 @@ def test_agreement_checks_disjoint_ranges_before_fitting(tmp_path, monkeypatch):
 def test_agreement_reason_names_the_first_cloud_short_of_knots(sweep_out):
     config, _ = sweep_out
     with pytest.warns(UserWarning, match="got 1$"):
-        out = run_agreement_pipeline(config, n_pairs=1)
+        out = run_agreement_pipeline(config.with_overrides(n_pairs=1))
     assert out.verdict["reason"] == "smoothing spline needs >= 5 distinct x values, got 1"
     with pytest.raises(AnalysisError, match=out.verdict["reason"]):
         analysis.SmoothingSpline(out.agreement_points[:, 0], out.agreement_points[:, 1])
+
+
+@pytest.mark.parametrize("gap,verdict,aligned", [
+    (0.05, "agreement-overestimates", False),
+    (0.025, "agreement-overestimates", True),  # above the margin comes first
+    (0.01, "aligned", True),
+    (-0.03, "aligned", True),
+    (-0.05, "mixed", False),
+])
+def test_agreement_verdict_follows_the_spline_gap(sweep_out, monkeypatch, gap, verdict, aligned):
+    # flat splines: the accuracy cloud's at 0, then the agreement cloud's at ``gap``
+    config, _ = sweep_out
+    levels = iter([0.0, gap])
+
+    class FlatSpline:
+        lam = 1.0
+
+        def __init__(self, x, y, lam=None):
+            self.level = next(levels)
+
+        def predict(self, xs):
+            return np.full(len(xs), self.level)
+
+    monkeypatch.setattr(analysis, "SmoothingSpline", FlatSpline)
+    report = run_agreement_pipeline(config).verdict
+    assert (report["verdict"], report["aligned"]) == (verdict, aligned)
+    assert report["overestimates"] == (verdict == "agreement-overestimates")
+    assert report["max_abs_gap"] == abs(gap)
 
 
 def test_agreement_pipeline_deterministic(sweep_out):
@@ -391,7 +419,7 @@ def test_agreement_pipeline_deterministic(sweep_out):
 def test_agreement_is_at_least_the_accuracy_bound(sweep_out):
     # Two models agree at least where both are right: a_ij >= acc_i + acc_j - 1.
     config, _ = sweep_out
-    run_agreement_pipeline(config, n_pairs=300)
+    run_agreement_pipeline(config.with_overrides(n_pairs=300))
     run_gen_data(config)  # the pool the sweep scored, rebuilt from its config
     d = config.out_dir
     labels = read_dataset_csv(d / "ood_test.csv", split="ood_test").labels
@@ -503,7 +531,7 @@ def test_sample_pairs_memory_does_not_grow_with_all_pairs():
 def test_agreement_matches_per_pair_reference(sweep_out, tmp_path):
     # 150 pairs span two full chunks of 64 and a partial one.
     config, _ = sweep_out
-    out = run_agreement_pipeline(config, n_pairs=150, pair_seed=17)
+    out = run_agreement_pipeline(config.with_overrides(n_pairs=150, pair_seed=17))
     run_gen_data(config)  # the pool the sweep scored, rebuilt from its config
     d = config.out_dir
     ids = [r["model_id"] for r in evaluator.read_results_csv(d / "results.csv")]

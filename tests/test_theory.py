@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from shiftlab import theory
 from shiftlab.analysis import fit_curves
 from shiftlab.datagen import format_sig
 from shiftlab.errors import DegeneratePopulationError, EmptyGroupError, InvalidSpecError
-from shiftlab.gauss import normal_cdf
+from shiftlab.gauss import bisect, normal_cdf
 from shiftlab.theory import (PopulationSpec, RocPoint, ScoreModel, accuracy_gap,
                              gap_summary, monte_carlo_gap, moon_arm,
                              roc_traverse, subpop_accuracy, write_traversal_csv)
@@ -246,16 +247,34 @@ def _reference_mixture_quantile(pop, score, q):
     return 0.5 * (lo + hi)
 
 
-def _reference_roc_traverse(pop, score, n_thresholds):
-    rows = []
-    for q in np.linspace(0.001, 0.999, n_thresholds):
+def _reference_roc_traverse(pop, score, n_thresholds, rows):
+    """The traversal's rows at indexes ``rows``, one scalar bisection each."""
+    qs = np.linspace(0.001, 0.999, n_thresholds)
+    out = []
+    for q in qs[rows]:
         t = _reference_mixture_quantile(pop, score, float(q))
         tpr = score.tpr(t)
         tnr = score.tnr(t)
         maj = subpop_accuracy(pop, tpr, tnr, 1)
         mnr = subpop_accuracy(pop, tpr, tnr, 0)
-        rows.append((t, tnr, tpr, maj, mnr, abs(maj - mnr)))
-    return rows
+        out.append((t, tnr, tpr, maj, mnr, abs(maj - mnr)))
+    return out
+
+
+def _check_roc_traverse(pop, score, n_thresholds):
+    """Every row equals the traversal solved in reverse order, so a row's
+    bits do not depend on its neighbours; the first and last rows and every
+    (n // 20)th equal the scalar reference."""
+    points = roc_traverse(pop, score, n_thresholds=n_thresholds)
+    rows = [(p.threshold, p.tnr, p.tpr, p.maj_acc, p.min_acc, p.gap) for p in points]
+    assert all(type(v) is float for row in rows for v in row)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(theory, "bisect",
+                  lambda cdf, targets, lo, hi: bisect(cdf, targets[::-1].copy(), lo, hi)[::-1])
+        assert roc_traverse(pop, score, n_thresholds=n_thresholds) == points
+    picked = sorted({*range(0, n_thresholds, max(1, n_thresholds // 20)), n_thresholds - 1})
+    assert [rows[i] for i in picked] == _reference_roc_traverse(pop, score, n_thresholds,
+                                                                picked)
 
 
 def _reference_monte_carlo_gap(pop, score, threshold, n_samples, seed):
@@ -289,11 +308,7 @@ BITWISE_CASES = [
 @pytest.mark.parametrize("n_thresholds", [3, 11, 101, 1001])
 @pytest.mark.parametrize("case", range(len(BITWISE_CASES)))
 def test_roc_traverse_equals_scalar_reference(case, n_thresholds):
-    pop, score = BITWISE_CASES[case]
-    points = roc_traverse(pop, score, n_thresholds=n_thresholds)
-    rows = [(p.threshold, p.tnr, p.tpr, p.maj_acc, p.min_acc, p.gap) for p in points]
-    assert rows == _reference_roc_traverse(pop, score, n_thresholds)
-    assert all(type(v) is float for row in rows for v in row)
+    _check_roc_traverse(*BITWISE_CASES[case], n_thresholds)
 
 
 # Populations in the ranges the benchmark's theory workload draws from; any
@@ -306,9 +321,7 @@ def test_roc_traverse_equals_scalar_reference_on_drawn_models(p_y1, pi1, pi0, mu
                                                                s0, s1):
     pop = PopulationSpec(p_y1=p_y1, pi1=pi1, pi0=pi0)
     score = ScoreModel(mu0=mu0, mu1=mu1, s0=s0, s1=s1)
-    points = roc_traverse(pop, score, n_thresholds=101)
-    rows = [(p.threshold, p.tnr, p.tpr, p.maj_acc, p.min_acc, p.gap) for p in points]
-    assert rows == _reference_roc_traverse(pop, score, 101)
+    _check_roc_traverse(pop, score, 101)
 
 
 @pytest.mark.parametrize("seed", [0, 987654321])
