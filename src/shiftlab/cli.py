@@ -157,14 +157,12 @@ def _cmd_theory(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def write_both(traversal: Path) -> None:
-        """The traversal to its temp name, then the summary: a failed summary
-        write renames no traversal into place."""
+    def write_both(traversal: Path, summary_path: Path) -> None:
         theory.write_traversal_csv(points, traversal)
-        harness._atomic(out_dir / "theory_summary.json",
-                        lambda p: analysis.dump_json(summary, p))
+        analysis.dump_json(summary, summary_path)
 
-    harness._atomic(out_dir / "roc_traversal.csv", write_both)
+    harness._atomic_set([out_dir / "roc_traversal.csv", out_dir / "theory_summary.json"],
+                        write_both)
     print(out_dir / "roc_traversal.csv")
     print(out_dir / "theory_summary.json")
     print(f"closed-form gap {summary['closed_form_gap']:.6f}, "

@@ -19,8 +19,8 @@ for training, prediction bytes are promised per machine and BLAS kernel.
 
 Predictions are held packed, one bit per pool row (``np.packbits`` order:
 row 0 in the high bit of byte 0, zero bits padding the last byte), from
-scoring to ``preds.csv`` and back to the agreement counts.  Every count,
-of correct rows and of agreeing pairs alike, is a popcount of
+scoring to the agreement counts; ``preds.csv`` holds them as hex.  Every
+count, of correct rows and of agreeing pairs alike, is a popcount of
 ``~(a ^ b) & cell`` over packed rows (``matching_counts``).
 """
 
@@ -82,6 +82,8 @@ _CHUNK = 16
 
 # Set bits of each byte value; np.bitwise_count needs numpy >= 2.0.
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+PREDS_HEADER = "model_id,packed_hex"
 
 
 def _cell_masks(test: Dataset) -> np.ndarray:
@@ -323,53 +325,52 @@ def bits_to_predictions(bits: str) -> np.ndarray:
     return np.where(np.frombuffer(bits.encode(), dtype=np.uint8) == ord("1"), 1, -1)
 
 
-def write_preds_csv(rows: list[tuple[str, np.ndarray]], n_rows: int,
-                    path: str | Path) -> None:
-    """``model_id,bits`` lines, as ``csv.writer`` would write them, one write
-    per row: each row's first ``n_rows`` packed bits (``evaluate_snapshots``'
-    rows) spelled as '1' for +1 and '0' for -1, expanded one row at a time.
-    A model ID that ``csv.writer`` would quote raises InvalidSpecError instead."""
+def write_preds_csv(rows: list[tuple[str, np.ndarray]], path: str | Path) -> None:
+    """``model_id,packed_hex`` lines, one write per row: each packed row
+    (``evaluate_snapshots``' rows) as lowercase hex, two digits a byte.  A
+    model ID that ``csv.writer`` would quote raises InvalidSpecError instead."""
     check_unquoted((mid for mid, _ in rows), path)
     with open(path, "w", newline="") as fh:
-        fh.write("model_id,bits\n")
+        fh.write(PREDS_HEADER + "\n")
         for mid, packed in rows:
-            bits = (np.unpackbits(packed, count=n_rows) + ord("0")).tobytes().decode("ascii")
-            fh.write(f"{mid},{bits}\n")
+            fh.write(f"{mid},{packed.tobytes().hex()}\n")
 
 
 def read_preds_csv(path: str | Path) -> dict[str, str]:
+    """Unused by the pipelines; kept while ``perfbench/spans.py`` traces it."""
     with open(path, newline="") as fh:
-        return {row["model_id"]: row["bits"] for row in csv.DictReader(fh)}
+        return {row["model_id"]: row["packed_hex"] for row in csv.DictReader(fh)}
 
 
 def read_preds_matrix(path: str | Path, n_rows: int) -> tuple[list[str], np.ndarray, int]:
     """The model IDs in file order, their ``(models x ceil(n_rows / 8))``
-    predictions packed as ``evaluate_snapshots`` packs them (one bit per row,
-    set for +1), and the CRC-32 (``zlib.crc32``) of all the file's bytes, from
-    one binary pass that packs each line as it validates it.  The packed
-    matrix is allocated once, for as many rows as the file could hold (each
-    at least ``n_rows + 2`` bytes), and returned cut to the rows read.
-    InvalidSpecError on a header other than ``model_id,bits``, a bit-string
-    not ``n_rows`` long, or a character other than 0/1."""
+    predictions packed as ``evaluate_snapshots`` packs them, and the CRC-32
+    (``zlib.crc32``) of all the file's bytes, from one binary pass that decodes
+    each line into a matrix allocated once, for as many rows as the file could
+    hold, and returned cut to the rows read.  InvalidSpecError on a header
+    other than ``PREDS_HEADER``, a row other than ``2 * ceil(n_rows / 8)``
+    lowercase hex digits, or a pad bit set past row ``n_rows``."""
+    width, pad = -(-n_rows // 8), (1 << (-n_rows % 8)) - 1
     ids: list[str] = []
     with open(path, "rb") as fh:
         header = fh.readline()
         crc = zlib.crc32(header)
-        if header != b"model_id,bits\n":
-            raise InvalidSpecError(f"{path}: header is not model_id,bits")
-        # the last line may lack its newline
-        capacity = (os.fstat(fh.fileno()).st_size - len(header) + 1) // (n_rows + 2)
-        packed = np.zeros((capacity, -(-n_rows // 8)), dtype=np.uint8)
+        if header != PREDS_HEADER.encode() + b"\n":
+            found = header[:80].decode(errors="replace").strip()
+            raise InvalidSpecError(f"{path}: header {found!r} is not {PREDS_HEADER!r}")
+        # each line holds at least a comma, the hex and a newline; the last may lack it
+        capacity = (os.fstat(fh.fileno()).st_size - len(header) + 1) // (2 * width + 2)
+        packed = np.zeros((capacity, width), dtype=np.uint8)
         for line in fh:
             crc = zlib.crc32(line, crc)
-            mid, _, bits = line.rstrip(b"\n").partition(b",")
-            mid, codes = mid.decode(errors="replace"), np.frombuffer(bits, dtype=np.uint8)
-            if codes.size != n_rows:
-                raise InvalidSpecError(f"{path}: model {mid!r} has {codes.size} "
-                                       f"predictions, expected {n_rows}")
-            if np.count_nonzero((codes == ord("0")) | (codes == ord("1"))) != n_rows:
-                raise InvalidSpecError(f"{path}: predictions must be 0/1 characters")
-            packed[len(ids)] = np.packbits(codes == ord("1"))
+            mid, _, hexed = line.rstrip(b"\n").partition(b",")
+            mid = mid.decode(errors="replace")
+            if len(hexed) != 2 * width or hexed.translate(None, b"0123456789abcdef"):
+                raise InvalidSpecError(f"{path}: model {mid!r}'s predictions are not "
+                                       f"{2 * width} lowercase hex digits ({n_rows} rows)")
+            packed[len(ids)] = row = np.frombuffer(bytes.fromhex(hexed.decode()), np.uint8)
+            if pad and row[-1] & pad:
+                raise InvalidSpecError(f"{path}: model {mid!r} sets a pad bit past row {n_rows}")
             ids.append(mid)
     return ids, packed[:len(ids)], crc
 

@@ -53,6 +53,14 @@ def _atomic(path: Path, writer) -> None:
             tmp.unlink()
 
 
+def _atomic_set(paths: list[Path], writer) -> None:
+    """Run ``writer(*tmp_paths)`` inside one ``_atomic`` call per path, so no
+    file is renamed into place until every one is written."""
+    if not paths:
+        return writer()
+    _atomic(paths[0], lambda tmp: _atomic_set(paths[1:], lambda *rest: writer(tmp, *rest)))
+
+
 def _atomic_text(path: Path, text: str) -> None:
     """Unused by the pipelines; kept while ``perfbench/spans.py`` traces it."""
     _atomic(path, lambda p: p.write_text(text))
@@ -173,8 +181,7 @@ def run_sweep_pipeline(config: ExperimentConfig) -> SweepOutputs:
     _write_model_store_atomic(result.records, out_dir)
     _atomic(out_dir / "results.csv",
             lambda p: evaluator.write_results_csv(list(zip(result.records, evals)), p))
-    _atomic(out_dir / "preds.csv",
-            lambda p: evaluator.write_preds_csv(pred_rows, spec.n_ood_test, p))
+    _atomic(out_dir / "preds.csv", lambda p: evaluator.write_preds_csv(pred_rows, p))
     _atomic(out_dir / "report.json", lambda p: analysis.dump_json(report.to_dict(), p))
     write_moon_svg(out_dir, points, report)
     written = [name for name in SWEEP_ARTIFACTS if name != "manifest.json"]
@@ -194,9 +201,8 @@ def run_sweep_pipeline(config: ExperimentConfig) -> SweepOutputs:
 def _write_model_store_atomic(records, out_dir: Path) -> None:
     """``models.csv`` and ``weights.csv``: neither is renamed into place until
     ``trainer.write_model_store`` has written both."""
-    _atomic(out_dir / "models.csv", lambda models: _atomic(
-        out_dir / "weights.csv",
-        lambda weights: trainer.write_model_store(records, models, weights)))
+    _atomic_set([out_dir / "models.csv", out_dir / "weights.csv"],
+                lambda models, weights: trainer.write_model_store(records, models, weights))
 
 
 # ---------------------------------------------------------------------------
@@ -386,28 +392,26 @@ def run_agreement_pipeline(config: ExperimentConfig) -> AgreementOutputs:
                       extra_groups=[(agr_points.tolist(), "#d62728", "agreement pairs")])
         analysis.dump_json(verdict, report)
 
-    # None of the three files is renamed into place until all are written.
     out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic(out_dir / "agreement.csv", lambda table: _atomic(
-        out_dir / "agreement_overlay.svg", lambda overlay: _atomic(
-            out_dir / "agreement_report.json", lambda report: write_all(table, overlay, report))))
+    _atomic_set([out_dir / name for name in ("agreement.csv", "agreement_overlay.svg",
+                                             "agreement_report.json")], write_all)
 
     return AgreementOutputs(verdict=verdict, accuracy_points=acc_points, agreement_points=agr_points)
 
 
 def run_gen_data(config: ExperimentConfig) -> list[Path]:
-    """Write train / id_test / ood_test CSVs plus the resolved spec file."""
+    """Write train / id_test / ood_test CSVs plus the resolved spec file, none
+    renamed into place until all four are written."""
     config.validate()
     spec = config.shift
-    out_dir = config.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for split in datagen.SPLITS:
-        path = out_dir / f"{split}.csv"
-        blocks = datagen.generate_blocks(spec, split, _BLOCK_ROWS)
-        _atomic(path, lambda p, b=blocks: datagen.write_dataset_csv(b, p))
-        written.append(path)
-    spec_path = out_dir / "spec.txt"
-    _atomic(spec_path, lambda p: datagen.write_spec_file(spec, p))
-    written.append(spec_path)
-    return written
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    names = [f"{split}.csv" for split in datagen.SPLITS] + ["spec.txt"]
+    paths = [config.out_dir / name for name in names]
+
+    def write_all(*tmps: Path) -> None:
+        for split, tmp in zip(datagen.SPLITS, tmps):
+            datagen.write_dataset_csv(datagen.generate_blocks(spec, split, _BLOCK_ROWS), tmp)
+        datagen.write_spec_file(spec, tmps[-1])
+
+    _atomic_set(paths, write_all)
+    return paths

@@ -4,10 +4,11 @@ import zlib
 from pathlib import Path
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from shiftlab import analysis, errors, svg, theory, trainer
+from shiftlab import analysis, errors, evaluator, svg, theory, trainer
 from shiftlab.cli import main
 
 TINY_SHIFT = """\
@@ -517,31 +518,72 @@ def test_agreement_on_bad_manifest_is_generation_error(tmp_path, capsys, fault):
     assert not (out_dir / "agreement.csv").exists()
 
 
-def _short_bits(row):
-    return row[:-1]
+def _short_bits(lines):
+    lines[3] = lines[3][:-1]
 
 
-def _bad_char(row):
-    return row[:-1] + "x"
+def _bad_char(lines):
+    lines[3] = lines[3][:-1] + "x"
 
 
-def _dropped(row):
-    return None
+def _dropped(lines):
+    del lines[3]
 
 
-@pytest.mark.parametrize("fault", [_short_bits, _bad_char, _dropped])
+def _old_header(lines):
+    lines[0] = "model_id,bits"
+
+
+def _pad_bit(lines):
+    # the pool's 803 rows leave the last byte's 5 low bits as zero padding
+    lines[3] = lines[3][:-1] + format(int(lines[3][-1], 16) | 1, "x")
+
+
+def _space_in_hex(lines):
+    # the same size, and bytes.fromhex would read it as one byte short
+    lines[3] = lines[3][:-4] + "  " + lines[3][-2:]
+
+
+# What refuses each fault: the manifest's size, else the reader's own checks.
+_PREDS_FAULT_SAYS = {_short_bits: "bytes differ", _bad_char: "hex digits",
+                     _dropped: "bytes differ", _old_header: "bytes differ",
+                     _pad_bit: "pad bit", _space_in_hex: "hex digits"}
+
+
+@pytest.mark.parametrize("fault", list(_PREDS_FAULT_SAYS))
 def test_agreement_on_corrupted_preds_is_generation_error(tmp_path, capsys, fault):
-    cfg, out_dir = make_config(tmp_path)
+    cfg, out_dir = make_config(tmp_path, TINY_SHIFT.replace("n_ood_test=800", "n_ood_test=803"))
     assert main(["sweep", "--config", str(cfg)]) == 0
     preds = out_dir / "preds.csv"
     lines = preds.read_text().splitlines()
-    lines[3] = fault(lines[3])
-    preds.write_text("\n".join(line for line in lines if line is not None) + "\n")
+    fault(lines)
+    preds.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["agreement", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "preds.csv" in err and "Traceback" not in err
+    assert "preds.csv" in err and _PREDS_FAULT_SAYS[fault] in err and "Traceback" not in err
     assert not (out_dir / "agreement.csv").exists()
+
+
+def test_agreement_on_a_sweep_with_0_1_text_preds_names_the_header(tmp_path, capsys):
+    # preds.csv as sweeps once wrote it, one '0'/'1' character a pool row,
+    # with the manifest entry such a sweep wrote for it.
+    cfg, out_dir = make_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    preds = out_dir / "preds.csv"
+    rows = [line.split(",") for line in preds.read_text().splitlines()[1:]]
+    text = "model_id,bits\n" + "".join(
+        f"{mid},{''.join(f'{int(h, 16):04b}' for h in hexed)}\n" for mid, hexed in rows)
+    preds.write_text(text)
+    manifest = out_dir / "manifest.json"
+    recorded = json.loads(manifest.read_text())
+    recorded["files"]["preds.csv"] = {"bytes": len(text), "crc32": zlib.crc32(text.encode())}
+    manifest.write_text(json.dumps(recorded))
+    capsys.readouterr()
+    assert main(["agreement", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "preds.csv" in err and "'model_id,bits'" in err and "'model_id,packed_hex'" in err
+    assert "Traceback" not in err and not (out_dir / "agreement.csv").exists()
 
 
 def test_agreement_on_reversed_bits_is_generation_error(tmp_path, capsys):
@@ -724,6 +766,16 @@ def test_every_error_class_reports_its_readme_exit_code():
     for cls in found:
         assert cls.exit_code == expected[cls], cls
         assert cls.label in names[cls.exit_code], cls  # "config" in "configuration"
+
+
+def test_readme_refusal_list_quotes_the_preds_csv_header(tmp_path):
+    # README's agreement refusals must name the header the writer emits.
+    path = tmp_path / "preds.csv"
+    evaluator.write_preds_csv([("m0", np.packbits([1, 0, 1]))], path)
+    header = path.read_text().splitlines()[0]
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    refusals = re.search(r"^- exits 2 naming `preds.csv` when (.*?)\n\n", readme, re.M | re.S)
+    assert f"its header is not `{header}`" in " ".join(refusals.group(1).split())
 
 
 def test_exit_code_2_generation(tmp_path):

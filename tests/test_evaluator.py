@@ -465,22 +465,26 @@ def test_results_csv_row_off_the_header_names_its_line(tmp_path):
 def test_preds_csv_round_trip(tmp_path):
     rows = [("a", "0101"), ("b", "1111")]
     path = tmp_path / "preds.csv"
-    write_preds_csv([(mid, packed(bits)) for mid, bits in rows], 4, path)
-    assert read_preds_csv(path) == dict(rows)
+    write_preds_csv([(mid, packed(bits)) for mid, bits in rows], path)
+    assert path.read_text() == "model_id,packed_hex\na,50\nb,f0\n"
+    assert read_preds_csv(path) == {"a": "50", "b": "f0"}
+    ids, rows_read, _ = read_preds_matrix(path, 4)
+    assert bit_strings(zip(ids, rows_read), 4) == rows
 
 
 def test_preds_csv_matches_csv_writer(tmp_path):
     rng = np.random.default_rng(5)
-    for n in (0, 1, 7, 2500):  # one file per pool size
-        rows = [(f"c{i:03d}_lr0.01 x'y;{i}", predictions_bits(rng.choice([-1, 1], size=n)))
+    for n in (0, 1, 7, 8, 2500):  # one file per pool size
+        rows = [(f"c{i:03d}_lr0.01 x'y;{i}", np.packbits(rng.choice([-1, 1], size=n) == 1))
                 for i in range(3)]
         path = tmp_path / f"preds_{n}.csv"
-        write_preds_csv([(mid, packed(bits)) for mid, bits in rows], n, path)
+        write_preds_csv(rows, path)
         ref = tmp_path / f"ref_{n}.csv"
         with open(ref, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["model_id", "bits"])
-            writer.writerows(rows)
+            writer.writerow(["model_id", "packed_hex"])
+            writer.writerows((mid, "".join(f"{b:02x}" for b in row.tolist()))
+                             for mid, row in rows)
         assert path.read_bytes() == ref.read_bytes()
 
 
@@ -488,32 +492,67 @@ def test_read_preds_matrix_fills_rows_and_returns_crc(tmp_path):
     rng = np.random.default_rng(3)
     rows = [(f"m{i}", predictions_bits(rng.choice([-1, 1], size=50))) for i in (3, 0, 4, 1)]
     path = tmp_path / "preds.csv"
-    write_preds_csv([(mid, packed(bits)) for mid, bits in rows], 50, path)
+    write_preds_csv([(mid, packed(bits)) for mid, bits in rows], path)
     ids, ones, crc = read_preds_matrix(path, 50)
     assert ids == ["m3", "m0", "m4", "m1"]  # file order
     assert crc == zlib.crc32(path.read_bytes())
     assert bit_strings(zip(ids, ones), 50) == rows
-    with pytest.raises(InvalidSpecError, match="'m3' has 50 predictions, expected 51"):
-        read_preds_matrix(path, 51)  # every bit-string one short
-    with pytest.raises(InvalidSpecError, match="'m3' has 50 predictions, expected 49"):
-        read_preds_matrix(path, 49)  # one long
+    with pytest.raises(InvalidSpecError, match="'m3'.* not 16 lowercase hex digits"):
+        read_preds_matrix(path, 57)  # every row one byte short
+    with pytest.raises(InvalidSpecError, match="'m3'.* not 12 lowercase hex digits"):
+        read_preds_matrix(path, 48)  # one byte long
+    # 50 rows leave 6 pad bits in the last byte; at 49 rows one of them is row 49
+    set_49 = [mid for mid, bits in rows if bits[49] == "1"][0]
+    with pytest.raises(InvalidSpecError, match=f"'{set_49}' sets a pad bit past row 49"):
+        read_preds_matrix(path, 49)
+    assert read_preds_matrix(path, 56)[1].tolist() == ones.tolist()  # pad bits read as rows
     path.write_bytes(path.read_bytes()[:-1])  # the last line without its newline
     assert read_preds_matrix(path, 50)[1].tolist() == ones.tolist()
-    path.write_text("model_id,bits\n,0101")  # the shortest line a file can end with
+    path.write_text("model_id,packed_hex\n,50")  # the shortest line a file can end with
     assert read_preds_matrix(path, 4)[0] == [""]
-    path.write_text("model_id,bits\nm0,01x1\n")
-    with pytest.raises(InvalidSpecError, match="0/1 characters"):
-        read_preds_matrix(path, 4)
-    path.write_text("bits,model_id\n0101,m0\n")
-    with pytest.raises(InvalidSpecError, match="header"):
-        read_preds_matrix(path, 4)
+    path.write_text("model_id,packed_hex\nm0,\n")
+    assert read_preds_matrix(path, 0)[1].shape == (1, 0)
+    for bad in ("5x", "5 ", "ab  ", " abc", "ABCD", "-1"):
+        path.write_text(f"model_id,packed_hex\nm0,{bad}\n")
+        n_rows = 4 * len(bad)  # the right number of digits
+        with pytest.raises(InvalidSpecError, match="preds.csv: model 'm0'.* hex digits"):
+            read_preds_matrix(path, n_rows)
+    path.write_text("model_id,packed_hex\nm0,58\n")  # 5 rows: 01011, then 000 pad
+    assert read_preds_matrix(path, 5)[1].tolist() == [[0x58]]
+    path.write_text("model_id,packed_hex\nm0,5c\n")
+    with pytest.raises(InvalidSpecError, match="'m0' sets a pad bit past row 5"):
+        read_preds_matrix(path, 5)
+    for header in ("model_id,bits", "packed_hex,model_id", "model_id,packed_hex,"):
+        path.write_text(f"{header}\nm0,50\n")
+        with pytest.raises(InvalidSpecError, match=f"preds.csv: header '{header}' is not "
+                                                   "'model_id,packed_hex'"):
+            read_preds_matrix(path, 4)
+
+
+def test_read_preds_matrix_peak_memory_stays_under_twice_the_matrix(tmp_path):
+    """A 210 x 25,000 file (a ``fullbatch_widepool`` sweep's) is read into one
+    preallocated matrix, line by line: the peak stays under twice the matrix."""
+    n_models, n_rows = 210, 25_000
+    rng = np.random.default_rng(11)
+    matrix = np.packbits(rng.random((n_models, n_rows)) < 0.5, axis=1)
+    path = tmp_path / "preds.csv"
+    write_preds_csv([(f"c{i:03d}_lr0.0178_e10_s4", row) for i, row in enumerate(matrix)], path)
+    read_preds_matrix(path, n_rows)  # one-time allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        ids, read, _ = read_preds_matrix(path, n_rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ids) == n_models and np.array_equal(read, matrix)
+    assert peak < 2 * matrix.nbytes
 
 
 @pytest.mark.parametrize("model_id", ["a,b", 'say "x"', "a\rb", "a\nb"])
 def test_preds_csv_rejects_ids_csv_would_quote(tmp_path, model_id):
     path = tmp_path / "preds.csv"
     with pytest.raises(InvalidSpecError, match="preds.csv"):
-        write_preds_csv([("ok", packed("01")), (model_id, packed("10"))], 2, path)
+        write_preds_csv([("ok", packed("01")), (model_id, packed("10"))], path)
     assert not path.exists()
     # results.csv and agreement.csv refuse the same IDs
     ok, bad = (_results_record(mid, HyperParams(0.1), 2) for mid in ("ok", model_id))

@@ -1,4 +1,3 @@
-import csv
 import json
 import tracemalloc
 import weakref
@@ -123,11 +122,9 @@ def test_sweep_predicts_each_distinct_snapshot_once(tmp_path, monkeypatch):
     evaluator.write_results_csv(
         [(r, evaluator.evaluate(r, pool, r_tr, r_ts)) for r in out.records],
         ref / "results.csv")
-    with open(ref / "preds.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model_id", "bits"])
-        writer.writerows((r.model_id, evaluator.predictions_bits(r.predict(pool.features)))
-                         for r in out.records)
+    (ref / "preds.csv").write_text("model_id,packed_hex\n" + "".join(
+        f"{r.model_id},{np.packbits(r.predict(pool.features) == 1).tobytes().hex()}\n"
+        for r in out.records))
     for name in ("results.csv", "preds.csv"):
         assert (config.out_dir / name).read_bytes() == (ref / name).read_bytes(), name
 
@@ -285,6 +282,30 @@ def test_sweep_after_gen_data_leaves_its_files_out_and_intact(tmp_path):
             == (alone.out_dir / "manifest.json").read_bytes())
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_failed_gen_data_keeps_the_previous_set_whole(tmp_path, monkeypatch, k):
+    # The k-th of the second run's four writes completes, then fails: no
+    # file of that run is renamed into place, and no temp file is left.
+    config = tiny_config(tmp_path, master_seed=1)
+    first = {path.name: path.read_bytes() for path in run_gen_data(config)}
+    calls = []
+
+    def failing_at_k(write):
+        def wrapped(*args):
+            write(*args)
+            calls.append(write)
+            if len(calls) == k:
+                raise OSError("disk full")
+        return wrapped
+
+    monkeypatch.setattr(datagen, "write_dataset_csv", failing_at_k(datagen.write_dataset_csv))
+    monkeypatch.setattr(datagen, "write_spec_file", failing_at_k(datagen.write_spec_file))
+    with pytest.raises(OSError, match="disk full"):
+        run_gen_data(config.with_overrides(master_seed=2))
+    assert len(calls) == k
+    assert {path.name: path.read_bytes() for path in config.out_dir.iterdir()} == first
+
+
 def test_gen_data_writes_three_splits_and_spec(tmp_path):
     config = tiny_config(tmp_path)
     paths = run_gen_data(config)
@@ -418,13 +439,12 @@ def test_agreement_pipeline_deterministic(sweep_out):
 
 def test_agreement_is_at_least_the_accuracy_bound(sweep_out):
     # Two models agree at least where both are right: a_ij >= acc_i + acc_j - 1.
-    config, _ = sweep_out
+    config, out = sweep_out
     run_agreement_pipeline(config.with_overrides(n_pairs=300))
-    run_gen_data(config)  # the pool the sweep scored, rebuilt from its config
+    pool = generate(config.shift, "ood_test")  # the pool the sweep scored
+    acc = {r.model_id: float(np.mean(r.predict(pool.features) == pool.labels))
+           for r in out.records}
     d = config.out_dir
-    labels = read_dataset_csv(d / "ood_test.csv", split="ood_test").labels
-    acc = {mid: float(np.mean(evaluator.bits_to_predictions(bits) == labels))
-           for mid, bits in evaluator.read_preds_csv(d / "preds.csv").items()}
     rows = [line.split(",") for line in (d / "agreement.csv").read_text().splitlines()[1:]]
     assert len(rows) == 300
     for a, b, agreement in rows:
@@ -530,14 +550,12 @@ def test_sample_pairs_memory_does_not_grow_with_all_pairs():
 
 def test_agreement_matches_per_pair_reference(sweep_out, tmp_path):
     # 150 pairs span two full chunks of 64 and a partial one.
-    config, _ = sweep_out
+    config, swept = sweep_out
     out = run_agreement_pipeline(config.with_overrides(n_pairs=150, pair_seed=17))
-    run_gen_data(config)  # the pool the sweep scored, rebuilt from its config
     d = config.out_dir
-    ids = [r["model_id"] for r in evaluator.read_results_csv(d / "results.csv")]
-    bits = evaluator.read_preds_csv(d / "preds.csv")
-    preds = {mid: evaluator.bits_to_predictions(bits[mid]) for mid in ids}
-    pool = read_dataset_csv(d / "ood_test.csv", split="ood_test")
+    pool = generate(config.shift, "ood_test")  # the pool the sweep scored
+    ids = [r.model_id for r in swept.records]
+    preds = {r.model_id: r.predict(pool.features) for r in swept.records}
     masks, w_id, w_ood = overlay_cells(config.shift, pool.labels, pool.groups)
 
     def reweight(values):
