@@ -8,6 +8,7 @@ Exit codes: 1 configuration error, 2 data generation, 3 training,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -33,6 +34,7 @@ def _load(args) -> ExperimentConfig:
         n_pairs=getattr(args, "pairs", None), pair_seed=getattr(args, "pair_seed", None))
 
 
+@functools.cache  # main parses every call with the one parser a process builds
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="shiftlab",
                                      description="subpopulation-shift sweep laboratory")
@@ -116,7 +118,6 @@ def _cmd_sweep(args) -> int:
 def _cmd_analyze(args) -> int:
     config = _load(args)
     _, report = _results_fit(config, args)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     harness._atomic(config.out_dir / "report.json",
                     lambda p: analysis.dump_json(report.to_dict(), p))
     print(config.out_dir / "report.json")
@@ -155,7 +156,6 @@ def _cmd_theory(args) -> int:
                                  n_samples=args.mc_samples, seed=args.seed)
     points = theory.roc_traverse(pop, score, n_thresholds=args.n_thresholds)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def write_both(traversal: Path, summary_path: Path) -> None:
         theory.write_traversal_csv(points, traversal)
@@ -174,7 +174,6 @@ def _cmd_theory(args) -> int:
 def _cmd_plot(args) -> int:
     config = _load(args)
     points, report = _results_fit(config, args)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     print(harness.write_moon_svg(config.out_dir, points, report))
     return 0
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import PROBIT_EPS_DEFAULT
 from .datagen import ShiftSpec, format_sig, mixture_table
-from .errors import ConfigError, InfeasibleMarginalsError, InvalidSpecError
+from .errors import ConfigError, InvalidSpecError
 from .rng import derive_stream
 from .trainer import FULL_BATCH, HyperParams, check_grid
 
@@ -129,7 +129,7 @@ class ExperimentConfig:
             for value in values:  # an empty list is left to the series command
                 label = f"[series] {self.series.knob}={value:g}:"
                 self.series_sweep(value).shift.validate()
-        except (InvalidSpecError, InfeasibleMarginalsError) as exc:
+        except InvalidSpecError as exc:
             raise type(exc)(f"{label} {exc}") from exc
 
     def series_sweep(self, value: float) -> "ExperimentConfig":
@@ -226,6 +226,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
                               out_dir=out_dir, series=series)
     try:
         config.validate()
-    except (InvalidSpecError, InfeasibleMarginalsError) as exc:
+    except InvalidSpecError as exc:
         raise ConfigError(f"bad {exc} (in {path})") from exc
     return config

@@ -37,11 +37,23 @@ import numpy as np
 
 from .errors import DegenerateDimensionError, InfeasibleMarginalsError, InvalidSpecError
 from .rng import MASK64, row_streams, stream_normals
+from .theory import PopulationSpec
 
 SPLITS = ("train", "id_test", "ood_test")
 _SPLIT_SCOPE = {"train": 0x5452, "id_test": 0x4944, "ood_test": 0x4F4F}
 
 _WEIGHT_SUM_TOL = 1e-12
+
+
+def check_mixture(weights: tuple[float, ...], k: int, name: str) -> None:
+    """InvalidSpecError unless ``weights`` is a mixture over ``k`` groups: ``k``
+    entries, each in [0, 1], summing to 1 within ``_WEIGHT_SUM_TOL``."""
+    if len(weights) != k:
+        raise InvalidSpecError(f"{name} must have {k} entries")
+    if not all(0.0 <= w <= 1.0 for w in weights):  # NaN fails here too
+        raise InvalidSpecError(f"{name} entries must lie in [0,1]")
+    if abs(sum(weights) - 1.0) > _WEIGHT_SUM_TOL:
+        raise InvalidSpecError(f"{name} must sum to 1 within {_WEIGHT_SUM_TOL}")
 
 
 def _apportion(total: int, weights: tuple[float, ...]) -> list[int]:
@@ -97,11 +109,16 @@ class ShiftSpec:
         return "attribute"
 
     @property
+    def population(self) -> PopulationSpec:
+        """The (Y, Z) law of attribute mode, where the group is Z."""
+        if self.mode != "attribute":
+            raise InvalidSpecError("the (Y, Z) law is only defined in attribute mode")
+        return PopulationSpec(p_y1=self.p_y1, pi1=self.pi1, pi0=self.pi0)
+
+    @property
     def p_z1(self) -> float:
         """Attribute marginal P(Z=1) in attribute mode."""
-        if self.mode != "attribute":
-            raise InvalidSpecError("p_z1 is only defined in attribute mode")
-        return self.pi1 * self.p_y1 + self.pi0 * (1.0 - self.p_y1)
+        return self.population.p_z1
 
     def validate(self) -> None:
         if self.d_core == 0:
@@ -128,10 +145,7 @@ class ShiftSpec:
             if self.p_maj is None or not 0.0 < self.p_maj < 1.0:
                 raise InvalidSpecError("majority mode requires p_maj in (0,1)")
         elif mode == "attribute":
-            if not (0.0 <= self.pi1 <= 1.0 and 0.0 <= self.pi0 <= 1.0):
-                raise InvalidSpecError("pi1 and pi0 must lie in [0,1]")
-            if not 0.0 < self.p_z1 < 1.0:
-                raise InvalidSpecError("P(Z=1) = pi1*p_y1 + pi0*(1-p_y1) must lie in (0,1)")
+            self.population.validate()
         else:
             if self.pi1 is not None:
                 raise InvalidSpecError("k-group mode does not take pi1/pi0")
@@ -139,14 +153,8 @@ class ShiftSpec:
                 raise InvalidSpecError("k-group mode requires explicit r_tr")
 
         for name, weights in (("r_tr", self.r_tr), ("r_ts", self.r_ts)):
-            if weights is None:
-                continue
-            if len(weights) != self.k_groups:
-                raise InvalidSpecError(f"{name} must have {self.k_groups} entries")
-            if not all(0.0 <= w <= 1.0 for w in weights):  # NaN fails here too
-                raise InvalidSpecError(f"{name} entries must lie in [0,1]")
-            if abs(sum(weights) - 1.0) > _WEIGHT_SUM_TOL:
-                raise InvalidSpecError(f"{name} must sum to 1 within {_WEIGHT_SUM_TOL}")
+            if weights is not None:
+                check_mixture(weights, self.k_groups, name)
         if self.r_tr is not None and mode != "kgroup":
             implied = self.train_weights()
             if any(abs(a - b) > 1e-9 for a, b in zip(self.r_tr, implied)):
@@ -174,32 +182,25 @@ class ShiftSpec:
         n = {"train": self.n_train, "id_test": self.n_id_test, "ood_test": self.n_ood_test}[split]
         mode = self.mode
 
-        if mode == "attribute":
-            if split == "train" or split == "id_test":
-                # Class-first so class counts are exact; attribute within class.
-                n_pos = _split_pos(n, self.p_y1)
-                n_neg = n - n_pos
-                n11 = _split_pos(n_pos, self.pi1)
-                n01 = _split_pos(n_neg, self.pi0)
-                return [(n_pos - n11, n_neg - n01), (n11, n01)]
-            # Shifted pool: group-first, within-group label rates held fixed.
-            p_z1 = self.p_z1
-            cond_pos = (
-                (1.0 - self.pi1) * self.p_y1 / (1.0 - p_z1),
-                self.pi1 * self.p_y1 / p_z1,
-            )
-            groups = _apportion(n, self.ood_weights())
-            return [(_split_pos(g, cond_pos[z]), g - _split_pos(g, cond_pos[z]))
-                    for z, g in enumerate(groups)]
+        if mode == "attribute" and split != "ood_test":
+            # Class-first so class counts are exact; attribute within class.
+            n_pos = _split_pos(n, self.p_y1)
+            n_neg = n - n_pos
+            n11 = _split_pos(n_pos, self.pi1)
+            n01 = _split_pos(n_neg, self.pi0)
+            return [(n_pos - n11, n_neg - n01), (n11, n01)]
 
-        # Majority and k-group modes: labels balanced within every group.
         if mode == "majority" and split == "train":
-            n_maj = int(np.floor(self.p_maj * n + 0.5))
+            n_maj = _split_pos(n, self.p_maj)
             groups = [n - n_maj, n_maj]
         else:
-            weights = self.train_weights() if split in ("train", "id_test") else self.ood_weights()
+            weights = self.train_weights() if split != "ood_test" else self.ood_weights()
             groups = _apportion(n, weights)
-        return [(_split_pos(g, self.p_y1), g - _split_pos(g, self.p_y1)) for g in groups]
+        # Group-first: the attribute-mode pool holds each group's label rate
+        # P(Y=1|Z) fixed; the other modes balance labels within every group.
+        rates = ([self.population.p_y1_given_z(z) for z in (0, 1)] if mode == "attribute"
+                 else [self.p_y1] * len(groups))
+        return [(pos := _split_pos(g, rate), g - pos) for g, rate in zip(groups, rates)]
 
     def attribute_values(self) -> tuple[float, ...]:
         """Per-group attribute value ``a_g`` (k-group mode only)."""

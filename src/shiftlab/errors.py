@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Each class carries the exit code and stderr label of its category (1 config,
-2 generation, 3 training, 4 analysis), which the CLI reports it with, so new
-error conditions should subclass one of them rather than raise ValueError.
+Each family's base carries the exit code and stderr label of its category (1
+config, 2 generation, 3 training, 4 analysis), which the CLI reports it with;
+a new error condition subclasses its family's base rather than raise ValueError.
 """
 
 
@@ -24,9 +24,12 @@ class DegenerateDimensionError(InvalidSpecError):
     """Core feature dimension is zero."""
 
 
-class InfeasibleMarginalsError(ShiftLabError):
+class InfeasibleMarginalsError(InvalidSpecError):
     """No non-negative integer contingency table satisfies the marginals."""
-    exit_code, label = 2, "generation"
+
+
+class DegeneratePopulationError(InvalidSpecError):
+    """P(Z=1) is 0 or 1, so conditional quantities are undefined."""
 
 
 class DivergenceError(ShiftLabError):
@@ -43,21 +46,14 @@ class DimensionMismatchError(ShiftLabError):
     exit_code, label = 3, "training"
 
 
-class EmptyGroupError(ShiftLabError):
-    """A subpopulation received no samples where some were required."""
-    exit_code, label = 4, "analysis"
-
-
-class DegeneratePopulationError(ShiftLabError):
-    """P(Z=1) is 0 or 1, so conditional quantities are undefined."""
-    exit_code, label = 2, "generation"
-
-
 class AnalysisError(ShiftLabError):
     """Curve fitting failed (too few points, degenerate design, bad input)."""
     exit_code, label = 4, "analysis"
 
 
-class MissingInputsError(ShiftLabError):
+class EmptyGroupError(AnalysisError):
+    """A subpopulation received no samples where some were required."""
+
+
+class MissingInputsError(AnalysisError):
     """A pipeline stage requires artifacts that are not on disk."""
-    exit_code, label = 4, "analysis"

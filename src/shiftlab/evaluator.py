@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import Dataset, check_unquoted, format_sig
+from .datagen import Dataset, check_mixture, check_unquoted, format_sig
 from .errors import DimensionMismatchError, EmptyGroupError, InvalidSpecError
 from .trainer import ModelRecord
 
@@ -70,13 +70,6 @@ class AgreementRecord:
     agreement: float
 
 
-def _check_weights(weights: tuple[float, ...], k: int, name: str) -> None:
-    if len(weights) != k:
-        raise InvalidSpecError(f"{name} must have {k} entries")
-    if abs(sum(weights) - 1.0) > 1e-9:
-        raise InvalidSpecError(f"{name} must sum to 1")
-
-
 # Distinct snapshots per pool GEMM: bounds the decision block at 16 doubles a row.
 _CHUNK = 16
 
@@ -101,8 +94,8 @@ def _pool_counts(cells: np.ndarray, r_tr: tuple[float, ...], r_ts: tuple[float, 
     for the pool's groups, EmptyGroupError on a group with no rows."""
     totals = _POPCOUNT[cells].sum(axis=1, dtype=np.int64)
     sizes = (totals[0::2] + totals[1::2]).tolist()
-    _check_weights(r_tr, len(sizes), "r_tr")
-    _check_weights(r_ts, len(sizes), "r_ts")
+    check_mixture(r_tr, len(sizes), "r_tr")
+    check_mixture(r_ts, len(sizes), "r_ts")
     for g, n_g in enumerate(sizes):
         if n_g == 0:
             raise EmptyGroupError(f"group {g} has no rows in the test pool")

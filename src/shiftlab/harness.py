@@ -10,7 +10,8 @@ and ``gen-data`` writes them.
 Every file is written by its format's one writer, path last, through
 ``_atomic``'s temp-name-plus-rename step, so an interrupted run never leaves
 truncated artifacts behind and reruns with the same configuration overwrite
-each file with identical bytes.
+each file with identical bytes.  ``_atomic`` also makes the file's directory,
+so a command that fails before its first write leaves no directory behind.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ _BLOCK_ROWS = 512
 
 
 def _atomic(path: Path, writer) -> None:
-    """Run ``writer(tmp_path)`` and rename the result into place."""
+    """Make ``path``'s directory, run ``writer(tmp_path)``, rename the result into place."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         writer(tmp)
@@ -170,7 +172,6 @@ def run_sweep_pipeline(config: ExperimentConfig) -> SweepOutputs:
     if not result.records:
         raise trainer.DivergenceError(0, "every grid cell diverged")
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").unlink(missing_ok=True)
     evals, pred_rows = evaluator.evaluate_snapshots(
         result.records, datagen.generate_blocks(spec, "ood_test", _BLOCK_ROWS),
@@ -217,6 +218,8 @@ def run_spurious_series(config: ExperimentConfig, knob: str,
     # Every value's spec is checked before the first sweep writes anything.
     config = replace(config, series=SeriesSpec(knob, tuple(values)))
     config.validate()
+    # A previous summary would report sweeps this run may not finish.
+    (config.out_dir / "series.json").unlink(missing_ok=True)
     rows = []
     for value in values:
         out = run_sweep_pipeline(config.series_sweep(value))
@@ -232,7 +235,6 @@ def run_spurious_series(config: ExperimentConfig, knob: str,
         })
 
     summary = {"knob": knob, "values": list(values), "sweeps": rows}
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     _atomic(config.out_dir / "series.json", lambda p: analysis.dump_json(summary, p))
     return summary
 
@@ -392,7 +394,6 @@ def run_agreement_pipeline(config: ExperimentConfig) -> AgreementOutputs:
                       extra_groups=[(agr_points.tolist(), "#d62728", "agreement pairs")])
         analysis.dump_json(verdict, report)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_set([out_dir / name for name in ("agreement.csv", "agreement_overlay.svg",
                                              "agreement_report.json")], write_all)
 
@@ -404,7 +405,6 @@ def run_gen_data(config: ExperimentConfig) -> list[Path]:
     renamed into place until all four are written."""
     config.validate()
     spec = config.shift
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     names = [f"{split}.csv" for split in datagen.SPLITS] + ["spec.txt"]
     paths = [config.out_dir / name for name in names]
 

@@ -1,5 +1,7 @@
+import argparse
 import json
 import re
+import shutil
 import zlib
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from shiftlab import analysis, errors, evaluator, svg, theory, trainer
+from shiftlab import analysis, errors, evaluator, harness, svg, theory, trainer
 from shiftlab.cli import main
 
 TINY_SHIFT = """\
@@ -369,6 +371,110 @@ def test_failed_agreement_write_keeps_the_previous_run_whole(tmp_path, monkeypat
     assert main(["agreement", "--config", str(cfg), "--pairs", "20"]) == 5
     assert {name: (out_dir / name).read_bytes() for name in outputs} == first
     assert list(out_dir.glob("*.tmp")) == []
+
+
+# Each command as it reruns over a complete run in ``out`` with other inputs,
+# and the writes (``harness._atomic`` calls) that a clean rerun makes.
+_RERUNS = {
+    "gen-data": (["gen-data", "--seed", "2"], 4),
+    "sweep": (["sweep", "--seed", "2"], 7),
+    "analyze": (["analyze", "--results", "{other}"], 1),
+    "plot": (["plot", "--results", "{other}"], 1),
+    "agreement": (["agreement", "--pairs", "20"], 3),
+    "series": (["series", "--knob", "sdr", "--values", "0.2,0.4", "--seed", "2"], 15),
+    "theory": (["theory", "--mc-samples", "10000", "--seed", "2"], 2),
+}
+
+
+def _rerun(command, root, out):
+    """``main`` on ``command``'s rerun, writing into ``out``."""
+    argv = [a.format(other=root / "other" / "results.csv") for a in _RERUNS[command][0]]
+    if command == "theory":
+        return main(argv + ["--out", str(out / "theory")])
+    return main(argv + ["--config", str(root / "cfg.ini"), "--out", str(out)])
+
+
+@pytest.fixture(scope="module")
+def complete_run(tmp_path_factory):
+    """``out`` holds every command's outputs at the config's seed, and
+    ``other`` a sweep at seed 2."""
+    root = tmp_path_factory.mktemp("complete")
+    cfg, out = make_config(root)
+    for argv in (["gen-data"], ["sweep"], ["analyze"], ["plot"], ["agreement"],
+                 ["series", "--knob", "sdr", "--values", "0.2,0.4"]):
+        assert main(argv + ["--config", str(cfg)]) == 0, argv
+    assert main(["theory", "--mc-samples", "10000", "--out", str(out / "theory")]) == 0
+    assert main(["sweep", "--config", str(cfg), "--seed", "2", "--out", str(root / "other")]) == 0
+    return root
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _verifies(sweep_dir):
+    files = json.loads((sweep_dir / "manifest.json").read_text())["files"]
+    return all(entry == {"bytes": len(data), "crc32": zlib.crc32(data)}
+               for name, entry in files.items() for data in [(sweep_dir / name).read_bytes()])
+
+
+@pytest.mark.parametrize("command", list(_RERUNS))
+def test_every_failed_write_keeps_a_whole_set(complete_run, tmp_path, monkeypatch, capsys,
+                                              command):
+    # The k-th write of a rerun fails before its file is renamed, for every k:
+    # the run exits 5 and each file keeps its previous bytes.  Exceptions: a
+    # sweep renames its files one by one, so each is old or new, and its
+    # manifest is gone; a series also leaves no summary.
+    before = _tree(complete_run / "out")
+    atomic, calls, fail_at = harness._atomic, [], None
+
+    def failing(path, writer):
+        calls.append(path)
+        if len(calls) == fail_at:
+            def writer(tmp):
+                tmp.write_text("partial")
+                raise OSError("disk full")
+        atomic(path, writer)
+
+    monkeypatch.setattr(harness, "_atomic", failing)
+    clean_dir = shutil.copytree(complete_run / "out", tmp_path / "clean")
+    assert _rerun(command, complete_run, clean_dir) == 0
+    assert len(calls) == _RERUNS[command][1]
+    clean = _tree(clean_dir)
+    assert clean != before
+    sweeps = command in ("sweep", "series")
+    for fail_at in range(1, len(calls) + 1):
+        calls.clear()
+        work = shutil.copytree(complete_run / "out", tmp_path / f"fault_{fail_at}")
+        capsys.readouterr()
+        assert _rerun(command, complete_run, work) == 5, fail_at
+        assert "Traceback" not in capsys.readouterr().err
+        assert list(work.rglob("*.tmp")) == [], fail_at
+        after = _tree(work)
+        gone = set(before) - set(after)
+        assert set(after) <= set(before), fail_at
+        if command == "sweep":
+            assert gone == {Path("manifest.json")}, fail_at
+        elif command == "series":
+            assert Path("series.json") in gone, fail_at
+            assert all(p.name == "manifest.json" for p in gone - {Path("series.json")})
+        else:
+            assert gone == set(), fail_at
+        for name, data in after.items():
+            assert data == before[name] or (sweeps and data == clean[name]), (fail_at, name)
+            if name.name == "manifest.json":
+                assert _verifies(work / name.parent), (fail_at, name)
+
+
+@pytest.mark.parametrize("command", list(_RERUNS))
+def test_output_under_a_regular_file_creates_nothing(complete_run, tmp_path, capsys, command):
+    # agreement reads its inputs from the output directory, so it finds none.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    assert _rerun(command, complete_run, blocker / "sub") == (4 if command == "agreement" else 5)
+    assert "Traceback" not in capsys.readouterr().err
+    assert list(tmp_path.rglob("*")) == [blocker]
+    assert blocker.read_text() == "a file, not a directory"
 
 
 def _corrupted_pool(cfg, out_dir):
@@ -782,6 +888,36 @@ def test_exit_code_2_generation(tmp_path):
     # degenerate population reaches the generation layer through `theory`
     assert main(["theory", "--pi1", "1.0", "--pi0", "1.0",
                  "--out", str(tmp_path)]) == 2
+
+
+def test_degenerate_attribute_marginal_is_a_config_error(tmp_path, capsys):
+    # ShiftSpec defers to theory.PopulationSpec, whose DegeneratePopulationError
+    # is an InvalidSpecError, so load_config reports it as the config's fault.
+    cfg, out_dir = make_config(tmp_path, TINY_SHIFT.replace("p_maj=0.9", "pi1=0\npi0=0"))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "[shift] P(Z=1) = 0.0 is degenerate; conditionals undefined" in err
+    assert not out_dir.exists()
+
+
+def test_main_builds_one_parser_per_process(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    outputs = []
+    for run in ("a", "b", "c"):
+        assert main(["theory", "--mc-samples", "10000", "--out", str(tmp_path / run)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in (tmp_path / run).iterdir()})
+        if run == "a":  # an earlier test in this process may have built it already
+            assert built.count("shiftlab") <= 1
+            built.clear()
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert built == []
 
 
 def test_exit_code_3_training(tmp_path):

@@ -124,6 +124,23 @@ def test_weights_validated():
         evaluate_predictions("m", np.ones(4, dtype=np.int64), pool, (0.5, 0.4), (0.5, 0.5))
 
 
+@pytest.mark.parametrize("bad", [(1.2, -0.2), (0.5, 0.5 + 1e-10)])
+@pytest.mark.parametrize("side", ["r_tr", "r_ts"])
+def test_evaluation_refuses_what_a_spec_refuses(bad, side):
+    # One mixture rule for ShiftSpec and the evaluator: entries in [0, 1]
+    # that sum to 1 within datagen._WEIGHT_SUM_TOL.
+    with pytest.raises(InvalidSpecError, match=side):
+        ShiftSpec(d_core=1, d_spu=1, sigma_core=1.0, sigma_spu=1.0, n_train=10,
+                  p_maj=0.9, **{side: bad}).validate()
+    pool = make_pool([1, -1, 1, -1], [0, 0, 1, 1])
+    weights = {"r_tr": (0.5, 0.5), "r_ts": (0.5, 0.5), side: bad}
+    for call in (lambda: evaluate(make_model([1.0]), pool, **weights),
+                 lambda: evaluate_snapshots([make_model([1.0])], pool, **weights)):
+        with pytest.raises(InvalidSpecError, match=side) as exc:
+            call()
+        assert exc.value.exit_code == 2
+
+
 # ---------------------------------------------------------------------------
 # Snapshot matrix evaluation
 # ---------------------------------------------------------------------------

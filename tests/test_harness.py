@@ -150,7 +150,7 @@ def test_failed_fit_renames_no_pool_into_place(tmp_path, monkeypatch):
     config = tiny_config(tmp_path)
     with pytest.raises(AnalysisError):
         run_sweep_pipeline(config)
-    assert list(config.out_dir.iterdir()) == []
+    assert not config.out_dir.exists()  # made by the first write only
 
 
 def test_rerun_failing_a_write_leaves_no_manifest(sweep_out, monkeypatch):
@@ -345,6 +345,30 @@ def test_series_summary_json(tmp_path):
     assert data["values"] == [0.7, 0.9]
     assert len(data["sweeps"]) == 2
     assert all("curvature" in row for row in data["sweeps"])
+
+
+def test_failed_series_leaves_no_stale_summary(tmp_path, monkeypatch):
+    # A rerun at another seed finishes both sweeps and fails writing the
+    # summary: the old series.json would report the first seed's curvatures
+    # next to the second seed's report.json files.
+    config = tiny_config(tmp_path, master_seed=1)
+    run_spurious_series(config, "sdr", [0.25, 0.5])
+    dump_json = analysis.dump_json
+
+    def fail_on_summary(obj, path):
+        if path.name == "series.json.tmp":
+            raise OSError("disk full")
+        dump_json(obj, path)
+
+    monkeypatch.setattr(analysis, "dump_json", fail_on_summary)
+    with pytest.raises(OSError, match="disk full"):
+        run_spurious_series(config.with_overrides(master_seed=2), "sdr", [0.25, 0.5])
+    assert not (config.out_dir / "series.json").exists()
+    for sub in ("sdr_0p25", "sdr_0p5"):
+        files = load_json(config.out_dir / sub / "manifest.json")["files"]
+        for name, entry in files.items():
+            data = (config.out_dir / sub / name).read_bytes()
+            assert entry == {"bytes": len(data), "crc32": zlib.crc32(data)}, (sub, name)
 
 
 def test_agreement_requires_sweep_outputs(tmp_path):

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 
 from shiftlab import theory
 from shiftlab.analysis import fit_curves
-from shiftlab.datagen import format_sig
+from shiftlab.datagen import ShiftSpec, format_sig, generate
 from shiftlab.errors import DegeneratePopulationError, EmptyGroupError, InvalidSpecError
+from shiftlab.evaluator import evaluate
 from shiftlab.gauss import bisect, normal_cdf
 from shiftlab.theory import (PopulationSpec, RocPoint, ScoreModel, accuracy_gap,
                              gap_summary, monte_carlo_gap, moon_arm,
                              roc_traverse, subpop_accuracy, write_traversal_csv)
+from shiftlab.trainer import HyperParams, ModelRecord
 
 EXAMPLE_POP = PopulationSpec(p_y1=0.5, pi1=0.9, pi0=0.3)
 
@@ -353,3 +355,52 @@ def test_monte_carlo_gap_empty_group():
     pop = PopulationSpec(p_y1=0.5, pi1=1e-12, pi0=1e-12)
     with pytest.raises(EmptyGroupError, match="Z=1"):
         monte_carlo_gap(pop, ScoreModel(), 0.0, 10_000)
+
+
+# ---------------------------------------------------------------------------
+# Bridge to the data model
+# ---------------------------------------------------------------------------
+
+BRIDGE_SPEC = ShiftSpec(d_core=20, d_spu=2, sigma_core=3.0, sigma_spu=1.0, n_train=10,
+                        pi1=0.9, pi0=0.2, p_y1=0.4, n_ood_test=40_000, master_seed=11)
+BRIDGE_Z_BOUND = 4.0  # largest |z| of the 15 comparisons: 2.59 here, 2.80 over seeds 0-19
+
+
+def test_attribute_mode_law_is_the_population_spec():
+    assert BRIDGE_SPEC.population == PopulationSpec(p_y1=0.4, pi1=0.9, pi0=0.2)
+    assert BRIDGE_SPEC.p_z1 == BRIDGE_SPEC.population.p_z1
+    with pytest.raises(InvalidSpecError, match="attribute mode"):
+        ShiftSpec(d_core=1, d_spu=1, sigma_core=1.0, sigma_spu=1.0, n_train=10,
+                  p_maj=0.9).population
+    degenerate = ShiftSpec(d_core=1, d_spu=1, sigma_core=1.0, sigma_spu=1.0, n_train=10,
+                           pi1=0.0, pi0=0.0)
+    with pytest.raises(DegeneratePopulationError, match=r"P\(Z=1\) = 0.0 is degenerate"):
+        degenerate.validate()
+
+
+def test_core_only_rule_on_an_attribute_pool_follows_the_closed_form():
+    # At theta = 0 (unit weights on the core block only, bias -t) the score
+    # sum(x_core) ~ N(y d_core, sigma_core^2 d_core) whatever the group: the
+    # closed form's model, in which X is independent of Z given Y.  Each pool
+    # group's accuracy and the gap must match it within binomial error.
+    spec, d = BRIDGE_SPEC, BRIDGE_SPEC.d_core
+    pop, pool = spec.population, generate(spec, "ood_test")
+    s = spec.sigma_core * np.sqrt(d)
+    score = ScoreModel(mu0=-d, mu1=d, s0=s, s1=s)
+    weights = np.concatenate([np.ones(d), np.zeros(spec.d_spu)])
+    z_scores = []
+    for t in (-15.0, -5.0, 0.0, 5.0, 15.0):
+        model = ModelRecord(model_id=f"t={t}", weights=weights, bias=-t, epoch=0,
+                            train_loss=0.0, hyperparams=HyperParams(learning_rate=0.1))
+        ev = evaluate(model, pool, spec.train_weights(), spec.ood_weights())
+        tpr, tnr = score.tpr(t), score.tnr(t)
+        variances = []
+        for z in (0, 1):
+            p1 = pop.p_y1_given_z(z)
+            variances.append(p1 * p1 * tpr * (1 - tpr) / ev.n_pos[z]
+                             + (1 - p1) ** 2 * tnr * (1 - tnr) / ev.n_neg[z])
+            z_scores.append((ev.group_acc[z] - subpop_accuracy(pop, tpr, tnr, z))
+                            / np.sqrt(variances[-1]))
+        gap = abs(ev.group_acc[1] - ev.group_acc[0])
+        z_scores.append((gap - accuracy_gap(pop, tpr, tnr)) / np.sqrt(sum(variances)))
+    assert max(map(abs, z_scores)) < BRIDGE_Z_BOUND, z_scores
