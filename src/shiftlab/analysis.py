@@ -259,8 +259,8 @@ class SmoothingSpline:
             lams = GCV_GRID
         else:
             lam = float(lam)
-            if lam <= 0:
-                raise AnalysisError("lambda must be positive")
+            if not 0.0 < lam < np.inf:  # NaN fails here too
+                raise AnalysisError(f"lambda must be finite and > 0, got {lam}")
             lams = (lam,)
         # Solve on a unit-span axis for conditioning; an affine change of
         # variable multiplies integral(f'')^2 by span^-3, so lambda is mapped

@@ -152,10 +152,11 @@ def _cmd_theory(args) -> int:
     pop = theory.PopulationSpec(p_y1=args.p_y1, pi1=args.pi1, pi0=args.pi0)
     score = theory.ScoreModel(mu0=args.mu0, mu1=args.mu1, s0=args.s0, s1=args.s1)
     theory.check_thresholds(args.n_thresholds)  # gap_summary checks the rest before its draw
+    out_dir = Path(args.out)
+    harness.check_out_dir(out_dir)
     summary = theory.gap_summary(pop, score, args.threshold,
                                  n_samples=args.mc_samples, seed=args.seed)
     points = theory.roc_traverse(pop, score, n_thresholds=args.n_thresholds)
-    out_dir = Path(args.out)
 
     def write_both(traversal: Path, summary_path: Path) -> None:
         theory.write_traversal_csv(points, traversal)

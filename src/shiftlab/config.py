@@ -5,6 +5,9 @@ ShiftSpec fields), ``[grid]`` (hyperparameter grid), ``[analysis]`` (probit
 clamp, spline lambda, agreement pair sampling), ``[output]`` (directory), and
 optionally ``[series]`` (knob sweeps).  Hyperparameter seeds are derived from
 the master seed, so overriding ``--seed`` reseeds the whole pipeline.
+A config is checked in full whenever it is made (construction, ``replace``,
+``with_overrides``), so no pipeline checks it again; ``ShiftSpec`` alone keeps
+a ``validate`` method, which that check calls to name each error's section.
 Outputs are byte-identical across reruns on one machine and BLAS kernel;
 another kernel may round the training reductions differently.
 """
@@ -64,7 +67,7 @@ class AnalysisOptions:
     pair_seed: int | None = None
     margin: float = 0.02
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Range-check the options the analysis stage reads after training."""
         if not 0.0 < self.probit_eps < 0.5:
             raise ConfigError(f"[analysis] probit_eps must be in (0, 0.5), got {self.probit_eps}")
@@ -96,17 +99,18 @@ class ExperimentConfig:
     def with_overrides(self, out_dir: str | Path | None = None,
                        master_seed: int | None = None, n_pairs: int | None = None,
                        pair_seed: int | None = None) -> "ExperimentConfig":
-        """This config with each setting given (not None) replaced, unchecked."""
-        cfg = self
-        if out_dir is not None:
-            cfg = replace(cfg, out_dir=Path(out_dir))
-        if master_seed is not None:
-            cfg = replace(cfg, shift=replace(cfg.shift, master_seed=master_seed))
+        """This config with each setting given (not None) replaced, in one
+        ``replace`` and so checked once; this config itself when none is given."""
         analysis = {k: v for k, v in (("n_pairs", n_pairs), ("pair_seed", pair_seed))
                     if v is not None}
-        return replace(cfg, analysis=replace(cfg.analysis, **analysis))
+        changes = {"analysis": replace(self.analysis, **analysis)} if analysis else {}
+        if out_dir is not None:
+            changes["out_dir"] = Path(out_dir)
+        if master_seed is not None:
+            changes["shift"] = replace(self.shift, master_seed=master_seed)
+        return replace(self, **changes) if changes else self
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Check every run setting before any compute: ConfigError, or a spec check's
         own error led by its section (``[shift]``, ``[grid]``, ``[series] knob=value:``)."""
         label = "[shift]"
@@ -118,7 +122,6 @@ class ExperimentConfig:
                                            f"(n_ood_test={self.shift.n_ood_test})")
             label = "[grid]"
             check_grid(self.grid.build(self.shift.master_seed))
-            self.analysis.validate()
             values = list(self.series.values) if self.series else []
             if not np.all(np.isfinite(values)) or sorted(values) != values:
                 raise ConfigError(f"[series] values must be finite and ascending, got {values}")
@@ -128,14 +131,13 @@ class ExperimentConfig:
                                   f"their output directories are named by, got {values}")
             for value in values:  # an empty list is left to the series command
                 label = f"[series] {self.series.knob}={value:g}:"
-                self.series_sweep(value).shift.validate()
+                _spec_for_knob(self.shift, self.series.knob, value).validate()
         except InvalidSpecError as exc:
             raise type(exc)(f"{label} {exc}") from exc
 
     def series_sweep(self, value: float) -> "ExperimentConfig":
-        """The sweep config of one ``[series]`` value, unchecked: the knob set to
-        ``value`` in ``[shift]``, no series, and the output subdirectory
-        ``<knob>_<tag>``."""
+        """The sweep config of one ``[series]`` value: the knob set to ``value``
+        in ``[shift]``, no series, and the output subdirectory ``<knob>_<tag>``."""
         knob = self.series.knob
         return replace(self, shift=_spec_for_knob(self.shift, knob, value), series=None,
                        out_dir=self.out_dir / f"{knob}_{_knob_tag(value)}")
@@ -222,10 +224,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if "series" in parser:
         series = SeriesSpec(**_read_section(parser, "series", path,
                                             {"knob": str, "values": parse_floats}))
-    config = ExperimentConfig(shift=spec, grid=grid, analysis=analysis,
-                              out_dir=out_dir, series=series)
     try:
-        config.validate()
+        return ExperimentConfig(shift=spec, grid=grid, analysis=analysis,
+                                out_dir=out_dir, series=series)
     except InvalidSpecError as exc:
         raise ConfigError(f"bad {exc} (in {path})") from exc
-    return config

@@ -145,7 +145,7 @@ class ShiftSpec:
             if self.p_maj is None or not 0.0 < self.p_maj < 1.0:
                 raise InvalidSpecError("majority mode requires p_maj in (0,1)")
         elif mode == "attribute":
-            self.population.validate()
+            self.population  # PopulationSpec checks the law when it is made
         else:
             if self.pi1 is not None:
                 raise InvalidSpecError("k-group mode does not take pi1/pi0")

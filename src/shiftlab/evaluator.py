@@ -56,7 +56,6 @@ class EvalRecord:
     n_neg: tuple[int, ...] | None = None
     correct_pos: tuple[int, ...] | None = None
     correct_neg: tuple[int, ...] | None = None
-    epoch: int = 0
 
     @property
     def k_groups(self) -> int:
@@ -102,7 +101,7 @@ def _pool_counts(cells: np.ndarray, r_tr: tuple[float, ...], r_ts: tuple[float, 
     return np.bitwise_or.reduce(cells[0::2], axis=0), sizes, totals.tolist()
 
 
-def _record(model_id: str, epoch: int, correct: list[int], sizes: list[int],
+def _record(model_id: str, correct: list[int], sizes: list[int],
             totals: list[int], r_tr: tuple[float, ...], r_ts: tuple[float, ...]
             ) -> EvalRecord:
     """One EvalRecord from integer counts; ``correct`` and ``totals`` hold
@@ -117,17 +116,16 @@ def _record(model_id: str, epoch: int, correct: list[int], sizes: list[int],
     return EvalRecord(model_id=model_id, group_acc=tuple(group_acc), tpr=tuple(tpr),
                       tnr=tuple(tnr), id_acc=id_acc, ood_acc=ood_acc,
                       n_pos=tuple(n_pos), n_neg=tuple(n_neg),
-                      correct_pos=tuple(c_pos), correct_neg=tuple(c_neg), epoch=epoch)
+                      correct_pos=tuple(c_pos), correct_neg=tuple(c_neg))
 
 
 def evaluate_predictions(model_id: str, preds: np.ndarray, test: Dataset,
-                         r_tr: tuple[float, ...], r_ts: tuple[float, ...],
-                         epoch: int = 0) -> EvalRecord:
+                         r_tr: tuple[float, ...], r_ts: tuple[float, ...]) -> EvalRecord:
     """Score fixed predictions (labels in {-1,+1}) against the test pool."""
     cells = np.packbits(_cell_masks(test), axis=1)
     positive, sizes, totals = _pool_counts(cells, r_tr, r_ts)
     correct = matching_counts(np.packbits(preds == 1), positive, cells).tolist()
-    return _record(model_id, epoch, correct, sizes, totals, r_tr, r_ts)
+    return _record(model_id, correct, sizes, totals, r_tr, r_ts)
 
 
 def _predict_chunk(features: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -201,7 +199,7 @@ def evaluate_snapshots(records: list[ModelRecord], test: Dataset | Iterable[Data
     evals, pred_rows = [], []
     for r in records:
         j = column[(id(r.weights), r.bias)]
-        evals.append(_record(r.model_id, r.epoch, counts[j], sizes, totals, r_tr, r_ts))
+        evals.append(_record(r.model_id, counts[j], sizes, totals, r_tr, r_ts))
         pred_rows.append((r.model_id, bits[j]))
     return evals, pred_rows
 
@@ -219,8 +217,7 @@ def matching_counts(a: np.ndarray, b: np.ndarray, cells: list[np.ndarray]) -> np
 def evaluate(model: ModelRecord, test: Dataset, r_tr: tuple[float, ...],
              r_ts: tuple[float, ...]) -> EvalRecord:
     preds = model.predict(test.features)
-    return evaluate_predictions(model.model_id, preds, test, r_tr, r_ts,
-                                epoch=model.epoch)
+    return evaluate_predictions(model.model_id, preds, test, r_tr, r_ts)
 
 
 def model_mixture(model_a: ModelRecord, model_b: ModelRecord, p: float,

@@ -55,6 +55,14 @@ def _atomic(path: Path, writer) -> None:
             tmp.unlink()
 
 
+def check_out_dir(out_dir: Path) -> None:
+    """NotADirectoryError unless the nearest existing one of ``out_dir`` and its
+    ancestors is a directory; run before compute, it creates nothing."""
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"not a directory: {existing}")
+
+
 def _atomic_set(paths: list[Path], writer) -> None:
     """Run ``writer(*tmp_paths)`` inside one ``_atomic`` call per path, so no
     file is renamed into place until every one is written."""
@@ -162,9 +170,9 @@ def write_moon_svg(out_dir: Path, points: np.ndarray, report: analysis.CurveRepo
 
 def run_sweep_pipeline(config: ExperimentConfig) -> SweepOutputs:
     """Generate data, train the grid, evaluate, fit curves, emit artifacts."""
-    config.validate()
     spec = config.shift
     out_dir = config.out_dir
+    check_out_dir(out_dir)
 
     # The training split is held only while the grid trains.
     result = trainer.sweep(datagen.generate(spec, "train"),
@@ -217,7 +225,6 @@ def run_spurious_series(config: ExperimentConfig, knob: str,
         raise ConfigError("series needs at least one value")
     # Every value's spec is checked before the first sweep writes anything.
     config = replace(config, series=SeriesSpec(knob, tuple(values)))
-    config.validate()
     # A previous summary would report sweeps this run may not finish.
     (config.out_dir / "series.json").unlink(missing_ok=True)
     rows = []
@@ -302,7 +309,6 @@ def run_agreement_pipeline(config: ExperimentConfig) -> AgreementOutputs:
     Cubic smoothing splines fitted to each cloud are compared over the
     common x range.
     """
-    config.validate()
     opts: AnalysisOptions = config.analysis
     out_dir = config.out_dir
     pair_seed = (opts.pair_seed if opts.pair_seed is not None
@@ -403,7 +409,6 @@ def run_agreement_pipeline(config: ExperimentConfig) -> AgreementOutputs:
 def run_gen_data(config: ExperimentConfig) -> list[Path]:
     """Write train / id_test / ood_test CSVs plus the resolved spec file, none
     renamed into place until all four are written."""
-    config.validate()
     spec = config.shift
     names = [f"{split}.csv" for split in datagen.SPLITS] + ["spec.txt"]
     paths = [config.out_dir / name for name in names]

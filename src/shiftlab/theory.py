@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegeneratePopulationError, EmptyGroupError, InvalidSpecError
-from .gauss import bisect, normal_cdf, normal_cdf_array, normal_quantile
+from .gauss import bisect, normal_cdf_array, normal_quantile
 
 _GRID_CLIP = (0.001, 0.999)
 _MC_CHUNK = 1 << 16  # scores drawn per Monte Carlo block
@@ -42,7 +42,7 @@ class PopulationSpec:
     pi1: float
     pi0: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 < self.p_y1 < 1.0:
             raise InvalidSpecError(f"p_y1 must be in (0,1), got {self.p_y1}")
         if not (0.0 <= self.pi1 <= 1.0 and 0.0 <= self.pi0 <= 1.0):
@@ -71,7 +71,7 @@ class ScoreModel:
     s0: float = 1.0
     s1: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # below 2**1023 the ends, midpoints and x - mu of roc_traverse's bracket stay finite
         # each comparison is False for NaN, so a NaN mean or deviation is rejected too
         if not (0 < self.s0 and 0 < self.s1 and abs(self.mu0) + 10 * self.s0 < 2.0**1023
@@ -79,13 +79,21 @@ class ScoreModel:
             raise InvalidSpecError("score parameters must be finite, standard deviations > 0, "
                                    "and each |mu| + 10 * s below 2**1023")
 
+    def component_cdfs(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """F_0(x) and F_1(x), the score CDFs given Y=0 and Y=1, from one
+        ``normal_cdf_array`` call."""
+        with np.errstate(over="ignore"):  # a far x standardizes to +-inf, whose CDF is exact
+            c = normal_cdf_array(np.concatenate(((x - self.mu0) / self.s0,
+                                                 (x - self.mu1) / self.s1)))
+        return c[:x.size], c[x.size:]
+
     def tpr(self, threshold: float) -> float:
         """P(X > t | Y=1) for the rule: predict 1 iff x > t."""
-        return 1.0 - normal_cdf((threshold - self.mu1) / self.s1)
+        return 1.0 - float(self.component_cdfs(np.array([threshold]))[1][0])
 
     def tnr(self, threshold: float) -> float:
         """P(X <= t | Y=0)."""
-        return normal_cdf((threshold - self.mu0) / self.s0)
+        return float(self.component_cdfs(np.array([threshold]))[0][0])
 
     def threshold_for_rates(self, tpr: float, tnr: float) -> tuple[float, "ScoreModel"]:
         """A (threshold, score model) pair realizing the requested rates.
@@ -103,14 +111,12 @@ class ScoreModel:
 
 def accuracy_gap(pop: PopulationSpec, tpr: float, tnr: float) -> float:
     """Closed-form |acc(Z=1) - acc(Z=0)| for a classifier with these rates."""
-    pop.validate()
     scale = (pop.p_y1 * (1.0 - pop.p_y1)) / (pop.p_z1 * (1.0 - pop.p_z1))
     return scale * abs(pop.pi1 - pop.pi0) * abs(tpr - tnr)
 
 
 def subpop_accuracy(pop: PopulationSpec, tpr: float, tnr: float, z: int) -> float:
     """Accuracy on subpopulation z via the conditional decomposition."""
-    pop.validate()
     if z not in (0, 1):
         raise InvalidSpecError(f"z must be 0 or 1, got {z}")
     p1 = pop.p_y1_given_z(z)
@@ -133,8 +139,6 @@ def monte_carlo_gap(pop: PopulationSpec, score: ScoreModel, threshold: float,
     a binomially propagated standard error.  No Bayes inversion or normal CDF
     is shared with :func:`accuracy_gap`, which makes this a usable cross-check.
     """
-    pop.validate()
-    score.validate()
     if not 10_000 <= n_samples < 2**63:
         raise InvalidSpecError(f"n_samples must be at least 10^4 and below 2**63, got {n_samples}")
     if seed < 0:
@@ -193,24 +197,16 @@ def roc_traverse(pop: PopulationSpec, score: ScoreModel,
     emitted (maj_acc, min_acc) sequence is the analytic counterpart of a
     trained sweep's point cloud.
     """
-    pop.validate()
-    score.validate()
     check_thresholds(n_thresholds)
 
-    def component_cdfs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """F_0(x) and F_1(x), from one ``normal_cdf_array`` call."""
-        c = normal_cdf_array(np.concatenate(((x - score.mu0) / score.s0,
-                                             (x - score.mu1) / score.s1)))
-        return c[:x.size], c[x.size:]
-
     def mixture_cdf(x: np.ndarray) -> np.ndarray:
-        f0, f1 = component_cdfs(x)
+        f0, f1 = score.component_cdfs(x)
         return (1.0 - pop.p_y1) * f0 + pop.p_y1 * f1
 
     t = bisect(mixture_cdf, np.linspace(_GRID_CLIP[0], _GRID_CLIP[1], n_thresholds),
                min(score.mu0 - 10 * score.s0, score.mu1 - 10 * score.s1),
                max(score.mu0 + 10 * score.s0, score.mu1 + 10 * score.s1))
-    tnr, f1 = component_cdfs(t)
+    tnr, f1 = score.component_cdfs(t)
     tpr = 1.0 - f1
     maj = subpop_accuracy(pop, tpr, tnr, 1)
     mnr = subpop_accuracy(pop, tpr, tnr, 0)

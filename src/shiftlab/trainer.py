@@ -42,7 +42,7 @@ class HyperParams:
         bs = self.batch_size if self.batch_size == FULL_BATCH else f"{int(self.batch_size)}"
         return f"lr{self.learning_rate:.6g}-l2{self.l2:.6g}-b{bs}-s{self.seed:016x}"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0 < self.learning_rate < np.inf:
             raise InvalidSpecError(f"learning_rate must be positive and finite, "
                                    f"got {self.learning_rate}")
@@ -117,7 +117,6 @@ def train(dataset: Dataset, hp: HyperParams) -> list[ModelRecord]:
     this to about 1 ulp per step, because BLAS reductions over several
     columns may round differently.  The seed axis changes no bit.
     """
-    hp.validate()
     outcome = _descend(dataset, [[[hp]]])[0][0]
     if isinstance(outcome, DivergenceError):
         raise outcome
@@ -237,8 +236,6 @@ def check_grid(grid: list[HyperParams]) -> list[str]:
     if len(set(ids)) != len(ids):
         raise InvalidSpecError("two cells share a cell ID: values repeat, "
                                "or agree to the 6 significant digits it prints")
-    for hp in grid:
-        hp.validate()
     return ids
 
 

@@ -332,6 +332,12 @@ def test_spline_requires_five_distinct_x():
 def test_spline_rejects_nonfinite():
     with pytest.raises(AnalysisError):
         SmoothingSpline(np.array([0.1, 0.2, 0.3, 0.4, np.inf]), np.ones(5), lam=1.0)
+    x, y = np.linspace(0.5, 0.9, 8), np.linspace(0.1, 0.4, 8) ** 2
+    for lam in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(AnalysisError, match="lambda must be finite and > 0"):
+            SmoothingSpline(x, y, lam=lam)
+        with pytest.raises(AnalysisError, match="lambda must be finite and > 0"):
+            fit_curves(np.column_stack([x, y]), spline_lambda=lam)
 
 
 def test_spline_linear_extrapolation():

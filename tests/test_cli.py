@@ -467,12 +467,20 @@ def test_every_failed_write_keeps_a_whole_set(complete_run, tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize("command", list(_RERUNS))
-def test_output_under_a_regular_file_creates_nothing(complete_run, tmp_path, capsys, command):
+def test_output_under_a_regular_file_creates_nothing(complete_run, tmp_path, capsys,
+                                                     monkeypatch, command):
     # agreement reads its inputs from the output directory, so it finds none.
+    computed = []
+    for module, name in ((trainer, "sweep"), (theory, "monte_carlo_gap")):
+        def counted(*args, _run=getattr(module, name), _name=name, **kwargs):
+            computed.append(_name)
+            return _run(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory")
     assert _rerun(command, complete_run, blocker / "sub") == (4 if command == "agreement" else 5)
     assert "Traceback" not in capsys.readouterr().err
+    assert computed == []  # the output location is checked before any compute
     assert list(tmp_path.rglob("*")) == [blocker]
     assert blocker.read_text() == "a file, not a directory"
 
@@ -788,7 +796,8 @@ def test_theory_rerun_gives_identical_bytes(tmp_path):
 # --s0=1e308 is finite, but the ROC traversal's bisection bracket, mu0 + 10 * s0, is not:
 # it would give only nan rows.
 @pytest.mark.parametrize("flag", ["--mu0=nan", "--mu1=nan", "--mu1=-inf", "--s0=inf", "--s0=nan",
-                                  "--s1=nan", "--threshold=nan", "--threshold=inf", "--s0=1e308"])
+                                  "--s1=nan", "--threshold=nan", "--threshold=inf", "--s0=1e308",
+                                  "--s0=0", "--s1=0"])
 def test_theory_non_finite_input_is_generation_error(tmp_path, capsys, flag):
     out = tmp_path / "theory"
     assert main(["theory", "--out", str(out), flag]) == 2
@@ -802,6 +811,10 @@ def test_theory_tiny_sds_run_without_overflow_warnings(tmp_path):
     # standardized scores near 1e300 once overflowed x * x inside the array CDF
     assert main(["theory", "--mc-samples", "10000", "--s0=1e-300", "--s1=1e-300",
                  "--out", str(tmp_path)]) == 0
+    # as does a far threshold's standardized score, which the rates take as +-inf
+    assert main(["theory", "--mc-samples", "10000", "--s0=1e-300", "--s1=1e-300",
+                 "--threshold=1e300", "--out", str(tmp_path / "far")]) == 0
+    assert json.loads((tmp_path / "far" / "theory_summary.json").read_text())["tpr"] == 0.0
 
 
 def test_theory_negative_seed_is_generation_error(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import pytest
 
+from dataclasses import replace
 from pathlib import Path
 
 from shiftlab.config import (AnalysisOptions, ExperimentConfig, GridSpec,
                              SeriesSpec, _spec_for_knob, load_config)
 from shiftlab.datagen import ShiftSpec, mixture_table
-from shiftlab.errors import ConfigError
+from shiftlab.errors import ConfigError, InvalidSpecError
 
 GOOD_CONFIG = """\
 # moon sweep configuration
@@ -194,14 +195,48 @@ def test_shipped_example_config_loads():
     assert cfg.grid.n_snapshots == 5 * 3 * 2 * 5 * 7
 
 
+SMALL_SPEC = ShiftSpec(d_core=10, d_spu=2, sigma_core=1.0, sigma_spu=1.0,
+                       n_train=100, p_maj=0.8, master_seed=1)
+
+
 def test_overrides():
-    spec = ShiftSpec(d_core=10, d_spu=2, sigma_core=1.0, sigma_spu=1.0,
-                     n_train=100, p_maj=0.8, master_seed=1)
-    cfg = ExperimentConfig(shift=spec)
+    cfg = ExperimentConfig(shift=SMALL_SPEC)
     out = cfg.with_overrides(out_dir="elsewhere", master_seed=99)
     assert str(out.out_dir) == "elsewhere"
     assert out.shift.master_seed == 99
     assert cfg.shift.master_seed == 1  # original untouched
+    assert cfg.with_overrides() is cfg
+    with pytest.raises(InvalidSpecError, match=r"^\[shift\] master_seed must fit"):
+        cfg.with_overrides(master_seed=-1)
+    with pytest.raises(ConfigError, match=r"^\[analysis\] n_pairs"):
+        cfg.with_overrides(n_pairs=0)
+
+
+@pytest.mark.parametrize("bad", [dict(probit_eps=0.5), dict(probit_eps=float("nan")),
+                                 dict(spline_lambda=0.0), dict(spline_lambda=float("inf")),
+                                 dict(n_pairs=0), dict(pair_seed=-1),
+                                 dict(margin=float("nan"))])
+def test_bad_analysis_options_rejected_when_made(bad):
+    with pytest.raises(ConfigError, match=r"^\[analysis\]"):
+        AnalysisOptions(**bad)
+    with pytest.raises(ConfigError, match=r"^\[analysis\]"):
+        replace(AnalysisOptions(), **bad)
+
+
+# Each error is labelled once, by the section it comes from.
+@pytest.mark.parametrize("change,says", [
+    (dict(shift=replace(SMALL_SPEC, d_core=0)), r"^\[shift\] d_core must be positive$"),
+    (dict(grid=GridSpec(n_seeds=0)), r"^\[grid\] the hyperparameter grid is empty$"),
+    (dict(grid=GridSpec(learning_rates=(0.0,))), r"^\[grid\] learning_rate must be positive"),
+    (dict(grid=GridSpec(learning_rates=(1e-2, 1e-2))), r"^\[grid\] two cells share"),
+    (dict(series=SeriesSpec("p_maj", (0.7, 1.5))),
+     r"^\[series\] p_maj=1.5: majority mode requires p_maj"),
+])
+def test_bad_config_rejected_when_made(change, says):
+    with pytest.raises(InvalidSpecError, match=says):
+        ExperimentConfig(**{"shift": SMALL_SPEC, **change})
+    with pytest.raises(InvalidSpecError, match=says):
+        replace(ExperimentConfig(shift=SMALL_SPEC), **change)
 
 
 @pytest.mark.parametrize("n_train, p_y1, pi1, pi0", [

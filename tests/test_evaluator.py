@@ -180,7 +180,7 @@ def assert_matches_per_record(records, pool, r_tr, r_ts):
     assert len(evals) == len(rows) == len(records)
     for r, ev, (model_id, bits) in zip(records, evals, rows):
         preds = r.predict(pool.features)
-        ref = evaluate_predictions(r.model_id, preds, pool, r_tr, r_ts, epoch=r.epoch)
+        ref = evaluate_predictions(r.model_id, preds, pool, r_tr, r_ts)
         # repr spells every float exactly, and also equates the nan of an
         # empty cell, which == on two separately made nans does not.
         assert ev == ref or repr(ev) == repr(ref)
@@ -591,7 +591,7 @@ def _results_record(model_id, hp, k, values=(0.5,)):
     model = ModelRecord(model_id=model_id, weights=np.zeros(2), bias=0.0, epoch=7,
                         train_loss=0.0, hyperparams=hp)
     ev = EvalRecord(model_id=model_id, group_acc=tuple(v[:k]), tpr=tuple(v[k:2 * k]),
-                    tnr=tuple(v[2 * k:3 * k]), id_acc=v[-2], ood_acc=v[-1], epoch=7)
+                    tnr=tuple(v[2 * k:3 * k]), id_acc=v[-2], ood_acc=v[-1])
     return model, ev
 
 

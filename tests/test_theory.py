@@ -1,5 +1,6 @@
 import csv
 import tracemalloc
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -95,6 +96,22 @@ def test_degenerate_population_rejected():
         accuracy_gap(PopulationSpec(p_y1=0.5, pi1=1.0, pi0=1.0), 0.9, 0.5)
     with pytest.raises(InvalidSpecError):
         accuracy_gap(PopulationSpec(p_y1=1.5, pi1=0.5, pi0=0.5), 0.9, 0.5)
+    # a population is checked when it is made, by replace too
+    with pytest.raises(DegeneratePopulationError):
+        replace(EXAMPLE_POP, pi1=0.0, pi0=0.0)
+    for bad in (dict(p_y1=0.0), dict(p_y1=float("nan")), dict(pi1=1.5), dict(pi0=-0.1)):
+        with pytest.raises(InvalidSpecError):
+            replace(EXAMPLE_POP, **bad)
+
+
+@pytest.mark.parametrize("bad", [dict(s0=0.0), dict(s1=0.0), dict(s1=-1.0),
+                                 dict(mu0=float("nan")), dict(s0=float("inf")),
+                                 dict(mu1=1e308)])
+def test_bad_score_model_rejected_when_made(bad):
+    with pytest.raises(InvalidSpecError, match="standard deviations > 0"):
+        ScoreModel(**bad)
+    with pytest.raises(InvalidSpecError, match="standard deviations > 0"):
+        replace(ScoreModel(), **bad)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +200,11 @@ def test_traversal_moon_arm_has_positive_curvature():
 
 
 def test_traversal_gap_consistency():
-    for p in roc_traverse(EXAMPLE_POP, ScoreModel(), n_thresholds=21):
+    score = ScoreModel()
+    for p in roc_traverse(EXAMPLE_POP, score, n_thresholds=21):
         assert p.gap == pytest.approx(accuracy_gap(EXAMPLE_POP, p.tpr, p.tnr), abs=1e-12)
+        # the traversal and the scalar rates share one kernel
+        assert (p.tpr, p.tnr) == (score.tpr(p.threshold), score.tnr(p.threshold))
 
 
 def test_traversal_needs_three_thresholds():

@@ -1,5 +1,6 @@
 import csv
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,7 +44,9 @@ def test_bad_hyperparams_rejected(kw):
     base = dict(learning_rate=0.01)
     base.update(kw)
     with pytest.raises(InvalidSpecError):
-        HyperParams(**base).validate()
+        HyperParams(**base)
+    with pytest.raises(InvalidSpecError):
+        replace(HyperParams(learning_rate=0.01), **kw)
 
 
 def test_cell_id_is_content_derived():
@@ -247,6 +250,12 @@ def test_model_store_round_trip(tmp_path, train_set):
     write_model_store(back, mp2, wp2)
     assert mp.read_bytes() == mp2.read_bytes()
     assert wp.read_bytes() == wp2.read_bytes()
+    # a stored row is checked as a grid cell is
+    header, first, *rest = mp.read_text().splitlines()
+    model_id, _, *fields = first.split(",")
+    mp.write_text("\n".join([header, ",".join([model_id, "0", *fields]), *rest]) + "\n")
+    with pytest.raises(InvalidSpecError, match="learning_rate"):
+        read_model_store(mp, wp)
 
 
 def _csv_writer_model_store(records, models_path, weights_path):
