@@ -94,6 +94,7 @@ def _results_fit(config: ExperimentConfig, args) -> tuple[np.ndarray, analysis.C
         points = np.array([[float(r[c]) for c in columns] for r in rows])
     except ValueError as exc:
         raise InvalidSpecError(f"{results_path}: bad accuracy value: {exc}") from exc
+    harness.check_out_dir(config.out_dir)
     return points, analysis.fit_curves(points, probit_eps=config.analysis.probit_eps,
                                        spline_lambda=config.analysis.spline_lambda)
 
@@ -151,7 +152,8 @@ def _cmd_agreement(args) -> int:
 def _cmd_theory(args) -> int:
     pop = theory.PopulationSpec(p_y1=args.p_y1, pi1=args.pi1, pi0=args.pi0)
     score = theory.ScoreModel(mu0=args.mu0, mu1=args.mu1, s0=args.s0, s1=args.s1)
-    theory.check_thresholds(args.n_thresholds)  # gap_summary checks the rest before its draw
+    theory.check_thresholds(args.n_thresholds)
+    theory.check_gap_inputs(args.threshold, args.mc_samples, args.seed)
     out_dir = Path(args.out)
     harness.check_out_dir(out_dir)
     summary = theory.gap_summary(pop, score, args.threshold,

@@ -100,34 +100,37 @@ def _write_manifest(out_dir: Path, names: list[str], spec: ShiftSpec) -> None:
         {"files": files, "ood_test_counts": counts}, p))
 
 
-def _from_manifest(out_dir: Path, what: str, get):
-    """``get(manifest)`` for the sweep's parsed ``manifest.json``;
-    InvalidSpecError naming the manifest if it is not JSON or ``get`` finds no
-    valid entry for ``what``."""
-    path = out_dir / "manifest.json"
+def _read_preds(config: ExperimentConfig, n_rows: int) -> tuple[list[str], np.ndarray]:
+    """Model IDs and packed bits of the sweep's ``preds.csv`` over ``n_rows`` pool
+    rows.  MissingInputsError if it or ``manifest.json`` is absent.
+    InvalidSpecError naming the manifest if it is not JSON, lacks an entry, or
+    gives pool counts other than the config's (the bits follow ``row_layout``'s
+    rows), and naming ``preds.csv`` on a size or CRC-32 mismatch."""
+    out_dir = config.out_dir
+    path, manifest = out_dir / "preds.csv", out_dir / "manifest.json"
+    for p in (path, manifest):
+        if not p.exists():
+            raise MissingInputsError(f"{p.name} not found in {out_dir}; run the sweep first")
+    expected = [list(cell) for cell in config.shift.group_label_counts("ood_test")]
+    what = "ood_test_counts"
     try:
-        return get(json.loads(path.read_text()))
+        entries = json.loads(manifest.read_text())
+        if entries[what] != expected:
+            raise InvalidSpecError(f"{manifest}: the OOD pool's [positives, negatives] per "
+                                   f"group {entries[what]} differ from the config's {expected}")
+        what = path.name
+        size, crc = (int(entries["files"][what][key]) for key in ("bytes", "crc32"))
     except (ValueError, KeyError, TypeError) as exc:
-        raise InvalidSpecError(f"{path}: no valid entry for {what} ({exc!r})") from exc
-
-
-def _read_verified(out_dir: Path, name: str, read) -> list:
-    """The values ``read(path)`` returns for a sweep file that must match its
-    ``manifest.json`` entry: ``read`` returns them followed by the CRC-32 of
-    the bytes it read.  InvalidSpecError naming the file on a size (checked
-    before reading) or CRC mismatch."""
-    path = out_dir / name
-    size, crc = _from_manifest(out_dir, name, lambda m: (
-        int(m["files"][name]["bytes"]), int(m["files"][name]["crc32"])))
+        raise InvalidSpecError(f"{manifest}: no valid entry for {what} ({exc!r})") from exc
     found_size = path.stat().st_size
     if found_size != size:
         raise InvalidSpecError(f"{path}: {found_size} bytes differ from "
                                f"{size} in the sweep's manifest.json")
-    *values, found_crc = read(path)
+    model_ids, packed, found_crc = evaluator.read_preds_matrix(path, n_rows)
     if found_crc != crc:
         raise InvalidSpecError(f"{path}: CRC-32 {found_crc:08x} differs from "
                                f"{crc:08x} in the sweep's manifest.json")
-    return values
+    return model_ids, packed
 
 
 def moon_axis_groups(spec: ShiftSpec) -> tuple[int, int]:
@@ -314,21 +317,8 @@ def run_agreement_pipeline(config: ExperimentConfig) -> AgreementOutputs:
     pair_seed = (opts.pair_seed if opts.pair_seed is not None
                  else derive_stream(config.shift.master_seed, 0x5052))
 
-    for name in ("preds.csv", "manifest.json"):
-        if not (out_dir / name).exists():
-            raise MissingInputsError(f"{name} not found in {out_dir}; run the sweep first")
-
-    # preds.csv's bits follow the pool rows the sweep scored, laid out by
-    # row_layout from the pool's counts: the config must give the same counts.
-    expected = [list(cell) for cell in config.shift.group_label_counts("ood_test")]
-    counts = _from_manifest(out_dir, "ood_test_counts", lambda m: m["ood_test_counts"])
-    if counts != expected:
-        raise InvalidSpecError(f"{out_dir / 'manifest.json'}: the OOD pool's [positives, "
-                               f"negatives] per group {counts} differ from the config's "
-                               f"{expected}")
     labels, groups, _ = datagen.row_layout(config.shift, "ood_test")
-    model_ids, packed = _read_verified(out_dir, "preds.csv", lambda p: evaluator.read_preds_matrix(
-        p, labels.size))
+    model_ids, packed = _read_preds(config, labels.size)
     masks, w_id, w_ood = overlay_cells(config.shift, labels, groups)
     cells, cell_rows = [np.packbits(m) for m in masks], [np.count_nonzero(m) for m in masks]
 

@@ -123,6 +123,16 @@ def subpop_accuracy(pop: PopulationSpec, tpr: float, tnr: float, z: int) -> floa
     return tpr * p1 + tnr * (1.0 - p1)
 
 
+def check_gap_inputs(threshold: float, n_samples: int, seed: int) -> None:
+    """InvalidSpecError unless the operating point and Monte Carlo draw are valid."""
+    if not np.isfinite(threshold):
+        raise InvalidSpecError(f"threshold must be finite, got {threshold}")
+    if not 10_000 <= n_samples < 2**63:
+        raise InvalidSpecError(f"n_samples must be at least 10^4 and below 2**63, got {n_samples}")
+    if seed < 0:
+        raise InvalidSpecError(f"seed must be non-negative, got {seed}")
+
+
 def monte_carlo_gap(pop: PopulationSpec, score: ScoreModel, threshold: float,
                     n_samples: int, seed: int = 0) -> tuple[float, float]:
     """Estimate the subpopulation accuracy gap by direct simulation.
@@ -139,10 +149,7 @@ def monte_carlo_gap(pop: PopulationSpec, score: ScoreModel, threshold: float,
     a binomially propagated standard error.  No Bayes inversion or normal CDF
     is shared with :func:`accuracy_gap`, which makes this a usable cross-check.
     """
-    if not 10_000 <= n_samples < 2**63:
-        raise InvalidSpecError(f"n_samples must be at least 10^4 and below 2**63, got {n_samples}")
-    if seed < 0:
-        raise InvalidSpecError(f"seed must be non-negative, got {seed}")
+    check_gap_inputs(threshold, n_samples, seed)
     rng = np.random.default_rng(seed)
     n1 = rng.binomial(n_samples, pop.p_y1)
     n1_z1 = rng.binomial(n1, pop.pi1)
@@ -238,8 +245,7 @@ def write_traversal_csv(points: list[RocPoint], path: str | Path) -> None:
 def gap_summary(pop: PopulationSpec, score: ScoreModel, threshold: float,
                 n_samples: int = 1_000_000, seed: int = 0) -> dict:
     """Closed form vs Monte Carlo at one operating point, with a verdict."""
-    if not np.isfinite(threshold):
-        raise InvalidSpecError(f"threshold must be finite, got {threshold}")
+    check_gap_inputs(threshold, n_samples, seed)
     tpr = score.tpr(threshold)
     tnr = score.tnr(threshold)
     closed = accuracy_gap(pop, tpr, tnr)

@@ -145,28 +145,25 @@ def _descend(dataset: Dataset, stack: list[list[list[HyperParams]]]
     (n, d), S, C = X.shape, len(stack), len(stack[0])
     step = n if hp.batch_size == FULL_BATCH else int(hp.batch_size)
     gather = hp.batch_size != FULL_BATCH
-    # One seed steps in 2-D: a unit seed axis costs about 10% per step.
-    lead = (S,) if S > 1 else ()
     # Rows :d of Wb hold the weights and row d the bias, so one division,
     # one lr product and one subtraction update both; G is laid out alike.
-    Wb, G = np.zeros((2,) + lead + (d + 1, C))
-    T = np.empty(lead + (d, C))
+    Wb, G = np.zeros((2, S, d + 1, C))
+    T = np.empty((S, d, C))
     lr = np.array([[cells[0].learning_rate for cells in group] for group in stack])
     l2 = np.array([[cells[0].l2 for cells in group] for group in stack])
-    lr_w = np.repeat(lr.reshape(lead + (1, C)), d + 1, axis=-2)
-    l2_w = np.repeat(l2.reshape(lead + (1, C)), d, axis=-2)
-    views = (Wb[..., :d, :], Wb[..., d:, :], G[..., :d, :], G[..., d:, :])
+    lr_w = np.repeat(lr[:, None, :], d + 1, axis=1)
+    l2_w = np.repeat(l2[:, None, :], d, axis=1)
+    views = (Wb[:, :d], Wb[:, d:], G[:, :d], G[:, d:])
     sizes = {min(step, n - start) for start in range(0, n, step)}
-    buffers = {m: (np.empty(lead + (m, d)) if gather else X, *np.empty((3,) + lead + (m, C)))
+    buffers = {m: (np.empty((S, m, d)) if gather else X, *np.empty((3, S, m, C)))
                for m in sizes}
-    Wb3 = Wb.reshape(S, d + 1, C)
     alive = np.ones((S, C), dtype=bool)
     outcomes: list[list] = [[[] for _ in group] for group in stack]
 
     for epoch in range(1, hp.snapshot_epochs[-1] + 1):
         if gather:
-            orders = np.reshape([np.random.default_rng(derive_stream(group[0][0].seed, epoch))
-                                 .permutation(n) for group in stack], lead + (n,))
+            orders = np.array([np.random.default_rng(derive_stream(group[0][0].seed, epoch))
+                               .permutation(n) for group in stack])
             ye = y[orders]
         else:
             ye = y
@@ -179,10 +176,10 @@ def _descend(dataset: Dataset, stack: list[list[list[HyperParams]]]
                     X.take(orders[..., start:start + step], axis=0, out=Xb, mode="clip")
                 _step(Xb, ye[..., start:start + step, None], Wb, G, *views, lr_w, l2_w,
                       T, F, E, Q)
-        finite = alive & np.all(np.isfinite(Wb3), axis=1)
+        finite = alive & np.all(np.isfinite(Wb), axis=1)
         if epoch in hp.snapshot_epochs:
             for s, k in zip(*np.nonzero(finite)):
-                w, bias = Wb3[s, :d, k].copy(), float(Wb3[s, d, k])
+                w, bias = Wb[s, :d, k].copy(), float(Wb[s, d, k])
                 loss = mean_logistic_loss(w, bias, dataset, float(l2[s, k]))
                 if not np.isfinite(loss):
                     finite[s, k] = False
@@ -194,7 +191,7 @@ def _descend(dataset: Dataset, stack: list[list[list[HyperParams]]]
         for s, k in zip(*np.nonzero(alive & ~finite)):
             outcomes[s][k] = DivergenceError(epoch)
             for arr in (Wb, lr_w, l2_w):
-                arr.reshape(S, -1, C)[s, :, k] = 0.0
+                arr[s, :, k] = 0.0
         alive &= finite
         if not alive.any():
             break

@@ -70,6 +70,36 @@ def test_plot_redraws_the_sweeps_moon_svg(tmp_path, capsys):
     assert "at least 4 points" in capsys.readouterr().err
 
 
+def test_analyze_on_a_header_only_results_csv_is_analysis_error(tmp_path, capsys):
+    cfg, out_dir = make_config(tmp_path)
+    results = tmp_path / "header_only.csv"
+    results.write_text("model_id,group_acc_0,group_acc_1\n")
+    assert main(["analyze", "--config", str(cfg), "--results", str(results)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("analysis error:") and "has no rows" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("new,says", [
+    ("k_groups=3\nr_tr=0.5,0.3,0.2\npi1=0.9\npi0=0.3", "k-group mode does not take pi1/pi0"),
+    ("p_maj=0.9\nr_tr=0.5,0.5", "explicit r_tr conflicts with the 2-group parameters"),
+], ids=["kgroup-with-pi", "r_tr-off-p_maj"])
+def test_inconsistent_shift_section_is_config_error(tmp_path, capsys, new, says):
+    cfg, out_dir = make_config(tmp_path, TINY_SHIFT.replace("p_maj=0.9", new))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad [shift]") and says in err
+    assert not out_dir.exists()
+
+
+def test_p_maj_series_on_an_attribute_base_is_config_error(tmp_path, capsys):
+    cfg, out_dir = make_config(tmp_path, TINY_SHIFT.replace("p_maj=0.9", "pi1=0.9\npi0=0.3"))
+    assert main(["series", "--config", str(cfg), "--knob", "p_maj", "--values", "0.7,0.9"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "majority-mode base spec" in err
+    assert not out_dir.exists()
+
+
 def test_clean_sweep_removes_stale_failures_csv(tmp_path):
     # The ridge term multiplies the weights by about -lr * l2 <= -1e197 a step,
     # so every l2=1e200 cell overflows to inf in its first epochs.
@@ -471,7 +501,8 @@ def test_output_under_a_regular_file_creates_nothing(complete_run, tmp_path, cap
                                                      monkeypatch, command):
     # agreement reads its inputs from the output directory, so it finds none.
     computed = []
-    for module, name in ((trainer, "sweep"), (theory, "monte_carlo_gap")):
+    for module, name in ((trainer, "sweep"), (theory, "monte_carlo_gap"),
+                         (analysis, "fit_curves")):
         def counted(*args, _run=getattr(module, name), _name=name, **kwargs):
             computed.append(_name)
             return _run(*args, **kwargs)
@@ -483,6 +514,16 @@ def test_output_under_a_regular_file_creates_nothing(complete_run, tmp_path, cap
     assert computed == []  # the output location is checked before any compute
     assert list(tmp_path.rglob("*")) == [blocker]
     assert blocker.read_text() == "a file, not a directory"
+
+
+@pytest.mark.parametrize("flag", ["--seed=-1", "--mc-samples=5", "--threshold=nan"])
+def test_theory_checks_its_inputs_before_its_output_location(tmp_path, capsys, flag):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    assert main(["theory", "--out", str(blocker / "sub"), flag]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("generation error:") and "Traceback" not in err
+    assert list(tmp_path.rglob("*")) == [blocker]
 
 
 def _corrupted_pool(cfg, out_dir):
@@ -619,7 +660,13 @@ def _no_pool_entry(manifest):
     return json.dumps(manifest)
 
 
-@pytest.mark.parametrize("fault", [_not_json, _no_pool_entry])
+def _no_preds_entry(manifest):
+    manifest = json.loads(manifest)
+    del manifest["files"]["preds.csv"]
+    return json.dumps(manifest)
+
+
+@pytest.mark.parametrize("fault", [_not_json, _no_pool_entry, _no_preds_entry])
 def test_agreement_on_bad_manifest_is_generation_error(tmp_path, capsys, fault):
     cfg, out_dir = make_config(tmp_path)
     assert main(["sweep", "--config", str(cfg)]) == 0
@@ -629,6 +676,8 @@ def test_agreement_on_bad_manifest_is_generation_error(tmp_path, capsys, fault):
     assert main(["agreement", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "manifest.json" in err and "Traceback" not in err
+    missing = {_no_pool_entry: "ood_test_counts", _no_preds_entry: "preds.csv"}
+    assert missing.get(fault, "") in err
     assert not (out_dir / "agreement.csv").exists()
 
 

@@ -317,6 +317,13 @@ def test_evaluate_snapshots_errors():
         evaluate_snapshots(records, pool, (0.5, 0.4), (0.5, 0.5))
     with pytest.raises(InvalidSpecError):
         evaluate_snapshots(records, pool, (1.0,), (0.5, 0.5))
+    with pytest.raises(EmptyGroupError, match="no rows"):
+        evaluate_snapshots(records, iter([]), (0.5, 0.5), (0.5, 0.5))
+
+
+def test_evaluate_refuses_a_wrong_width_model():
+    with pytest.raises(DimensionMismatchError, match="has 5 weights"):
+        evaluate(make_model(np.ones(5)), integer_pool(2), (0.5, 0.5), (0.5, 0.5))
 
 
 def test_popcount_table_counts_the_set_bits_of_every_byte():
