@@ -160,12 +160,8 @@ def _cmd_theory(args) -> int:
                                  n_samples=args.mc_samples, seed=args.seed)
     points = theory.roc_traverse(pop, score, n_thresholds=args.n_thresholds)
 
-    def write_both(traversal: Path, summary_path: Path) -> None:
-        theory.write_traversal_csv(points, traversal)
-        analysis.dump_json(summary, summary_path)
-
-    harness._atomic_set([out_dir / "roc_traversal.csv", out_dir / "theory_summary.json"],
-                        write_both)
+    harness.commit({out_dir / "roc_traversal.csv": lambda p: theory.write_traversal_csv(points, p),
+                    out_dir / "theory_summary.json": lambda p: analysis.dump_json(summary, p)})
     print(out_dir / "roc_traversal.csv")
     print(out_dir / "theory_summary.json")
     print(f"closed-form gap {summary['closed_form_gap']:.6f}, "
@@ -177,7 +173,9 @@ def _cmd_theory(args) -> int:
 def _cmd_plot(args) -> int:
     config = _load(args)
     points, report = _results_fit(config, args)
-    print(harness.write_moon_svg(config.out_dir, points, report))
+    path = config.out_dir / "moon.svg"
+    harness._atomic(path, lambda p: harness.write_moon_svg(points, report, p))
+    print(path)
     return 0
 
 

@@ -7,11 +7,11 @@ exists whole and its predictions are kept as one bit per row and distinct
 snapshot, counted once the pass ends.  A sweep writes only what its config
 alone cannot rebuild: both splits are functions of the ``[shift]`` section,
 and ``gen-data`` writes them.
-Every file is written by its format's one writer, path last, through
-``_atomic``'s temp-name-plus-rename step, so an interrupted run never leaves
-truncated artifacts behind and reruns with the same configuration overwrite
-each file with identical bytes.  ``_atomic`` also makes the file's directory,
-so a command that fails before its first write leaves no directory behind.
+Every command writes its files through ``commit``: all to temp names by each
+format's one writer, then renamed, the set's marker last.  So a failed write
+leaves the previous set as it was, a failed rename no marker over a mixed set,
+and a rerun of one configuration identical bytes.  ``commit`` also makes the
+directory, so a command that fails before it leaves no directory behind.
 """
 
 from __future__ import annotations
@@ -43,16 +43,34 @@ SWEEP_ARTIFACTS = ("models.csv", "weights.csv", "results.csv", "preds.csv",
 _BLOCK_ROWS = 512
 
 
-def _atomic(path: Path, writer) -> None:
-    """Make ``path``'s directory, run ``writer(tmp_path)``, rename the result into place."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+def _tmp(path: Path) -> Path:
+    return path.with_name(path.name + ".tmp")
+
+
+def commit(files: dict, stale: tuple[Path, ...] = ()) -> None:
+    """Run each ``files[path](tmp)`` into ``<name>.tmp``, in order (a writer may
+    also fill a later path's), then remove the marker, the last path, when
+    files precede it, and each ``stale`` path, and rename every file into
+    place, the marker last.  Whatever fails, no ``.tmp`` file is left behind."""
+    *others, marker = files
     try:
-        writer(tmp)
-        os.replace(tmp, path)
+        for path, writer in files.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            writer(_tmp(path))
+        # The marker must not vouch for a mix; a lone file's one rename is atomic.
+        for path in (marker, *stale) if others else stale:
+            path.unlink(missing_ok=True)
+        for path in files:
+            os.replace(_tmp(path), path)
     finally:
-        if tmp.exists():
-            tmp.unlink()
+        for path in files:
+            if _tmp(path).exists():
+                _tmp(path).unlink()
+
+
+def _atomic(path: Path, writer) -> None:
+    """``commit`` of one file, under the name ``perfbench/spans.py`` traces."""
+    commit({path: writer})
 
 
 def check_out_dir(out_dir: Path) -> None:
@@ -61,14 +79,6 @@ def check_out_dir(out_dir: Path) -> None:
     existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
     if not existing.is_dir():
         raise NotADirectoryError(f"not a directory: {existing}")
-
-
-def _atomic_set(paths: list[Path], writer) -> None:
-    """Run ``writer(*tmp_paths)`` inside one ``_atomic`` call per path, so no
-    file is renamed into place until every one is written."""
-    if not paths:
-        return writer()
-    _atomic(paths[0], lambda tmp: _atomic_set(paths[1:], lambda *rest: writer(tmp, *rest)))
 
 
 def _atomic_text(path: Path, text: str) -> None:
@@ -86,18 +96,16 @@ def _file_entry(path: Path) -> dict:
     return {"bytes": size, "crc32": crc}
 
 
-def _write_manifest(out_dir: Path, names: list[str], spec: ShiftSpec) -> None:
-    """``manifest.json``: each named file's size and CRC-32, in ``names`` order,
-    and the OOD pool's ``[positives, negatives]`` per group.
+def _write_manifest(paths: list[Path], spec: ShiftSpec, tmp: Path) -> None:
+    """``manifest.json`` into ``tmp``: each of ``paths``' size and CRC-32, read
+    from its temp file, and the OOD pool's ``[positives, negatives]`` per group.
 
-    Written after the files it names, and a sweep removes the previous one
-    before its first write, so a sweep directory holds a complete artifact set
-    exactly when its manifest verifies.
-    """
-    files = {name: _file_entry(out_dir / name) for name in names}
+    A sweep's marker: it removes the previous one at the start of its rename
+    phase, so a sweep directory holds a complete artifact set exactly when its
+    manifest verifies."""
+    files = {path.name: _file_entry(_tmp(path)) for path in paths}
     counts = [list(cell) for cell in spec.group_label_counts("ood_test")]
-    _atomic(out_dir / "manifest.json", lambda p: analysis.dump_json(
-        {"files": files, "ood_test_counts": counts}, p))
+    analysis.dump_json({"files": files, "ood_test_counts": counts}, tmp)
 
 
 def _read_preds(config: ExperimentConfig, n_rows: int) -> tuple[list[str], np.ndarray]:
@@ -155,9 +163,9 @@ def _moon_points(spec: ShiftSpec, evals: list[evaluator.EvalRecord]) -> np.ndarr
     return np.array([[ev.group_acc[maj_g], ev.group_acc[min_g]] for ev in evals])
 
 
-def write_moon_svg(out_dir: Path, points: np.ndarray, report: analysis.CurveReport) -> Path:
-    """``out_dir/moon.svg``: the (majority, minority) points with the quadratic
-    fit and, when there is one, the smoothing spline over their x range."""
+def write_moon_svg(points: np.ndarray, report: analysis.CurveReport, path: Path) -> None:
+    """``moon.svg`` at ``path``: the (majority, minority) points with the
+    quadratic fit and, when there is one, the smoothing spline over their x range."""
     xs = np.linspace(float(points[:, 0].min()), float(points[:, 0].max()), 101)
     q = report.quad_fit
     fits = [("quadratic fit", q.beta0 + q.beta1 * xs + q.beta2 * xs * xs, "#d62728")]
@@ -166,9 +174,7 @@ def write_moon_svg(out_dir: Path, points: np.ndarray, report: analysis.CurveRepo
     overlays = [svg.Overlay(label, list(zip(xs.tolist(), ys.tolist())), color)
                 for label, ys, color in fits]
     style = svg.PlotStyle(title=f"model sweep ({len(points)} snapshots)")
-    path = out_dir / "moon.svg"
-    _atomic(path, lambda p: svg.emit_plot(points.tolist(), overlays, style, p))
-    return path
+    svg.emit_plot(points.tolist(), overlays, style, path)
 
 
 def run_sweep_pipeline(config: ExperimentConfig) -> SweepOutputs:
@@ -183,38 +189,39 @@ def run_sweep_pipeline(config: ExperimentConfig) -> SweepOutputs:
     if not result.records:
         raise trainer.DivergenceError(0, "every grid cell diverged")
 
-    (out_dir / "manifest.json").unlink(missing_ok=True)
     evals, pred_rows = evaluator.evaluate_snapshots(
         result.records, datagen.generate_blocks(spec, "ood_test", _BLOCK_ROWS),
         spec.train_weights(), spec.ood_weights())
     points = _moon_points(spec, evals)
     report = analysis.fit_curves(points, probit_eps=config.analysis.probit_eps,
                                  spline_lambda=config.analysis.spline_lambda)
-    _write_model_store_atomic(result.records, out_dir)
-    _atomic(out_dir / "results.csv",
-            lambda p: evaluator.write_results_csv(list(zip(result.records, evals)), p))
-    _atomic(out_dir / "preds.csv", lambda p: evaluator.write_preds_csv(pred_rows, p))
-    _atomic(out_dir / "report.json", lambda p: analysis.dump_json(report.to_dict(), p))
-    write_moon_svg(out_dir, points, report)
-    written = [name for name in SWEEP_ARTIFACTS if name != "manifest.json"]
+    files = {**_model_store(result.records, out_dir),
+             out_dir / "results.csv": lambda p: evaluator.write_results_csv(
+                 list(zip(result.records, evals)), p),
+             out_dir / "preds.csv": lambda p: evaluator.write_preds_csv(pred_rows, p),
+             out_dir / "report.json": lambda p: analysis.dump_json(report.to_dict(), p),
+             out_dir / "moon.svg": lambda p: write_moon_svg(points, report, p)}
     if result.failures:
-        _atomic(out_dir / "failures.csv",
-                lambda p: trainer.write_failures_csv(result.failures, p))
-        written.append("failures.csv")
-    else:
-        # A previous run's failures.csv names cells this run did not fail.
-        (out_dir / "failures.csv").unlink(missing_ok=True)
-    _write_manifest(out_dir, written, spec)
+        files[out_dir / "failures.csv"] = lambda p: trainer.write_failures_csv(result.failures, p)
+    listed = list(files)
+    files[out_dir / "manifest.json"] = lambda p: _write_manifest(listed, spec, p)
+    # A previous run's failures.csv may name cells this run did not fail.
+    commit(files, stale=(out_dir / "failures.csv",))
 
     return SweepOutputs(records=result.records, evals=evals,
                         report=report, points=points, out_dir=out_dir)
 
 
+def _model_store(records, out_dir: Path) -> dict:
+    """``commit`` entries: one ``trainer.write_model_store`` writes both temp files."""
+    models, weights = out_dir / "models.csv", out_dir / "weights.csv"
+    return {models: lambda p: trainer.write_model_store(records, p, _tmp(weights)),
+            weights: lambda p: None}
+
+
 def _write_model_store_atomic(records, out_dir: Path) -> None:
-    """``models.csv`` and ``weights.csv``: neither is renamed into place until
-    ``trainer.write_model_store`` has written both."""
-    _atomic_set([out_dir / "models.csv", out_dir / "weights.csv"],
-                lambda models, weights: trainer.write_model_store(records, models, weights))
+    """Unused by the pipelines; kept while ``perfbench/spans.py`` traces it."""
+    commit(_model_store(records, out_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -384,29 +391,23 @@ def run_agreement_pipeline(config: ExperimentConfig) -> AgreementOutputs:
     style = svg.PlotStyle(title="accuracy vs agreement", x_label="ID value",
                           y_label="OOD value", point_color="#1f77b4")
 
-    def write_all(table: Path, overlay: Path, report: Path) -> None:
-        evaluator.write_agreement_csv(agreement_records, table)
-        svg.emit_plot(acc_points.tolist(), overlays, style, overlay,
-                      extra_groups=[(agr_points.tolist(), "#d62728", "agreement pairs")])
-        analysis.dump_json(verdict, report)
-
-    _atomic_set([out_dir / name for name in ("agreement.csv", "agreement_overlay.svg",
-                                             "agreement_report.json")], write_all)
+    commit({out_dir / "agreement.csv": lambda p: evaluator.write_agreement_csv(
+                agreement_records, p),
+            out_dir / "agreement_overlay.svg": lambda p: svg.emit_plot(
+                acc_points.tolist(), overlays, style, p,
+                extra_groups=[(agr_points.tolist(), "#d62728", "agreement pairs")]),
+            out_dir / "agreement_report.json": lambda p: analysis.dump_json(verdict, p)})
 
     return AgreementOutputs(verdict=verdict, accuracy_points=acc_points, agreement_points=agr_points)
 
 
 def run_gen_data(config: ExperimentConfig) -> list[Path]:
-    """Write train / id_test / ood_test CSVs plus the resolved spec file, none
-    renamed into place until all four are written."""
+    """Commit train / id_test / ood_test CSVs plus the resolved spec file,
+    ``spec.txt`` last as the set's marker."""
     spec = config.shift
-    names = [f"{split}.csv" for split in datagen.SPLITS] + ["spec.txt"]
-    paths = [config.out_dir / name for name in names]
-
-    def write_all(*tmps: Path) -> None:
-        for split, tmp in zip(datagen.SPLITS, tmps):
-            datagen.write_dataset_csv(datagen.generate_blocks(spec, split, _BLOCK_ROWS), tmp)
-        datagen.write_spec_file(spec, tmps[-1])
-
-    _atomic_set(paths, write_all)
-    return paths
+    files = {config.out_dir / f"{split}.csv": lambda p, split=split:
+             datagen.write_dataset_csv(datagen.generate_blocks(spec, split, _BLOCK_ROWS), p)
+             for split in datagen.SPLITS}
+    files[config.out_dir / "spec.txt"] = lambda p: datagen.write_spec_file(spec, p)
+    commit(files)
+    return list(files)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import re
 import shutil
 import zlib
@@ -404,7 +405,8 @@ def test_failed_agreement_write_keeps_the_previous_run_whole(tmp_path, monkeypat
 
 
 # Each command as it reruns over a complete run in ``out`` with other inputs,
-# and the writes (``harness._atomic`` calls) that a clean rerun makes.
+# and the files a clean rerun commits: each is one ``harness.commit`` writer
+# call and one rename.
 _RERUNS = {
     "gen-data": (["gen-data", "--seed", "2"], 4),
     "sweep": (["sweep", "--seed", "2"], 7),
@@ -451,28 +453,31 @@ def _verifies(sweep_dir):
 @pytest.mark.parametrize("command", list(_RERUNS))
 def test_every_failed_write_keeps_a_whole_set(complete_run, tmp_path, monkeypatch, capsys,
                                               command):
-    # The k-th write of a rerun fails before its file is renamed, for every k:
-    # the run exits 5 and each file keeps its previous bytes.  Exceptions: a
-    # sweep renames its files one by one, so each is old or new, and its
-    # manifest is gone; a series also leaves no summary.
+    # The k-th file a rerun writes fails before any file is renamed, for every
+    # k: the run exits 5, each file keeps its previous bytes and each manifest
+    # verifies.  Exception: a series loses its summary, and a sweep it finished
+    # before the fault keeps its new set.
     before = _tree(complete_run / "out")
-    atomic, calls, fail_at = harness._atomic, [], None
+    commit, calls, fail_at = harness.commit, [], None
 
-    def failing(path, writer):
+    def write(tmp, path, writer):
         calls.append(path)
         if len(calls) == fail_at:
-            def writer(tmp):
-                tmp.write_text("partial")
-                raise OSError("disk full")
-        atomic(path, writer)
+            tmp.write_text("partial")
+            raise OSError("disk full")
+        writer(tmp)
 
-    monkeypatch.setattr(harness, "_atomic", failing)
+    def failing(files, *args, **kwargs):
+        commit({path: lambda tmp, path=path, writer=writer: write(tmp, path, writer)
+                for path, writer in files.items()}, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "commit", failing)
     clean_dir = shutil.copytree(complete_run / "out", tmp_path / "clean")
     assert _rerun(command, complete_run, clean_dir) == 0
     assert len(calls) == _RERUNS[command][1]
     clean = _tree(clean_dir)
     assert clean != before
-    sweeps = command in ("sweep", "series")
+    series = command == "series"
     for fail_at in range(1, len(calls) + 1):
         calls.clear()
         work = shutil.copytree(complete_run / "out", tmp_path / f"fault_{fail_at}")
@@ -481,19 +486,65 @@ def test_every_failed_write_keeps_a_whole_set(complete_run, tmp_path, monkeypatc
         assert "Traceback" not in capsys.readouterr().err
         assert list(work.rglob("*.tmp")) == [], fail_at
         after = _tree(work)
-        gone = set(before) - set(after)
+        assert set(before) - set(after) == ({Path("series.json")} if series else set()), fail_at
         assert set(after) <= set(before), fail_at
-        if command == "sweep":
-            assert gone == {Path("manifest.json")}, fail_at
-        elif command == "series":
-            assert Path("series.json") in gone, fail_at
-            assert all(p.name == "manifest.json" for p in gone - {Path("series.json")})
-        else:
-            assert gone == set(), fail_at
         for name, data in after.items():
-            assert data == before[name] or (sweeps and data == clean[name]), (fail_at, name)
+            assert data == before[name] or (series and data == clean[name]), (fail_at, name)
             if name.name == "manifest.json":
                 assert _verifies(work / name.parent), (fail_at, name)
+
+
+# The file each command renames last, absent while its set is mixed.
+_MARKERS = {"gen-data": "spec.txt", "sweep": "manifest.json",
+            "agreement": "agreement_report.json", "theory": "theory/theory_summary.json"}
+
+
+@pytest.mark.parametrize("command", list(_RERUNS))
+def test_every_failed_rename_leaves_no_marker_over_a_mix(complete_run, tmp_path, monkeypatch,
+                                                         capsys, command):
+    # The k-th rename of a rerun fails, for every k: the run exits 5, each file
+    # left holds its previous bytes or the clean rerun's, each manifest left
+    # verifies, and the command's marker is gone.
+    before = _tree(complete_run / "out")
+    rename, calls, fail_at = os.replace, [], None
+
+    def failing(src, dst):
+        calls.append(dst)
+        if len(calls) == fail_at:
+            raise OSError("rename failed")
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing)
+    clean_dir = shutil.copytree(complete_run / "out", tmp_path / "clean")
+    assert _rerun(command, complete_run, clean_dir) == 0
+    assert len(calls) == _RERUNS[command][1]
+    clean = _tree(clean_dir)
+    for fail_at in range(1, len(calls) + 1):
+        calls.clear()
+        work = shutil.copytree(complete_run / "out", tmp_path / f"fault_{fail_at}")
+        capsys.readouterr()
+        assert _rerun(command, complete_run, work) == 5, fail_at
+        assert "Traceback" not in capsys.readouterr().err
+        assert list(work.rglob("*.tmp")) == [], fail_at
+        after = _tree(work)
+        for name, data in after.items():
+            assert data in (before.get(name), clean.get(name)), (fail_at, name)
+            if name.name == "manifest.json":
+                assert _verifies(work / name.parent), (fail_at, name)
+        if command in _MARKERS:
+            assert Path(_MARKERS[command]) not in after, fail_at
+
+
+def test_fully_diverged_rerun_keeps_the_previous_set(complete_run, tmp_path):
+    # test_exit_code_3_training's grid: every cell diverges, so nothing is written
+    body = TINY_SHIFT.replace("learning_rates=1e-3,1e-2", "learning_rates=10.0") \
+                     .replace("l2s=0", "l2s=1e12") \
+                     .replace("snapshot_epochs=1,3", "snapshot_epochs=1,25")
+    work = shutil.copytree(complete_run / "out", tmp_path / "out")
+    before = _tree(work)
+    cfg, _ = make_config(tmp_path, body, out=work)
+    assert main(["sweep", "--config", str(cfg)]) == 3
+    assert _tree(work) == before
 
 
 @pytest.mark.parametrize("command", list(_RERUNS))

@@ -153,17 +153,21 @@ def test_failed_fit_renames_no_pool_into_place(tmp_path, monkeypatch):
     assert not config.out_dir.exists()  # made by the first write only
 
 
-def test_rerun_failing_a_write_leaves_no_manifest(sweep_out, monkeypatch):
-    # The old manifest would vouch for a mix of old and new files.
+def test_rerun_failing_a_write_keeps_the_previous_manifest(sweep_out, monkeypatch):
+    # No file is renamed until every one is written, so the previous manifest
+    # still vouches for the previous files, every one of them unchanged.
     config, _ = sweep_out
+    before = {p.name: p.read_bytes() for p in config.out_dir.iterdir()}
 
     def fail(*args, **kwargs):
         raise OSError("disk full")
 
     monkeypatch.setattr(evaluator, "write_preds_csv", fail)
     with pytest.raises(OSError):
-        run_sweep_pipeline(config)
-    assert not (config.out_dir / "manifest.json").exists()
+        run_sweep_pipeline(replace(config, shift=replace(config.shift, master_seed=6)))
+    assert {p.name: p.read_bytes() for p in config.out_dir.iterdir()} == before
+    for name, entry in json.loads(before["manifest.json"])["files"].items():
+        assert entry == {"bytes": len(before[name]), "crc32": zlib.crc32(before[name])}, name
 
 
 def test_sweep_memory_does_not_hold_the_pool(tmp_path):
