@@ -15,8 +15,7 @@ from .harness import (run_agreement_pipeline, run_gen_data, run_spurious_series,
                       run_sweep_pipeline)
 from .theory import (PopulationSpec, RocPoint, ScoreModel, accuracy_gap,
                      monte_carlo_gap, roc_traverse, subpop_accuracy)
-from .trainer import (HyperParams, ModelRecord, SweepResult, oracle_classifier,
-                      sweep, train)
+from .trainer import HyperParams, ModelRecord, SweepResult, sweep, train
 
 __version__ = "0.1.0"
 
@@ -25,7 +24,7 @@ __all__ = [
     "ExperimentConfig", "GridSpec", "HyperParams", "ModelRecord",
     "PopulationSpec", "RocPoint", "ScoreModel", "ShiftSpec", "SmoothingSpline",
     "SweepResult", "accuracy_gap", "evaluate", "fit_curves", "generate", "load_config",
-    "mixture_table", "model_mixture", "monte_carlo_gap", "oracle_classifier", "probit",
+    "mixture_table", "model_mixture", "monte_carlo_gap", "probit",
     "roc_traverse", "run_agreement_pipeline", "run_gen_data", "run_spurious_series",
     "run_sweep_pipeline", "subpop_accuracy", "sweep", "train",
 ]

@@ -14,7 +14,6 @@ _SIZE = 640
 _MARGIN = 60
 _PLOT = _SIZE - 2 * _MARGIN
 
-_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _POINT_RADIUS = 3.0
 _POINT_OPACITY = 0.45
 
@@ -23,7 +22,7 @@ _POINT_OPACITY = 0.45
 class Overlay:
     label: str
     points: list[tuple[float, float]]
-    color: str | None = None
+    color: str
 
 
 @dataclass
@@ -108,14 +107,11 @@ def render_scatter(points: list[tuple[float, float]],
                      f'font-size="12" text-anchor="end" fill="{color}">{label}</text>')
 
     for i, ov in enumerate(overlays):
-        if not ov.points:
-            continue
-        color = ov.color or _PALETTE[(i + 1) % len(_PALETTE)]
         coords = " ".join(f"{_sx(x):.2f},{_sy(y):.2f}" for x, y in ov.points)
-        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
+        parts.append(f'<polyline points="{coords}" fill="none" stroke="{ov.color}" '
                      f'stroke-width="2"/>')
         parts.append(f'<text x="{_SIZE - _MARGIN - 6}" y="{_MARGIN + 18 + 16 * i}" '
-                     f'font-size="12" text-anchor="end" fill="{color}">{ov.label}</text>')
+                     f'font-size="12" text-anchor="end" fill="{ov.color}">{ov.label}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -245,7 +245,6 @@ def write_traversal_csv(points: list[RocPoint], path: str | Path) -> None:
 def gap_summary(pop: PopulationSpec, score: ScoreModel, threshold: float,
                 n_samples: int = 1_000_000, seed: int = 0) -> dict:
     """Closed form vs Monte Carlo at one operating point, with a verdict."""
-    check_gap_inputs(threshold, n_samples, seed)
     tpr = score.tpr(threshold)
     tnr = score.tnr(threshold)
     closed = accuracy_gap(pop, tpr, tnr)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import Dataset, ShiftSpec, check_unquoted
+from .datagen import Dataset, check_unquoted
 from .errors import DimensionMismatchError, DivergenceError, InvalidSpecError
 from .rng import derive_stream
 
@@ -60,14 +60,14 @@ class HyperParams:
 
 @dataclass(frozen=True)
 class ModelRecord:
-    """A linear classifier snapshot: predict +1 iff w . x + b >= 0."""
+    """A trained linear classifier snapshot: predict +1 iff w . x + b >= 0."""
 
     model_id: str
     weights: np.ndarray
     bias: float
     epoch: int
     train_loss: float
-    hyperparams: HyperParams | None = None
+    hyperparams: HyperParams
 
     def __post_init__(self):
         self.weights.setflags(write=False)
@@ -279,23 +279,6 @@ def sweep(dataset: Dataset, grid: list[HyperParams]) -> SweepResult:
     return SweepResult(records=records, failures=failures)
 
 
-def oracle_classifier(spec: ShiftSpec, mode: str = "core-only") -> ModelRecord:
-    """Analytic reference classifiers.
-
-    ``core-only`` puts unit weight on every core coordinate and none on the
-    spurious block: the Bayes rule for the symmetric equal-prior Gaussian
-    pair, independent of the group.  ``all-features`` puts unit weight
-    everywhere.
-    """
-    if mode not in ("core-only", "all-features"):
-        raise InvalidSpecError(f"unknown oracle mode {mode!r}")
-    w = np.ones(spec.d_total)
-    if mode == "core-only":
-        w[spec.d_core:] = 0.0
-    return ModelRecord(model_id=f"oracle-{mode}", weights=w, bias=0.0, epoch=0,
-                       train_loss=float("nan"), hyperparams=None)
-
-
 # ---------------------------------------------------------------------------
 # Model store
 # ---------------------------------------------------------------------------
@@ -331,23 +314,29 @@ def write_failures_csv(failures: list[tuple[str, HyperParams, str]], path: str |
 
 
 def read_model_store(models_path: str | Path, weights_path: str | Path) -> list[ModelRecord]:
+    """A ``write_model_store`` pair's records, sorted by model ID.  A missing column,
+    short row, non-number or unknown model ID raises InvalidSpecError naming the file."""
     hps: dict[str, tuple[HyperParams, int, float]] = {}
-    with open(models_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            bs = row["batch_size"]
-            hp = HyperParams(
-                learning_rate=float(row["lr"]), l2=float(row["l2"]),
-                batch_size=bs if bs == FULL_BATCH else int(bs),
-                snapshot_epochs=(int(row["epoch"]),), seed=int(row["seed"]))
-            hps[row["model_id"]] = (hp, int(row["epoch"]), float(row["train_loss"]))
-    records = []
-    with open(weights_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            model_id = row["model_id"]
-            hp, epoch, loss = hps[model_id]
-            d = len(row) - 2
-            w = np.array([float(row[f"w{j}"]) for j in range(d)])
-            records.append(ModelRecord(model_id=model_id, weights=w, bias=float(row["b"]),
-                                       epoch=epoch, train_loss=loss, hyperparams=hp))
+    records, path = [], models_path
+    try:  # restval "" makes a short row's missing fields fail to parse, as None would not
+        with open(models_path, newline="") as fh:
+            for row in csv.DictReader(fh, restval=""):
+                bs = row["batch_size"]
+                hp = HyperParams(
+                    learning_rate=float(row["lr"]), l2=float(row["l2"]),
+                    batch_size=bs if bs == FULL_BATCH else int(bs),
+                    snapshot_epochs=(int(row["epoch"]),), seed=int(row["seed"]))
+                hps[row["model_id"]] = (hp, int(row["epoch"]), float(row["train_loss"]))
+        path = weights_path
+        with open(weights_path, newline="") as fh:
+            for row in csv.DictReader(fh, restval=""):
+                hp, epoch, loss = hps[row["model_id"]]
+                values = np.array([row["b"], *(row[f"w{j}"] for j in range(len(row) - 2))],
+                                  dtype=float)  # each parsed as float() parses it
+                records.append(ModelRecord(model_id=row["model_id"], weights=values[1:],
+                                           bias=float(values[0]), epoch=epoch,
+                                           train_loss=loss, hyperparams=hp))
+    except (KeyError, ValueError) as exc:
+        raise InvalidSpecError(f"malformed model store file {path}: {exc!r}") from None
     records.sort(key=lambda r: r.model_id)
     return records

@@ -170,7 +170,8 @@ def integer_snapshots(n_distinct, d=6, seed=1):
         for bias in biases:
             for copy in range(1 + distinct % 2):
                 records.append(ModelRecord(model_id=f"m{distinct:03d}c{copy}", weights=w,
-                                           bias=bias, epoch=distinct, train_loss=0.0))
+                                           bias=bias, epoch=distinct, train_loss=0.0,
+                                           hyperparams=HyperParams(learning_rate=0.1)))
             distinct += 1
     return records
 

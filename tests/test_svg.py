@@ -16,7 +16,7 @@ def test_no_overlays_no_polylines():
 
 
 def test_overlays_render_as_polylines():
-    overlays = [Overlay("fit", [(0.0, 0.1), (0.5, 0.4), (1.0, 0.9)]),
+    overlays = [Overlay("fit", [(0.0, 0.1), (0.5, 0.4), (1.0, 0.9)], color="#d62728"),
                 Overlay("spline", [(0.0, 0.2), (1.0, 0.8)], color="#123456")]
     content = render_scatter([(0.5, 0.5)], overlays=overlays)
     assert content.count("<polyline") == 2

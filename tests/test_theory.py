@@ -1,4 +1,5 @@
 import csv
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -220,6 +221,16 @@ def test_gap_summary_consistent_verdict():
     summary = gap_summary(EXAMPLE_POP, ScoreModel(), 0.3, n_samples=200_000, seed=3)
     assert summary["verdict"] == "consistent"
     assert abs(summary["closed_form_gap"] - summary["mc_gap"]) <= 3 * summary["mc_se"]
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(threshold=float("nan")), "threshold must be finite, got nan"),
+    (dict(n_samples=5), "n_samples must be at least 10^4 and below 2**63, got 5"),
+    (dict(seed=-1), "seed must be non-negative, got -1")])
+def test_gap_summary_refuses_invalid_inputs(kw, message):
+    args = dict(threshold=0.3, n_samples=10_000, seed=0) | kw
+    with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+        gap_summary(EXAMPLE_POP, ScoreModel(), **args)
 
 
 def test_traversal_csv_round_trip(tmp_path):

@@ -13,7 +13,7 @@ from shiftlab.gauss import normal_cdf
 from shiftlab.rng import derive_stream
 from shiftlab.trainer import (FULL_BATCH, HyperParams, ModelRecord,
                               gradient_lipschitz_bound, mean_logistic_loss,
-                              oracle_classifier, read_model_store, sweep, train,
+                              read_model_store, sweep, train,
                               write_failures_csv, write_model_store)
 
 
@@ -174,8 +174,18 @@ def test_default_grid_shape():
 
 
 # ---------------------------------------------------------------------------
-# Oracle classifiers
+# Fixed linear rules
 # ---------------------------------------------------------------------------
+
+def fixed_rule(spec: ShiftSpec, spurious_weight: float) -> ModelRecord:
+    """Unit weight on every core coordinate, ``spurious_weight`` on each spurious
+    one: with 0, the Bayes rule for the symmetric equal-prior Gaussian pair,
+    independent of the group; with 1, unit weight everywhere."""
+    w = np.ones(spec.d_total)
+    w[spec.d_core:] = spurious_weight
+    return ModelRecord(model_id="fixed", weights=w, bias=0.0, epoch=0,
+                       train_loss=float("nan"), hyperparams=HyperParams(learning_rate=1.0))
+
 
 def test_core_only_oracle_accuracy_matches_normal_cdf():
     # Margin of the core-only rule on either group: sum of d_core coordinates
@@ -192,8 +202,8 @@ def test_core_only_oracle_accuracy_matches_normal_cdf():
     spec = ShiftSpec(d_core=d_core, d_spu=10, sigma_core=sigma, sigma_spu=1.0,
                      n_train=100, p_maj=0.9, n_ood_test=50_000, master_seed=2)
     pool = generate(spec, "ood_test")
-    oracle = oracle_classifier(spec, "core-only")
-    correct = oracle.predict(pool.features) == pool.labels
+    rule = fixed_rule(spec, 0.0)
+    correct = rule.predict(pool.features) == pool.labels
     se = np.sqrt(0.159 * 0.841 / pool.n_rows)
     assert float(np.mean(correct)) == pytest.approx(analytic, abs=4 * se)
 
@@ -202,8 +212,8 @@ def test_core_only_oracle_group_symmetry():
     spec = ShiftSpec(d_core=50, d_spu=10, sigma_core=5.0, sigma_spu=1.0,
                      n_train=100, pi1=0.6, pi0=0.6, n_ood_test=40_000, master_seed=5)
     pool = generate(spec, "ood_test")
-    oracle = oracle_classifier(spec, "core-only")
-    correct = oracle.predict(pool.features) == pool.labels
+    rule = fixed_rule(spec, 0.0)
+    correct = rule.predict(pool.features) == pool.labels
     accs = [float(np.mean(correct[pool.groups == g])) for g in (0, 1)]
     n_g = pool.n_rows // 2
     pooled_se = np.sqrt(2 * 0.25 / n_g)
@@ -217,16 +227,11 @@ def test_all_features_oracle_group_asymmetry_under_correlation():
                      n_train=100, p_maj=0.95, n_ood_test=40_000,
                      master_seed=5)
     pool = generate(spec, "ood_test")
-    oracle = oracle_classifier(spec, "all-features")
-    correct = oracle.predict(pool.features) == pool.labels
+    rule = fixed_rule(spec, 1.0)
+    correct = rule.predict(pool.features) == pool.labels
     acc_maj = float(np.mean(correct[pool.groups == 1]))
     acc_min = float(np.mean(correct[pool.groups == 0]))
     assert acc_maj > acc_min + 0.05
-
-
-def test_oracle_unknown_mode():
-    with pytest.raises(InvalidSpecError):
-        oracle_classifier(small_spec(), "bayes")
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +261,36 @@ def test_model_store_round_trip(tmp_path, train_set):
     mp.write_text("\n".join([header, ",".join([model_id, "0", *fields]), *rest]) + "\n")
     with pytest.raises(InvalidSpecError, match="learning_rate"):
         read_model_store(mp, wp)
+
+
+def _edit_field(line, j, value=None):
+    """``line`` with CSV field ``j`` set to ``value``, or dropped when it is None."""
+    fields = line.split(",")
+    fields[j:j + 1] = [] if value is None else [value]
+    return ",".join(fields)
+
+
+@pytest.mark.parametrize("name, fault", [
+    ("weights.csv", "unknown model"), ("models.csv", "short row"), ("weights.csv", "short row"),
+    ("models.csv", "missing column"), ("weights.csv", "missing column"),
+    ("models.csv", "non-number"), ("weights.csv", "non-number")])
+def test_malformed_model_store_names_its_file(tmp_path, train_set, name, fault):
+    records = train(train_set, HyperParams(1e-2, snapshot_epochs=(1, 2)))
+    write_model_store(records, tmp_path / "models.csv", tmp_path / "weights.csv")
+    path = tmp_path / name
+    header, *rows = path.read_text().splitlines()
+    if fault == "unknown model":
+        rows[-1] = _edit_field(rows[-1], 0, "no-such-model")
+    elif fault == "short row":
+        rows[-1] = rows[-1].rsplit(",", 1)[0]
+    elif fault == "missing column":
+        header, *rows = (_edit_field(line, 2) for line in [header, *rows])
+    else:
+        rows[-1] = _edit_field(rows[-1], 2, "x")
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with pytest.raises(InvalidSpecError, match="malformed model store file") as info:
+        read_model_store(tmp_path / "models.csv", tmp_path / "weights.csv")
+    assert str(path) in str(info.value)
 
 
 def _csv_writer_model_store(records, models_path, weights_path):
